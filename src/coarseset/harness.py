@@ -16,6 +16,7 @@ produce byte-identical outputs.
 from __future__ import annotations
 
 import csv
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -232,7 +233,8 @@ def run_budget_sweep(
         out.mkdir(parents=True, exist_ok=True)
         results_path = out / "results.csv"
         if results_path.exists():
-            for row in _read_results(results_path):
+            rows, complete = _read_results(results_path)
+            for row in rows:
                 key = (row.method, row.budget, row.trial)
                 if row.method in methods and row.budget in schedule.budgets and 0 <= row.trial < trials:
                     if row.seed != base_seed + row.trial:
@@ -240,6 +242,8 @@ def run_budget_sweep(
                             f"{results_path} was produced with different seeds; use a fresh out dir"
                         )
                     done[key] = row
+            if done:
+                os.truncate(results_path, complete)
 
     lock = threading.Lock()
     fresh: list[SweepRow] = []
@@ -295,19 +299,34 @@ def _format_row(row: SweepRow) -> list[str]:
     return [row.method, str(row.budget), str(row.trial), str(row.seed), repr(row.accuracy)]
 
 
-def _read_results(path: Path) -> list[SweepRow]:
+def _read_results(path: Path) -> tuple[list[SweepRow], int]:
+    """Rows of an existing results.csv, and the byte length of its complete
+    lines. Rows are appended one line at a time, so a final line without its
+    newline is an append cut short by a crash: it is not a row, and the
+    caller truncates it off so its cell is recomputed."""
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != RESULTS_HEADER:
-                raise CoarsesetError(f"{path}: unexpected results header {header}")
-            return [
-                SweepRow(m, int(b), int(t), int(s), float(a))
-                for m, b, t, s, a in reader
-            ]
+        raw = path.read_bytes()
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
+    complete = raw.rfind(b"\n") + 1
+    try:
+        lines = raw[:complete].decode("utf-8").split("\n")[:-1]
+    except UnicodeDecodeError as exc:
+        raise CoarsesetError(f"{path}: not UTF-8 text: {exc}") from None
+    if not lines:  # cut before the header was complete
+        return [], complete
+    if lines[0].split(",") != RESULTS_HEADER:
+        raise CoarsesetError(f"{path}: unexpected results header {lines[0]!r}")
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            m, b, t, s, a = line.split(",")
+            rows.append(SweepRow(m, int(b), int(t), int(s), float(a)))
+        except ValueError:
+            raise CoarsesetError(
+                f"{path}: line {lineno}: expected {','.join(RESULTS_HEADER)}, got {line!r}"
+            ) from None
+    return rows, complete
 
 
 def emit_report(result: SweepResult, out_dir: PathLike) -> None:

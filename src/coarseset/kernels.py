@@ -1,188 +1,87 @@
-"""Hot selection kernels: numba-jitted loops with a pure-numpy fallback.
+"""The hot selection kernel: min-distance updates in feature-major numpy.
 
-Backend choice
---------------
-``numba`` is the default. Set ``COARSESET_NO_NUMBA=1`` (or any non-empty
-value other than ``0``) to force the numpy path; it is also used
-automatically when numba cannot be imported. Both backends are always
-importable individually so tests and benchmarks can compare them.
+Layout
+------
+A :class:`DistanceKernel` holds the one float64 working copy of a greedy
+run, stored feature-major: a contiguous ``d x n`` array built once from the
+float32 embeddings. Feature ``j`` of every point is then one contiguous
+row, so an update streams through the array once, row by row, with
+in-place ufuncs on n-length buffers allocated once per run. No other module
+knows this layout; callers pass the ``n x d`` embedding data and a
+:class:`~coarseset.metrics.Metric`.
 
 Bit-exactness
 -------------
-Both backends implement the metrics contract literally: per point, the
+The kernel implements the metrics contract literally: per point, the
 feature reduction runs in strictly ascending index order with one float64
-accumulation per feature. The numba kernels are the scalar loops; the numpy
-kernels vectorize across *points* while looping over features, which
-performs the exact same float64 operation sequence per point and is
-therefore bit-identical (elementary numpy ufuncs are correctly rounded).
-The farthest-point argmax keeps the first maximum under strict ``>``, i.e.
-ties resolve to the lowest index in both backends.
+accumulation per feature. Vectorizing across *points* while looping over
+features performs the exact same float64 operation sequence per point as the
+scalar reference in :mod:`coarseset.metrics`, and elementary numpy ufuncs are
+correctly rounded, so every distance is bit-identical to
+:func:`coarseset.metrics.distance`. The farthest-point argmax keeps the
+first maximum, i.e. ties resolve to the lowest index.
 """
 
 from __future__ import annotations
 
-import math
-import os
-from dataclasses import dataclass
-from typing import Callable, Optional
-
 import numpy as np
 
-ENV_FLAG = "COARSESET_NO_NUMBA"
-
-SQEUCLIDEAN_CODE = 0
-EUCLIDEAN_CODE = 1
-COSINE_CODE = 2
+from .errors import ZeroVector
+from .metrics import Metric
 
 
-# --- numpy backend ----------------------------------------------------------
+class DistanceKernel:
+    """Distances from every point to one center, folded into a min-dist
+    vector. Built once per greedy run from the ``n x d`` embedding data."""
 
-def _np_row_norms(x: np.ndarray) -> np.ndarray:
-    n, d = x.shape
-    acc = np.zeros(n, dtype=np.float64)
-    for j in range(d):
-        col = x[:, j]
-        acc += col * col
-    return np.sqrt(acc)
+    def __init__(self, data: np.ndarray, metric: Metric):
+        n, d = data.shape
+        self.metric = metric
+        self._xt = np.empty((d, n), dtype=np.float64)
+        np.copyto(self._xt, data.T)  # float32 storage, float64 arithmetic
+        self._acc = np.empty(n, dtype=np.float64)
+        self._buf = np.empty(n, dtype=np.float64)
+        if metric is Metric.COSINE:
+            self._same = np.empty(n, dtype=np.bool_)
+            self._eq = np.empty(n, dtype=np.bool_)
+            self._norms = np.zeros(n, dtype=np.float64)
+            for row in self._xt:
+                np.multiply(row, row, out=self._buf)
+                np.add(self._norms, self._buf, out=self._norms)
+            np.sqrt(self._norms, out=self._norms)
+            if not self._norms.all():
+                bad = int(np.nonzero(self._norms == 0.0)[0][0])
+                raise ZeroVector(f"cosine metric rejects all-zero point {bad}")
+
+    def update(self, center: int, min_dist: np.ndarray) -> None:
+        """min_dist[i] = min(min_dist[i], distance(point i, point center))."""
+        acc, buf = self._acc, self._buf
+        acc.fill(0.0)
+        coords = self._xt[:, center].tolist()
+        if self.metric is Metric.COSINE:
+            same, eq = self._same, self._eq
+            same.fill(True)
+            for row, c in zip(self._xt, coords):
+                np.multiply(row, c, out=buf)
+                np.add(acc, buf, out=acc)
+                np.equal(row, c, out=eq)
+                np.logical_and(same, eq, out=same)
+            np.multiply(self._norms, self._norms[center], out=buf)
+            np.divide(acc, buf, out=acc)
+            np.subtract(1.0, acc, out=acc)
+            np.maximum(acc, 0.0, out=acc)
+            np.copyto(acc, 0.0, where=same)
+        else:
+            for row, c in zip(self._xt, coords):
+                np.subtract(row, c, out=buf)
+                np.multiply(buf, buf, out=buf)
+                np.add(acc, buf, out=acc)
+            if self.metric is Metric.EUCLIDEAN:
+                np.sqrt(acc, out=acc)
+        np.minimum(min_dist, acc, out=min_dist)
 
 
-def _np_update_min_dist(
-    x: np.ndarray, norms: np.ndarray, center: int, code: int, min_dist: np.ndarray
-) -> None:
-    n, d = x.shape
-    c = x[center]
-    if code == COSINE_CODE:
-        dot = np.zeros(n, dtype=np.float64)
-        same = np.ones(n, dtype=np.bool_)
-        for j in range(d):
-            col = x[:, j]
-            dot += col * c[j]
-            same &= col == c[j]
-        dist = 1.0 - dot / (norms * norms[center])
-        np.maximum(dist, 0.0, out=dist)
-        dist[same] = 0.0
-    else:
-        dist = np.zeros(n, dtype=np.float64)
-        for j in range(d):
-            diff = x[:, j] - c[j]
-            dist += diff * diff
-        if code == EUCLIDEAN_CODE:
-            np.sqrt(dist, out=dist)
-    np.minimum(min_dist, dist, out=min_dist)
-
-
-def _np_masked_argmax(values: np.ndarray, taken: np.ndarray) -> int:
+def masked_argmax(values: np.ndarray, taken: np.ndarray) -> int:
+    """Index of the largest value not taken; the lowest such index on ties."""
     # distances are >= 0, so -1.0 never wins while a free point remains
     return int(np.argmax(np.where(taken, -1.0, values)))
-
-
-# --- numba backend ----------------------------------------------------------
-
-try:
-    from numba import njit
-
-    @njit(cache=True, nogil=True)
-    def _nb_row_norms(x):
-        n, d = x.shape
-        out = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            acc = 0.0
-            for j in range(d):
-                acc += x[i, j] * x[i, j]
-            out[i] = math.sqrt(acc)
-        return out
-
-    @njit(cache=True, nogil=True)
-    def _nb_update_min_dist(x, norms, center, code, min_dist):
-        n, d = x.shape
-        if code == 2:
-            cnorm = norms[center]
-            for i in range(n):
-                dot = 0.0
-                same = True
-                for j in range(d):
-                    a = x[i, j]
-                    b = x[center, j]
-                    dot += a * b
-                    if a != b:
-                        same = False
-                if same:
-                    dist = 0.0
-                else:
-                    dist = 1.0 - dot / (norms[i] * cnorm)
-                    if dist < 0.0:
-                        dist = 0.0
-                if dist < min_dist[i]:
-                    min_dist[i] = dist
-        else:
-            for i in range(n):
-                acc = 0.0
-                for j in range(d):
-                    diff = x[i, j] - x[center, j]
-                    acc += diff * diff
-                if code == 1:
-                    acc = math.sqrt(acc)
-                if acc < min_dist[i]:
-                    min_dist[i] = acc
-
-    @njit(cache=True, nogil=True)
-    def _nb_masked_argmax(values, taken):
-        best = -1
-        best_val = -1.0
-        for i in range(values.shape[0]):
-            if not taken[i] and values[i] > best_val:
-                best_val = values[i]
-                best = i
-        return best
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-
-
-# --- backend selection ------------------------------------------------------
-
-@dataclass(frozen=True)
-class Backend:
-    name: str
-    row_norms: Callable[[np.ndarray], np.ndarray]
-    update_min_dist: Callable[[np.ndarray, np.ndarray, int, int, np.ndarray], None]
-    masked_argmax: Callable[[np.ndarray, np.ndarray], int]
-
-
-NUMPY_BACKEND = Backend("numpy", _np_row_norms, _np_update_min_dist, _np_masked_argmax)
-
-NUMBA_BACKEND: Optional[Backend] = (
-    Backend(
-        "numba",
-        _nb_row_norms,
-        _nb_update_min_dist,
-        lambda values, taken: int(_nb_masked_argmax(values, taken)),
-    )
-    if _HAVE_NUMBA
-    else None
-)
-
-
-def numba_disabled_by_env() -> bool:
-    flag = os.environ.get(ENV_FLAG, "")
-    return flag not in ("", "0")
-
-
-def default_backend() -> Backend:
-    """numba unless COARSESET_NO_NUMBA is set or numba is unavailable."""
-    if NUMBA_BACKEND is None or numba_disabled_by_env():
-        return NUMPY_BACKEND
-    return NUMBA_BACKEND
-
-
-def get_backend(name: Optional[str] = None) -> Backend:
-    if name is None:
-        return default_backend()
-    if name == "numpy":
-        return NUMPY_BACKEND
-    if name == "numba":
-        if NUMBA_BACKEND is None:
-            raise ValueError("numba backend requested but numba is not installed")
-        return NUMBA_BACKEND
-    raise ValueError(f"unknown backend {name!r}; choose 'numba' or 'numpy'")

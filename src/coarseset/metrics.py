@@ -2,9 +2,9 @@
 
 All three metrics accumulate in float64 over strictly ascending feature
 index, one scalar add per feature. That fixed operation order is the
-reproducibility contract: the vectorized kernels in :mod:`coarseset.kernels`
-are bit-identical to the scalar reference below because they keep the same
-per-feature reduction order (they vectorize across points, not features).
+reproducibility contract: the vectorized kernel in :mod:`coarseset.kernels`
+is bit-identical to the scalar reference below because it keeps the same
+per-feature reduction order (it vectorizes across points, not features).
 
 Cosine distance is ``1 - dot(a, b) / (|a| * |b|)`` with two documented float
 edges: element-wise identical vectors short-circuit to exactly 0.0, and a
@@ -41,9 +41,6 @@ class Metric(enum.Enum):
 
 DEFAULT_METRIC = Metric.SQEUCLIDEAN
 
-# integer codes shared with the jit kernels
-METRIC_CODES = {Metric.SQEUCLIDEAN: 0, Metric.EUCLIDEAN: 1, Metric.COSINE: 2}
-
 
 def _as_vector(v, name: str) -> np.ndarray:
     arr = np.asarray(v, dtype=np.float64)
@@ -65,7 +62,7 @@ def distance(a, b, metric: Metric = DEFAULT_METRIC) -> float:
     bx = bv.tolist()
     if metric is Metric.COSINE:
         if ax == bx:
-            # exact-zero short-circuit; the kernels apply the same rule
+            # exact-zero short-circuit; the kernel applies the same rule
             if all(x == 0.0 for x in ax):
                 raise ZeroVector("cosine distance undefined for the zero vector")
             return 0.0

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -25,9 +25,8 @@ from .errors import (
     MalformedHeader,
     NoCenters,
     TrainerFailure,
-    ZeroVector,
 )
-from .metrics import DEFAULT_METRIC, METRIC_CODES, Metric
+from .metrics import DEFAULT_METRIC, Metric
 from .rng import Rng
 from .store import EmbeddingMatrix, LabelVector, PathLike
 
@@ -74,15 +73,12 @@ class SelectionConfig:
     seed_count: int = 1
     rng_seed: int = 0
     metric: Metric = DEFAULT_METRIC
-    budget: Optional[int] = None  # None = all remaining points
 
     def __post_init__(self):
         if self.seed_count < 1:
             raise IndexOutOfRange(f"seed_count must be >= 1, got {self.seed_count}")
         if self.rng_seed < 0:
             raise IndexOutOfRange(f"rng_seed must be non-negative, got {self.rng_seed}")
-        if self.budget is not None and self.budget < 0:
-            raise BudgetExceedsPool(f"budget must be >= 0, got {self.budget}")
 
 
 @dataclass
@@ -124,7 +120,6 @@ def greedy_steps(
     initial_centers: Sequence[int],
     budget: int,
     metric: Metric = DEFAULT_METRIC,
-    backend: Optional[kernels.Backend] = None,
 ) -> Iterator[SelectionState]:
     """Run k-center greedy, yielding the state after seeding and after every
     pick. kcenter_greedy consumes this fully; tests use it to audit min_dist.
@@ -134,30 +129,19 @@ def greedy_steps(
         raise BudgetExceedsPool(
             f"budget {budget} exceeds the {e.n - len(seeds)} unselected points"
         )
-    kern = backend if backend is not None else kernels.default_backend()
-    code = METRIC_CODES[metric]
-
-    x = e.data.astype(np.float64)  # float32 storage, float64 arithmetic
-    if metric is Metric.COSINE:
-        norms = kern.row_norms(x)
-        if not norms.all():
-            bad = int(np.nonzero(norms == 0.0)[0][0])
-            raise ZeroVector(f"cosine metric rejects all-zero point {bad}")
-    else:
-        norms = np.empty(0, dtype=np.float64)
-
+    kern = kernels.DistanceKernel(e.data, metric)
     min_dist = np.full(e.n, np.inf, dtype=np.float64)
     taken = np.zeros(e.n, dtype=np.bool_)
     state = SelectionState(list(seeds), min_dist, metric, seed_count=len(seeds))
     for c in seeds:
         taken[c] = True
-        kern.update_min_dist(x, norms, c, code, min_dist)
+        kern.update(c, min_dist)
     yield state
     for _ in range(budget):
-        pick = kern.masked_argmax(min_dist, taken)
+        pick = kernels.masked_argmax(min_dist, taken)
         taken[pick] = True
         state.centers.append(pick)
-        kern.update_min_dist(x, norms, pick, code, min_dist)
+        kern.update(pick, min_dist)
         yield state
 
 
@@ -166,21 +150,16 @@ def kcenter_greedy(
     initial_centers: Sequence[int],
     budget: int,
     metric: Metric = DEFAULT_METRIC,
-    backend: Optional[kernels.Backend] = None,
 ) -> SelectionOrder:
     """Seeds followed by `budget` farthest-point picks (lowest index on ties)."""
     state = None
-    for state in greedy_steps(e, initial_centers, budget, metric, backend):
+    for state in greedy_steps(e, initial_centers, budget, metric):
         pass
     assert state is not None
     return SelectionOrder(np.asarray(state.centers, dtype=np.int64), state.seed_count)
 
 
-def full_ordering(
-    e: EmbeddingMatrix,
-    cfg: SelectionConfig,
-    backend: Optional[kernels.Backend] = None,
-) -> SelectionOrder:
+def full_ordering(e: EmbeddingMatrix, cfg: SelectionConfig) -> SelectionOrder:
     """Permutation of all points: k seeded centers, then greedy to exhaustion.
 
     The budget-b selection for any b is simply the first b entries.
@@ -188,20 +167,11 @@ def full_ordering(
     remaining = e.n - cfg.seed_count
     if remaining < 0:
         raise BudgetExceedsPool(f"seed_count {cfg.seed_count} exceeds n={e.n}")
-    if cfg.budget is not None and cfg.budget != remaining:
-        raise BudgetExceedsPool(
-            f"full ordering needs budget n-k={remaining}, got {cfg.budget}"
-        )
     seeds = Rng(cfg.rng_seed).sample(e.n, cfg.seed_count)
-    return kcenter_greedy(e, seeds, remaining, cfg.metric, backend)
+    return kcenter_greedy(e, seeds, remaining, cfg.metric)
 
 
-def select_prefix(
-    e: EmbeddingMatrix,
-    cfg: SelectionConfig,
-    budget_total: int,
-    backend: Optional[kernels.Backend] = None,
-) -> SelectionOrder:
+def select_prefix(e: EmbeddingMatrix, cfg: SelectionConfig, budget_total: int) -> SelectionOrder:
     """Budget-limited variant: seeds plus greedy picks, budget_total entries
     in all. Identical to the same-length prefix of full_ordering.
     """
@@ -212,7 +182,7 @@ def select_prefix(
     if budget_total > e.n:
         raise BudgetExceedsPool(f"budget {budget_total} exceeds n={e.n}")
     seeds = Rng(cfg.rng_seed).sample(e.n, cfg.seed_count)
-    return kcenter_greedy(e, seeds, budget_total - cfg.seed_count, cfg.metric, backend)
+    return kcenter_greedy(e, seeds, budget_total - cfg.seed_count, cfg.metric)
 
 
 def random_order(n: int, rng_seed: int) -> SelectionOrder:

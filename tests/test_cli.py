@@ -185,6 +185,26 @@ def test_sweep_tiny_row_count(tmp_path, capsys):
     assert "random" in capsys.readouterr().out
 
 
+def test_sweep_resume_rejects_malformed_middle_row(tmp_path, capsys):
+    spec = synth_spec(tmp_path, center_seed=42)
+    main(["gen-synth", "--spec", str(spec), "--out-prefix", str(tmp_path / "d")])
+    argv = [
+        "sweep",
+        "--train-emb", str(tmp_path / "d.emb"), "--train-lab", str(tmp_path / "d.lab"),
+        "--test-emb", str(tmp_path / "d.emb"), "--test-lab", str(tmp_path / "d.lab"),
+        "--budgets", "6,12", "--methods", "random", "--trials", "1",
+        "--epochs", "5", "--jobs", "1", "--out", str(tmp_path / "s"),
+    ]
+    assert main(argv) == 0
+    results = tmp_path / "s" / "results.csv"
+    lines = results.read_text().splitlines()
+    lines[1] = "random,6"
+    results.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "results.csv: line 2" in capsys.readouterr().err
+
+
 def test_sweep_unknown_method_exits_2(tmp_path, capsys):
     spec = synth_spec(tmp_path, center_seed=42)
     main(["gen-synth", "--spec", str(spec), "--out-prefix", str(tmp_path / "d")])

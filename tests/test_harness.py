@@ -189,17 +189,22 @@ def test_sweep_writes_and_resumes_byte_identically(tmp_path):
     full_results = (full_dir / "results.csv").read_bytes()
     full_summary = (full_dir / "summary.csv").read_bytes()
 
-    # simulate a crash: keep only the header and two completed rows
-    resume_dir = tmp_path / "resume"
-    resume_dir.mkdir()
+    # simulate crashes: the header and four completed rows, then possibly a
+    # fifth row whose append was cut mid-accuracy or mid-row
     lines = full_results.decode().splitlines()
-    (resume_dir / "results.csv").write_text("\n".join(lines[:3]) + "\n")
-    run_budget_sweep(
-        train_data, test_data, schedule, ("random", "fixed_feature"),
-        trials=2, base_seed=9, train_cfg=FAST_CFG, out_dir=resume_dir,
-    )
-    assert (resume_dir / "results.csv").read_bytes() == full_results
-    assert (resume_dir / "summary.csv").read_bytes() == full_summary
+    torn = lines[5]
+    cut_accuracy = torn[: torn.index(".") + 2]
+    assert cut_accuracy != torn
+    for i, partial in enumerate(["", cut_accuracy, torn[: torn.rindex(",")]]):
+        resume_dir = tmp_path / f"resume{i}"
+        resume_dir.mkdir()
+        (resume_dir / "results.csv").write_text("\n".join(lines[:5]) + "\n" + partial)
+        run_budget_sweep(
+            train_data, test_data, schedule, ("random", "fixed_feature"),
+            trials=2, base_seed=9, train_cfg=FAST_CFG, out_dir=resume_dir,
+        )
+        assert (resume_dir / "results.csv").read_bytes() == full_results
+        assert (resume_dir / "summary.csv").read_bytes() == full_summary
 
 
 def test_resume_rejects_mismatched_seeds(tmp_path):

@@ -1,88 +1,57 @@
-"""Bit-level parity between the numba kernels, the numpy fallback, and the
-scalar reference in coarseset.metrics."""
+"""Bit-level parity between the feature-major kernel and the scalar
+reference in coarseset.metrics."""
 
 import numpy as np
 import pytest
 
 from coarseset import kernels
-from coarseset.metrics import METRIC_CODES, Metric, distance
-
-pytestmark = pytest.mark.skipif(
-    kernels.NUMBA_BACKEND is None, reason="numba unavailable"
-)
-
-BACKENDS = [kernels.NUMPY_BACKEND, kernels.NUMBA_BACKEND]
+from coarseset.metrics import Metric, distance
 
 
 def random_case(seed, n_max=60, d_max=9):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, n_max))
     d = int(rng.integers(1, d_max))
-    x = rng.normal(scale=3.0, size=(n, d)).astype(np.float32).astype(np.float64)
+    x = rng.normal(scale=3.0, size=(n, d)).astype(np.float32)
     if rng.random() < 0.3:  # inject duplicate rows to stress tie handling
         x[rng.integers(0, n)] = x[rng.integers(0, n)]
     return x
 
 
 @pytest.mark.parametrize("metric", list(Metric))
-def test_update_min_dist_backends_bitwise_equal(metric):
-    code = METRIC_CODES[metric]
-    for seed in range(40):
-        x = random_case(seed)
-        n = x.shape[0]
-        norms_np = kernels.NUMPY_BACKEND.row_norms(x)
-        norms_nb = kernels.NUMBA_BACKEND.row_norms(x)
-        assert norms_np.tobytes() == norms_nb.tobytes()
-        if metric is Metric.COSINE and not norms_np.all():
-            continue
-        a = np.full(n, np.inf)
-        b = np.full(n, np.inf)
-        rng = np.random.default_rng(seed + 1000)
-        for _ in range(min(5, n)):
-            center = int(rng.integers(0, n))
-            kernels.NUMPY_BACKEND.update_min_dist(x, norms_np, center, code, a)
-            kernels.NUMBA_BACKEND.update_min_dist(x, norms_nb, center, code, b)
-            assert a.tobytes() == b.tobytes()
-
-
-@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.name)
-@pytest.mark.parametrize("metric", list(Metric))
-def test_update_matches_scalar_distance(backend, metric):
-    code = METRIC_CODES[metric]
+def test_update_matches_scalar_distance(metric):
     for seed in range(25):
         x = random_case(seed, n_max=25, d_max=6)
         n = x.shape[0]
-        norms = backend.row_norms(x)
-        if metric is Metric.COSINE and not norms.all():
-            continue
-        center = seed % n
+        kern = kernels.DistanceKernel(x, metric)
         got = np.full(n, np.inf)
-        backend.update_min_dist(x, norms, center, code, got)
-        expected = np.array([distance(x[i], x[center], metric) for i in range(n)])
-        assert got.tobytes() == expected.tobytes()
+        expected = np.full(n, np.inf)
+        rng = np.random.default_rng(seed + 1000)
+        for _ in range(min(5, n)):
+            center = int(rng.integers(0, n))
+            kern.update(center, got)
+            fresh = [distance(x[i], x[center], metric) for i in range(n)]
+            np.minimum(expected, fresh, out=expected)
+            assert got.tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.name)
-def test_center_distance_is_exact_zero(backend):
+def test_center_distance_is_exact_zero():
     for metric in Metric:
         x = np.abs(np.random.default_rng(0).normal(size=(10, 4))) + 0.5
-        norms = backend.row_norms(x)
         out = np.full(10, np.inf)
-        backend.update_min_dist(x, norms, 3, METRIC_CODES[metric], out)
+        kernels.DistanceKernel(x, metric).update(3, out)
         assert out[3] == 0.0
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.name)
-def test_cosine_duplicate_rows_exact_zero(backend):
+def test_cosine_duplicate_rows_exact_zero():
     x = np.ones((4, 3))
     x[2] = [1.0, 2.0, 3.0]
-    norms = backend.row_norms(x)
     out = np.full(4, np.inf)
-    backend.update_min_dist(x, norms, 0, METRIC_CODES[Metric.COSINE], out)
+    kernels.DistanceKernel(x, Metric.COSINE).update(0, out)
     assert out[1] == 0.0 and out[3] == 0.0  # duplicates of the center row
 
 
-def test_masked_argmax_parity_and_tie_break():
+def test_masked_argmax_tie_break():
     for seed in range(30):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 50))
@@ -90,33 +59,14 @@ def test_masked_argmax_parity_and_tie_break():
         taken = rng.random(n) < 0.4
         if taken.all():
             taken[int(rng.integers(0, n))] = False
-        a = kernels.NUMPY_BACKEND.masked_argmax(values, taken)
-        b = kernels.NUMBA_BACKEND.masked_argmax(values, taken)
-        assert a == b
+        got = kernels.masked_argmax(values, taken)
         free = [i for i in range(n) if not taken[i]]
         best = max(free, key=lambda i: (values[i], -i))
-        assert values[a] == values[best]
-        assert a == min(i for i in free if values[i] == values[best])
+        assert values[got] == values[best]
+        assert got == min(i for i in free if values[i] == values[best])
 
 
 def test_all_points_identical_picks_lowest_free_index():
     values = np.zeros(5)
     taken = np.array([True, False, True, False, False])
-    for backend in BACKENDS:
-        assert backend.masked_argmax(values, taken) == 1
-
-
-def test_env_flag_selects_numpy(monkeypatch):
-    monkeypatch.setenv(kernels.ENV_FLAG, "1")
-    assert kernels.default_backend().name == "numpy"
-    monkeypatch.setenv(kernels.ENV_FLAG, "0")
-    assert kernels.default_backend().name == "numba"
-    monkeypatch.delenv(kernels.ENV_FLAG)
-    assert kernels.default_backend().name == "numba"
-
-
-def test_get_backend_names():
-    assert kernels.get_backend("numpy").name == "numpy"
-    assert kernels.get_backend("numba").name == "numba"
-    with pytest.raises(ValueError):
-        kernels.get_backend("cuda")
+    assert kernels.masked_argmax(values, taken) == 1
