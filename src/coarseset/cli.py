@@ -10,7 +10,10 @@ flag names with underscores); explicit flags win over the file. The default
 RNG seed comes from the COARSESET_RNG_SEED environment variable when set.
 
 Exit codes: 0 success, 2 usage or input error (one-line diagnostic on
-stderr), 1 internal failure.
+stderr), 1 internal failure. User-input errors raised as ``ValueError``
+(config values, training settings, metric names) are converted to
+``UsageError`` where the CLI reads them; any other ``ValueError`` is an
+internal failure.
 """
 
 from __future__ import annotations
@@ -86,12 +89,41 @@ def _require(merged: dict, *keys: str) -> None:
 
 
 def _int_list(value, flag: str) -> list[int]:
-    if isinstance(value, (list, tuple)):
-        return [int(v) for v in value]
     try:
+        if isinstance(value, (list, tuple)):
+            return [int(v) for v in value]
         return [int(tok) for tok in str(value).split(",") if tok.strip()]
-    except ValueError:
+    except (TypeError, ValueError):
         raise UsageError(f"{flag} expects comma-separated integers, got {value!r}") from None
+
+
+def _int(opts: dict, key: str) -> int:
+    """A config or flag value as an int; a value that is not one is a usage error."""
+    try:
+        return int(opts[key])
+    except (TypeError, ValueError):
+        raise UsageError(f"--{key.replace('_', '-')} expects an integer, got {opts[key]!r}") from None
+
+
+def _float(opts: dict, key: str) -> float:
+    try:
+        return float(opts[key])
+    except (TypeError, ValueError):
+        raise UsageError(f"--{key.replace('_', '-')} expects a number, got {opts[key]!r}") from None
+
+
+def _seed(opts: dict) -> int:
+    seed = _int(opts, "rng_seed") if opts["rng_seed"] is not None else _env_seed()
+    if seed < 0:
+        raise UsageError(f"--rng-seed (or ${ENV_SEED}) must be non-negative, got {seed}")
+    return seed
+
+
+def _metric(opts: dict) -> Metric:
+    try:
+        return Metric.from_name(str(opts["metric"]))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _str_list(value) -> list[str]:
@@ -115,16 +147,16 @@ _ORDER_DEFAULTS = {
 def cmd_order(args: argparse.Namespace) -> int:
     opts = _merge(args, _ORDER_DEFAULTS)
     _require(opts, "embeddings", "out")
-    seed = int(opts["rng_seed"]) if opts["rng_seed"] is not None else _env_seed()
+    seed = _seed(opts)
     emb = load_embeddings(opts["embeddings"])
     cfg = selector.SelectionConfig(
-        seed_count=int(opts["seed_count"]),
+        seed_count=_int(opts, "seed_count"),
         rng_seed=seed,
-        metric=Metric.from_name(opts["metric"]),
+        metric=_metric(opts),
     )
     if args.subcommand == "select":
         _require(opts, "budget")
-        order = selector.select_prefix(emb, cfg, int(opts["budget"]))
+        order = selector.select_prefix(emb, cfg, _int(opts, "budget"))
     else:
         order = selector.full_ordering(emb, cfg)
     selector.save_order(order, opts["out"])
@@ -143,7 +175,7 @@ _SWEEP_DEFAULTS = {
     "metric": "sqeuclidean",
     "seed_count": 1,
     "rng_seed": None,
-    "jobs": None,
+    "jobs": 1,
     "epochs": 100,
     "batch_size": 32,
     "learning_rate": 0.05,
@@ -167,23 +199,28 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         schedule = harness.default_schedule(train_data[0].n)
     else:
         schedule = harness.BudgetSchedule(tuple(_int_list(opts["budgets"], "--budgets")))
-    seed = int(opts["rng_seed"]) if opts["rng_seed"] is not None else _env_seed()
-    jobs = int(opts["jobs"]) if opts["jobs"] is not None else (os.cpu_count() or 1)
-    train_cfg = TrainConfig(
-        epochs=int(opts["epochs"]),
-        batch_size=int(opts["batch_size"]),
-        learning_rate=float(opts["learning_rate"]),
-        hidden=int(opts["hidden"]),
-    )
+    seed = _seed(opts)
+    jobs = _int(opts, "jobs")
+    if jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {jobs}")
+    try:
+        train_cfg = TrainConfig(
+            epochs=_int(opts, "epochs"),
+            batch_size=_int(opts, "batch_size"),
+            learning_rate=_float(opts, "learning_rate"),
+            hidden=_int(opts, "hidden"),
+        )
+    except ValueError as exc:
+        raise UsageError(f"invalid training config: {exc}") from None
     result = harness.run_budget_sweep(
         train_data,
         test_data,
         schedule,
         methods,
-        int(opts["trials"]),
+        _int(opts, "trials"),
         base_seed=seed,
-        metric=Metric.from_name(opts["metric"]),
-        seed_count=int(opts["seed_count"]),
+        metric=_metric(opts),
+        seed_count=_int(opts, "seed_count"),
         train_cfg=train_cfg,
         out_dir=opts["out"],
         jobs=jobs,
@@ -205,9 +242,9 @@ def cmd_histogram(args: argparse.Namespace) -> int:
     opts = _merge(args, _HISTOGRAM_DEFAULTS)
     _require(opts, "order", "labels", "budget", "out")
     order = selector.load_order(opts["order"])
-    num_classes = int(opts["num_classes"]) if opts["num_classes"] is not None else None
+    num_classes = _int(opts, "num_classes") if opts["num_classes"] is not None else None
     labels = load_labels(opts["labels"], num_classes)
-    hist = harness.class_histogram(order, labels, int(opts["budget"]))
+    hist = harness.class_histogram(order, labels, _int(opts, "budget"))
     harness.save_histogram(hist, opts["out"])
     return 0
 
@@ -243,9 +280,10 @@ def cmd_gen_synth(args: argparse.Namespace) -> int:
     declared = raw.pop("num_classes", None)
     try:
         spec = synth.MixtureSpec(**raw)
+        declared = int(declared) if declared is not None else None
     except (TypeError, ValueError) as exc:
         raise UsageError(f"invalid mixture spec: {exc}") from exc
-    if declared is not None and int(declared) != spec.num_classes:
+    if declared is not None and declared != spec.num_classes:
         raise UsageError(
             f"num_classes={declared} but per_class_counts lists {spec.num_classes} classes"
         )
@@ -302,7 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="seed centers for fixed_feature (default 1)")
     p_sweep.add_argument("--rng-seed", dest="rng_seed", type=int,
                          help=f"base RNG seed; trial t uses seed+t (default ${ENV_SEED} or 0)")
-    p_sweep.add_argument("--jobs", type=int, help="parallel jobs (default: cpu count)")
+    p_sweep.add_argument("--jobs", type=int,
+                         help="worker threads (default 1; threads do not speed up the "
+                              "sweep on CPython, see README)")
     p_sweep.add_argument("--epochs", type=int, help="proxy training epochs (default 100)")
     p_sweep.add_argument("--batch-size", dest="batch_size", type=int,
                          help="proxy batch size (default 32)")
@@ -341,10 +381,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except (CoarsesetError, ValueError) as exc:
-        print(f"coarseset: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CoarsesetError, OSError) as exc:
         print(f"coarseset: error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - internal failures

@@ -6,10 +6,14 @@ and fixed-feature methods reuse a single per-trial ordering, truncated at
 each budget; the iterative core-set baseline grows its labeled set in
 rounds sized by the schedule increments so every budget is hit exactly.
 
-Cells are independent jobs (thread pool, `jobs` wide); rows stream to
+Each (method, trial) is an independent job. ``jobs=1`` (the default, and
+the CLI's) runs them in order on the calling thread; ``jobs > 1`` runs them
+on a thread pool that wide. The work is Python-bound and holds the
+interpreter lock, so on CPython more threads make a sweep slower, not
+faster; the pool only keeps its results identical. Rows stream to
 ``results.csv`` as they finish so an interrupted sweep can resume by
 skipping completed cells, and the final files are rewritten in canonical
-(method, budget, trial) order so resumed, sequential, and parallel runs all
+(method, budget, trial) order so resumed, sequential, and threaded runs all
 produce byte-identical outputs.
 """
 
@@ -116,6 +120,8 @@ def class_histogram(
     order: selector.SelectionOrder, labels: LabelVector, budget: int
 ) -> ClassHistogram:
     """Per-class counts among the first `budget` selected points."""
+    if budget < 0:
+        raise BudgetExceedsOrder(f"budget must be non-negative, got {budget}")
     if budget > len(order):
         raise BudgetExceedsOrder(
             f"budget {budget} exceeds order length {len(order)}"
@@ -225,6 +231,8 @@ def run_budget_sweep(
         raise CoarsesetError(f"duplicate method names in {list(methods)}")
     if trials < 1:
         raise ScheduleExceedsPool(f"trials must be >= 1, got {trials}")
+    if jobs < 1:
+        raise CoarsesetError(f"jobs must be >= 1, got {jobs}")
 
     done: dict[tuple[str, int, int], SweepRow] = {}
     results_path = None
@@ -263,7 +271,7 @@ def run_budget_sweep(
 
     jobs_args = [(m, t) for m in methods for t in range(trials)]
     try:
-        if jobs <= 1:
+        if jobs == 1:
             for m, t in jobs_args:
                 _method_trial_rows(
                     m, t, train_data, test_data, schedule,

@@ -10,6 +10,14 @@ plain mini-batch SGD and fully deterministic given TrainConfig.rng_seed
 (init and per-epoch shuffles come from one Rng stream: W1 row-major, b1,
 W2 row-major, b2, each uniform in +-1/sqrt(fan_in), then one Fisher-Yates
 shuffle of the subset per epoch).
+
+The training loop computes gradients only (the loss is not needed for the
+update) through ``_grads``, the one backward pass, which
+``_loss_and_grads`` and ``gradient_check`` share. It keeps one float64
+mirror of the float32 params, refreshed from each float32 rounding of the
+update, so every step reads exactly the stored values without re-casting
+them. Each epoch gathers the shuffled subset once and takes contiguous
+batch slices of it.
 """
 
 from __future__ import annotations
@@ -73,7 +81,7 @@ class MlpModel:
 def _init_params(rng: Rng, d: int, h: int, c: int, dtype) -> list[np.ndarray]:
     """Uniform +-1/sqrt(fan_in) init, drawn in a fixed order."""
     def draw(rows, cols, bound):
-        vals = [rng.uniform(-bound, bound) for _ in range(rows * cols)]
+        vals = rng.uniforms(rows * cols, -bound, bound)
         return np.asarray(vals, dtype=dtype).reshape(rows, cols)
 
     bound1 = 1.0 / np.sqrt(d)
@@ -85,13 +93,18 @@ def _init_params(rng: Rng, d: int, h: int, c: int, dtype) -> list[np.ndarray]:
     return [w1, b1, w2, b2]
 
 
-def _forward(params: Sequence[np.ndarray], x: np.ndarray):
-    """Returns (hidden pre-activation, hidden, logits); float64 throughout."""
-    w1, b1, w2, b2 = (p.astype(np.float64) for p in params)
+def _forward64(params64: Sequence[np.ndarray], x: np.ndarray):
+    """Returns (hidden pre-activation, hidden, logits) from float64 params."""
+    w1, b1, w2, b2 = params64
     z1 = x @ w1.T + b1
     hidden = np.maximum(z1, 0.0)
     logits = hidden @ w2.T + b2
     return z1, hidden, logits
+
+
+def _forward(params: Sequence[np.ndarray], x: np.ndarray):
+    """Returns (hidden pre-activation, hidden, logits); float64 throughout."""
+    return _forward64([p.astype(np.float64) for p in params], x)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -107,26 +120,33 @@ def cross_entropy(logits: np.ndarray, y: np.ndarray) -> float:
     return float(-log_probs[np.arange(len(y)), y].mean())
 
 
-def _loss_and_grads(params: Sequence[np.ndarray], x: np.ndarray, y: np.ndarray):
-    w2 = params[2].astype(np.float64)
-    z1, hidden, logits = _forward(params, x)
-    loss = cross_entropy(logits, y)
-
+def _grads(params64: Sequence[np.ndarray], x: np.ndarray, y: np.ndarray):
+    """The one backward pass: (logits, [dW1, db1, dW2, db2]) of the mean
+    softmax cross-entropy, from float64 params."""
+    z1, hidden, logits = _forward64(params64, x)
     m = x.shape[0]
     dlogits = softmax(logits)
     dlogits[np.arange(m), y] -= 1.0
     dlogits /= m
     dw2 = dlogits.T @ hidden
     db2 = dlogits.sum(axis=0)
-    dhidden = dlogits @ w2
+    dhidden = dlogits @ params64[2]
     dz1 = np.where(z1 > 0.0, dhidden, 0.0)
     dw1 = dz1.T @ x
     db1 = dz1.sum(axis=0)
-    return loss, [dw1, db1, dw2, db2]
+    return logits, [dw1, db1, dw2, db2]
+
+
+def _loss_and_grads(params: Sequence[np.ndarray], x: np.ndarray, y: np.ndarray):
+    logits, grads = _grads([p.astype(np.float64) for p in params], x, y)
+    return cross_entropy(logits, y), grads
 
 
 def _apply_update(params: Sequence[np.ndarray], grads: Sequence[np.ndarray], lr: float):
-    """SGD step in float64, results cast back to the storage dtype."""
+    """SGD step in float64, results cast back to the storage dtype.
+
+    `train` takes this step on its float64 mirror of the params instead of
+    re-casting them; the tests keep this form as its reference."""
     return [
         (p.astype(np.float64) - lr * g).astype(p.dtype)
         for p, g in zip(params, grads)
@@ -158,15 +178,23 @@ def train(
     y_pool = y_all[idx]
     rng = Rng(cfg.rng_seed)
     params = _init_params(rng, e.d, cfg.hidden, labels.num_classes, np.float32)
+    # the float64 copy the arithmetic reads; refreshed from every float32
+    # rounding, so it is always exactly the stored params
+    params64 = [p.astype(np.float64) for p in params]
 
     m = len(idx)
+    lr = cfg.learning_rate
     positions = list(range(m))
     for _ in range(cfg.epochs):
         rng.shuffle(positions)
+        x_epoch = x_pool[positions]
+        y_epoch = y_pool[positions]
         for start in range(0, m, cfg.batch_size):
-            batch = positions[start : start + cfg.batch_size]
-            _, grads = _loss_and_grads(params, x_pool[batch], y_pool[batch])
-            params = _apply_update(params, grads, cfg.learning_rate)
+            stop = start + cfg.batch_size
+            _, grads = _grads(params64, x_epoch[start:stop], y_epoch[start:stop])
+            for k, g in enumerate(grads):
+                params[k] = (params64[k] - lr * g).astype(np.float32)
+                params64[k] = params[k].astype(np.float64)
 
     for p in params:
         if not np.isfinite(p).all():

@@ -18,6 +18,14 @@ follows the consumption rules below reproduces every stream bit-for-bit:
 * ``shuffle``        -- ascending Fisher-Yates: for i in 0..n-2 swap
   ``a[i]`` with ``a[i + below(n - i)]``.
 * ``sample``         -- the first k steps of the same Fisher-Yates walk.
+* ``uniforms(count, lo, hi)`` -- ``count`` successive ``uniform(lo, hi)``,
+  each ``lo + (hi - lo) * uniform01()``.
+
+The batched methods (``normals``, ``shuffle``, ``permutation``, ``sample``,
+``uniforms``) draw their raw outputs in blocks from one private loop
+(``_raw``) instead of one ``next_uint64`` call per draw. That changes the
+speed only: each consumes exactly the outputs the rules above name, in
+order, and leaves the state where the one-draw-at-a-time route would.
 
 The integer and uniform streams are exactly portable. ``normals`` addition-
 ally depends on libm's log/cos/sin, which are typically but not provably
@@ -27,10 +35,12 @@ correctly rounded; identical platforms reproduce identical values.
 from __future__ import annotations
 
 import math
+import operator
 
 _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _TWO53_INV = 2.0 ** -53
+_TWO_PI = 2.0 * math.pi
 
 
 def _splitmix64(state: int) -> tuple[int, int]:
@@ -73,12 +83,39 @@ class Rng:
         self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
         return result
 
+    def _raw(self, count: int) -> list[int]:
+        """The next `count` outputs of next_uint64, from one local loop."""
+        s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
+        out = []
+        append = out.append
+        for _ in range(count):
+            x = (s0 + s3) & _MASK64
+            # rotl(x, 23) + s0: the shifted halves do not overlap, so | is +
+            append(((x << 23) + (x >> 41) + s0) & _MASK64)
+            t = (s1 << 17) & _MASK64
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
+        self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
+        return out
+
     def uniform01(self) -> float:
         """Uniform double in [0, 1) with 53 random bits."""
         return (self.next_uint64() >> 11) * _TWO53_INV
 
     def uniform(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.uniform01()
+
+    def uniforms(self, count: int, lo: float, hi: float) -> list[float]:
+        """`count` successive uniform(lo, hi) values."""
+        if count < 0:
+            raise ValueError(f"count must be non-negative, got {count}")
+        lo = float(lo)
+        span = float(hi) - lo
+        return [lo + span * ((x >> 11) * _TWO53_INV) for x in self._raw(count)]
 
     def below(self, bound: int) -> int:
         """Unbiased integer in [0, bound) by rejection sampling."""
@@ -94,22 +131,50 @@ class Rng:
         """`count` standard normals via Box-Muller (see module docstring)."""
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
+        raw = self._raw(2 * ((count + 1) // 2))
+        log, cos, sin, sqrt = math.log, math.cos, math.sin, math.sqrt
         out: list[float] = []
-        for _ in range((count + 1) // 2):
-            u1 = ((self.next_uint64() >> 11) + 1) * _TWO53_INV
-            u2 = self.uniform01()
-            r = math.sqrt(-2.0 * math.log(u1))
-            theta = 2.0 * math.pi * u2
-            out.append(r * math.cos(theta))
-            out.append(r * math.sin(theta))
+        append = out.append
+        for k in range(0, len(raw), 2):
+            u1 = ((raw[k] >> 11) + 1) * _TWO53_INV
+            u2 = (raw[k + 1] >> 11) * _TWO53_INV
+            r = sqrt(-2.0 * log(u1))
+            theta = _TWO_PI * u2
+            append(r * cos(theta))
+            append(r * sin(theta))
         del out[count:]
         return out
 
+    def _fisher_yates_offsets(self, n: int, steps: int) -> list[int]:
+        """below(n), below(n - 1), ..., below(n - steps + 1): the draws of
+        the first `steps` ascending Fisher-Yates steps over n items.
+
+        Every step needs at least one output, so each block drawn is at most
+        the steps still open and a rejection only extends the walk by the
+        outputs it really needs: the state afterwards is the one-at-a-time
+        state.
+        """
+        offsets: list[int] = []
+        # 2**64 % bound < bound <= n, so no draw below `safe` is rejected
+        safe = (1 << 64) - n
+        bound = n
+        while len(offsets) < steps:
+            block = self._raw(steps - len(offsets))
+            if max(block) < safe:
+                offsets.extend(map(operator.mod, block, range(bound, bound - len(block), -1)))
+                bound -= len(block)
+                continue
+            for x in block:
+                if x >= (1 << 64) - ((1 << 64) % bound):
+                    continue  # rejected: this step draws again
+                offsets.append(x % bound)
+                bound -= 1
+        return offsets
+
     def shuffle(self, items: list) -> None:
         """In-place ascending Fisher-Yates."""
-        n = len(items)
-        for i in range(n - 1):
-            j = i + self.below(n - i)
+        for i, r in enumerate(self._fisher_yates_offsets(len(items), len(items) - 1)):
+            j = i + r
             items[i], items[j] = items[j], items[i]
 
     def permutation(self, n: int) -> list[int]:
@@ -122,7 +187,7 @@ class Rng:
         if not 0 <= k <= n:
             raise ValueError(f"cannot sample {k} of {n}")
         items = list(range(n))
-        for i in range(k):
-            j = i + self.below(n - i)
+        for i, r in enumerate(self._fisher_yates_offsets(n, k)):
+            j = i + r
             items[i], items[j] = items[j], items[i]
         return items[:k]

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from coarseset import harness
 from coarseset.cli import main
 from coarseset.store import EmbeddingMatrix, load_embeddings, load_labels, save_embeddings
 
@@ -267,3 +268,69 @@ def test_metric_flag_accepted(emb_file, tmp_path):
             "order", "--embeddings", str(embeddings), "--out", str(out),
             "--metric", metric, "--rng-seed", "10",
         ]) == 0
+
+
+def sweep_config(tmp_path, **overrides):
+    """A one-trial random-method sweep config over a small generated pool."""
+    spec = synth_spec(tmp_path, center_seed=42)
+    assert main(["gen-synth", "--spec", str(spec), "--out-prefix", str(tmp_path / "d")]) == 0
+    cfg = {
+        "train_emb": str(tmp_path / "d.emb"), "train_lab": str(tmp_path / "d.lab"),
+        "test_emb": str(tmp_path / "d.emb"), "test_lab": str(tmp_path / "d.lab"),
+        "budgets": "6", "methods": "random", "trials": 1, "epochs": 2,
+        "out": str(tmp_path / "s"),
+    }
+    cfg.update(overrides)
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    cfg = sweep_config(tmp_path)
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(cfg), "--jobs", jobs]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--jobs must be >= 1" in err
+    assert not (tmp_path / "s" / "results.csv").exists()
+
+
+@pytest.mark.parametrize("key,value,needle", [
+    ("epochs", 0, "epochs"),
+    ("metric", "manhattan", "manhattan"),
+    ("trials", "x", "--trials"),
+    ("learning_rate", "fast", "--learning-rate"),
+    ("budgets", ["6", None], "--budgets"),
+    ("rng_seed", -1, "--rng-seed"),
+])
+def test_sweep_bad_config_value_exits_2(tmp_path, capsys, key, value, needle):
+    cfg = sweep_config(tmp_path, **{key: value})
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("coarseset: error:") and needle in err
+
+
+def test_internal_value_error_exits_1(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("bug in the sweep")
+
+    cfg = sweep_config(tmp_path)
+    monkeypatch.setattr(harness, "run_budget_sweep", broken)
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    assert "internal error: bug in the sweep" in capsys.readouterr().err
+
+
+def test_sweep_jobs_defaults_to_one(tmp_path, monkeypatch):
+    seen = {}
+
+    def record(*args, **kwargs):
+        seen["jobs"] = kwargs["jobs"]
+        return harness.SweepResult(())
+
+    cfg = sweep_config(tmp_path)
+    monkeypatch.setattr(harness, "run_budget_sweep", record)
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert seen == {"jobs": 1}

@@ -76,6 +76,8 @@ def test_histogram_budget_exceeds_order():
     order = SelectionOrder(np.array([0, 1]), seed_count=0)
     with pytest.raises(BudgetExceedsOrder):
         class_histogram(order, labels, 3)
+    with pytest.raises(BudgetExceedsOrder):  # not order[:-1]
+        class_histogram(order, labels, -1)
 
 
 def test_histogram_counts_sum_to_budget():

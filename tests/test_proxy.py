@@ -200,3 +200,86 @@ def test_forward_hidden_matches_extract_features():
     assert np.array_equal(
         extract_features(model, e).data, hidden.astype(np.float32)
     )
+
+
+# --- bit-identity of the lean training loop ---------------------------------
+
+def reference_train(e, labels, subset, cfg):
+    """The straightforward SGD loop `train` is an optimisation of: casts every
+    param to float64 in the forward pass, computes and discards the loss on
+    every step, gathers each batch by list indexing, and rounds the update
+    back to float32 through `_apply_update`. Same init and shuffle stream."""
+    idx = [int(i) for i in subset]
+    x_pool = e.data[idx].astype(np.float64)
+    y_pool = labels.labels[idx]
+    rng = Rng(cfg.rng_seed)
+    params = [
+        np.asarray([rng.uniform(-b, b) for _ in range(rows * cols)], dtype=np.float32)
+        .reshape(shape)
+        for rows, cols, b, shape in (
+            (cfg.hidden, e.d, 1.0 / np.sqrt(e.d), (cfg.hidden, e.d)),
+            (1, cfg.hidden, 1.0 / np.sqrt(e.d), (cfg.hidden,)),
+            (labels.num_classes, cfg.hidden, 1.0 / np.sqrt(cfg.hidden),
+             (labels.num_classes, cfg.hidden)),
+            (1, labels.num_classes, 1.0 / np.sqrt(cfg.hidden), (labels.num_classes,)),
+        )
+    ]
+    m = len(idx)
+    positions = list(range(m))
+    for _ in range(cfg.epochs):
+        n = len(positions)
+        for i in range(n - 1):
+            j = i + rng.below(n - i)
+            positions[i], positions[j] = positions[j], positions[i]
+        for start in range(0, m, cfg.batch_size):
+            batch = positions[start : start + cfg.batch_size]
+            x, y = x_pool[batch], y_pool[batch]
+            w1, b1, w2, b2 = (p.astype(np.float64) for p in params)
+            z1 = x @ w1.T + b1
+            hidden = np.maximum(z1, 0.0)
+            logits = hidden @ w2.T + b2
+            cross_entropy(logits, y)
+            w2 = params[2].astype(np.float64)
+            dlogits = softmax(logits)
+            dlogits[np.arange(len(batch)), y] -= 1.0
+            dlogits /= len(batch)
+            dw2 = dlogits.T @ hidden
+            db2 = dlogits.sum(axis=0)
+            dz1 = np.where(z1 > 0.0, dlogits @ w2, 0.0)
+            grads = [dz1.T @ x, dz1.sum(axis=0), dw2, db2]
+            params = _apply_update(params, grads, cfg.learning_rate)
+    return MlpModel(*params)
+
+
+TRAIN_CASES = [
+    # (pool per class, subset, TrainConfig)
+    (20, range(0, 60, 1), TrainConfig(epochs=7, batch_size=1, rng_seed=3, hidden=32)),
+    (20, range(0, 12, 1), TrainConfig(epochs=20, batch_size=32, rng_seed=4, hidden=32)),
+    (30, range(5, 75, 1), TrainConfig(epochs=15, batch_size=32, rng_seed=5, hidden=32)),
+    (30, range(0, 90, 3), TrainConfig(epochs=12, batch_size=7, rng_seed=6, hidden=9)),
+    (40, range(0, 100, 1), TrainConfig(epochs=10, batch_size=16, rng_seed=7, hidden=48,
+                                       learning_rate=0.2)),
+]
+
+
+@pytest.mark.parametrize("per_class,subset,cfg", TRAIN_CASES)
+def test_train_is_bit_identical_to_reference_loop(per_class, subset, cfg):
+    emb, lab = generate(MixtureSpec([per_class] * 3, d=5, separation=4.0, rng_seed=12))
+    subset = list(subset)
+    got = train(emb, lab, subset, cfg)
+    want = reference_train(emb, lab, subset, cfg)
+    for name in ("w1", "b1", "w2", "b2"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype == np.float32
+        assert g.tobytes() == w.tobytes(), name
+
+
+@pytest.mark.parametrize("per_class,subset,cfg", TRAIN_CASES)
+def test_feature_trainer_is_bit_identical_to_reference_loop(per_class, subset, cfg):
+    emb, lab = generate(MixtureSpec([per_class] * 3, d=5, separation=4.0, rng_seed=12))
+    subset = list(subset)
+    feats = feature_trainer(cfg)(emb, lab, subset)
+    want = reference_train(emb, lab, subset, cfg)
+    x = emb.data.astype(np.float64)
+    hidden = np.maximum(x @ want.w1.astype(np.float64).T + want.b1.astype(np.float64), 0.0)
+    assert feats.data.tobytes() == hidden.astype(np.float32).tobytes()

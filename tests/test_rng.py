@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -114,3 +116,89 @@ def test_sample_validation():
         Rng(0).sample(3, 4)
     with pytest.raises(ValueError):
         Rng(-1)
+
+
+# --- the block-drawn paths against one-draw-at-a-time references -------------
+
+def ref_below(rng, bound):
+    """The documented rejection rule on next_uint64; returns (value, draws)."""
+    limit = (1 << 64) - ((1 << 64) % bound)
+    draws = 0
+    while True:
+        x = rng.next_uint64()
+        draws += 1
+        if x < limit:
+            return x % bound, draws
+
+
+def ref_walk(rng, items, steps):
+    for i in range(steps):
+        j = i + ref_below(rng, len(items) - i)[0]
+        items[i], items[j] = items[j], items[i]
+
+
+def ref_normals(rng, count):
+    out = []
+    for _ in range((count + 1) // 2):
+        u1 = ((rng.next_uint64() >> 11) + 1) * 2.0 ** -53
+        u2 = rng.uniform01()
+        r = math.sqrt(-2.0 * math.log(u1))
+        theta = 2.0 * math.pi * u2
+        out += [r * math.cos(theta), r * math.sin(theta)]
+    return out[:count]
+
+
+STREAM_SIZES = (0, 1, 2, 3, 5, 31, 64, 257, 1000, 1001)
+
+
+@pytest.mark.parametrize("n", STREAM_SIZES)
+def test_block_paths_match_one_draw_at_a_time(n):
+    for seed in range(40):
+        fast, ref = Rng(seed), Rng(seed)
+        items = list(range(n))
+        fast.shuffle(items)
+        expected = list(range(n))
+        ref_walk(ref, expected, max(n - 1, 0))
+        assert items == expected
+        assert fast.next_uint64() == ref.next_uint64()
+
+        fast, ref = Rng(seed), Rng(seed)
+        expected = list(range(n))
+        ref_walk(ref, expected, max(n - 1, 0))
+        assert fast.permutation(n) == expected
+        assert fast.next_uint64() == ref.next_uint64()
+
+        for k in sorted({0, 1 if n else 0, n // 3, n}):
+            fast, ref = Rng(seed), Rng(seed)
+            expected = list(range(n))
+            ref_walk(ref, expected, k)
+            assert fast.sample(n, k) == expected[:k]
+            assert fast.next_uint64() == ref.next_uint64()
+
+        fast, ref = Rng(seed), Rng(seed)
+        assert fast.normals(n) == ref_normals(ref, n)
+        assert fast.next_uint64() == ref.next_uint64()
+
+        fast, ref = Rng(seed), Rng(seed)
+        lo, hi = -1.0 / math.sqrt(n + 1), 1.0 / math.sqrt(n + 1)
+        assert fast.uniforms(n, lo, hi) == [ref.uniform(lo, hi) for _ in range(n)]
+        assert fast.next_uint64() == ref.next_uint64()
+
+
+def test_fisher_yates_walk_rejection_keeps_the_stream():
+    # a bound b in (2**63, 2**64) rejects every draw >= 2**64 - (2**64 % b) = b,
+    # about half of them; every bound of these walks is in that range, so
+    # draws are rejected at every step, also mid-block
+    n = 2**63 + 41
+    rejected = 0
+    for seed in range(20):
+        for steps in (1, 2, 7, 40):
+            fast, ref = Rng(seed), Rng(seed)
+            expected = []
+            for i in range(steps):
+                value, draws = ref_below(ref, n - i)
+                expected.append(value)
+                rejected += draws - 1
+            assert fast._fisher_yates_offsets(n, steps) == expected
+            assert fast.next_uint64() == ref.next_uint64()
+    assert rejected > 500
