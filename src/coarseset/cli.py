@@ -6,8 +6,12 @@ methods), ``histogram`` (per-class counts of an order prefix), and
 ``gen-synth`` (synthetic embedding/label files).
 
 Every flag can also be supplied via ``--config file.json`` (keys are the
-flag names with underscores); explicit flags win over the file. The default
-RNG seed comes from the COARSESET_RNG_SEED environment variable when set.
+flag names with underscores); explicit flags win over the file. Each flag is
+declared once, by ``_flag``, together with its default, which ``--help``
+shows. The defaults of engine settings are read from the engine
+(``TrainConfig``, ``SelectionConfig``, ``DEFAULT_METRIC``,
+``harness.METHODS``), not restated here. The default RNG seed comes from the
+COARSESET_RNG_SEED environment variable when set.
 
 Exit codes: 0 success, 2 usage or input error (one-line diagnostic on
 stderr), 1 internal failure. User-input errors raised as ``ValueError``
@@ -19,6 +23,7 @@ internal failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -26,13 +31,17 @@ from typing import Optional, Sequence
 
 from . import harness, selector, synth
 from .errors import CoarsesetError
-from .metrics import Metric
+from .metrics import DEFAULT_METRIC, Metric
 from .proxy import TrainConfig
 from .store import load_embeddings, load_labels, save_embeddings, save_labels
 
 ENV_SEED = "COARSESET_RNG_SEED"
 
 _METRIC_CHOICES = [m.value for m in Metric]
+
+# keys of a gen-synth spec: the MixtureSpec fields, plus a class count that
+# must agree with per_class_counts
+_SPEC_KEYS = {f.name for f in dataclasses.fields(synth.MixtureSpec)} | {"num_classes"}
 
 
 class UsageError(CoarsesetError):
@@ -49,27 +58,27 @@ def _env_seed() -> int:
         raise UsageError(f"{ENV_SEED}={raw!r} is not an integer") from None
 
 
-def _load_config(path: Optional[str], known: dict) -> dict:
-    if path is None:
-        return {}
+def _read_object(path: str, what: str, known) -> dict:
+    """The JSON object held in `path`; a key not in `known` is a usage error."""
     try:
         with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            obj = json.load(fh)
     except OSError as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from exc
+        raise UsageError(f"cannot read {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise UsageError(f"config {path} must hold a JSON object")
-    for key in cfg:
+        raise UsageError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise UsageError(f"{what} {path} must hold a JSON object")
+    for key in obj:
         if key not in known:
-            raise UsageError(f"config {path}: unknown key {key!r}")
-    return cfg
+            raise UsageError(f"{what} {path}: unknown key {key!r}")
+    return obj
 
 
-def _merge(args: argparse.Namespace, defaults: dict) -> dict:
+def _merge(args: argparse.Namespace) -> dict:
     """Flags override config values override defaults."""
-    cfg = _load_config(getattr(args, "config", None), defaults)
+    defaults = args.settings
+    cfg = {} if args.config is None else _read_object(args.config, "config", defaults)
     merged = {}
     for key, fallback in defaults.items():
         flag = getattr(args, key)
@@ -134,18 +143,8 @@ def _str_list(value) -> list[str]:
 
 # --- subcommand handlers ---------------------------------------------------------
 
-_ORDER_DEFAULTS = {
-    "embeddings": None,
-    "out": None,
-    "metric": "sqeuclidean",
-    "seed_count": 1,
-    "rng_seed": None,
-    "budget": None,
-}
-
-
 def cmd_order(args: argparse.Namespace) -> int:
-    opts = _merge(args, _ORDER_DEFAULTS)
+    opts = _merge(args)
     _require(opts, "embeddings", "out")
     seed = _seed(opts)
     emb = load_embeddings(opts["embeddings"])
@@ -163,38 +162,12 @@ def cmd_order(args: argparse.Namespace) -> int:
     return 0
 
 
-_SWEEP_DEFAULTS = {
-    "train_emb": None,
-    "train_lab": None,
-    "test_emb": None,
-    "test_lab": None,
-    "budgets": None,
-    "methods": ",".join(harness.METHODS),
-    "trials": 20,
-    "out": None,
-    "metric": "sqeuclidean",
-    "seed_count": 1,
-    "rng_seed": None,
-    "jobs": 1,
-    "epochs": 100,
-    "batch_size": 32,
-    "learning_rate": 0.05,
-    "hidden": 32,
-}
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
-    opts = _merge(args, _SWEEP_DEFAULTS)
+    opts = _merge(args)
     _require(opts, "train_emb", "train_lab", "test_emb", "test_lab", "out")
     train_data = (load_embeddings(opts["train_emb"]), load_labels(opts["train_lab"]))
     test_data = (load_embeddings(opts["test_emb"]), load_labels(opts["test_lab"]))
 
-    methods = _str_list(opts["methods"])
-    for m in methods:
-        if m not in harness.METHODS:
-            raise UsageError(
-                f"unknown method {m!r}; valid methods: {', '.join(harness.METHODS)}"
-            )
     if opts["budgets"] is None:
         schedule = harness.default_schedule(train_data[0].n)
     else:
@@ -216,7 +189,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         train_data,
         test_data,
         schedule,
-        methods,
+        _str_list(opts["methods"]),
         _int(opts, "trials"),
         base_seed=seed,
         metric=_metric(opts),
@@ -229,17 +202,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-_HISTOGRAM_DEFAULTS = {
-    "order": None,
-    "labels": None,
-    "budget": None,
-    "out": None,
-    "num_classes": None,
-}
-
-
 def cmd_histogram(args: argparse.Namespace) -> int:
-    opts = _merge(args, _HISTOGRAM_DEFAULTS)
+    opts = _merge(args)
     _require(opts, "order", "labels", "budget", "out")
     order = selector.load_order(opts["order"])
     num_classes = _int(opts, "num_classes") if opts["num_classes"] is not None else None
@@ -249,32 +213,10 @@ def cmd_histogram(args: argparse.Namespace) -> int:
     return 0
 
 
-_GEN_SYNTH_DEFAULTS = {
-    "spec": None,
-    "out_prefix": None,
-}
-
-
 def cmd_gen_synth(args: argparse.Namespace) -> int:
-    opts = _merge(args, _GEN_SYNTH_DEFAULTS)
+    opts = _merge(args)
     _require(opts, "spec", "out_prefix")
-    try:
-        with open(opts["spec"], encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot read spec {opts['spec']}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"spec {opts['spec']} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise UsageError("mixture spec must be a JSON object")
-
-    allowed = {
-        "num_classes", "per_class_counts", "d", "std",
-        "separation", "rng_seed", "centers", "center_seed",
-    }
-    unknown = set(raw) - allowed
-    if unknown:
-        raise UsageError(f"mixture spec: unknown keys {sorted(unknown)}")
+    raw = _read_object(opts["spec"], "spec", _SPEC_KEYS)
     if "per_class_counts" not in raw or "d" not in raw:
         raise UsageError("mixture spec needs per_class_counts and d")
     declared = raw.pop("num_classes", None)
@@ -297,6 +239,31 @@ def cmd_gen_synth(args: argparse.Namespace) -> int:
 
 # --- parser --------------------------------------------------------------------
 
+def _subcommand(sub, name: str, func, help: str, **unflagged) -> argparse.ArgumentParser:
+    """A subparser whose flags are declared with `_flag`. `unflagged` are
+    config keys it accepts and ignores, with no flag of their own."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(func=func, settings=dict(unflagged), **unflagged)
+    return p
+
+
+def _flag(p: argparse.ArgumentParser, name: str, help: str, default=None, **kwargs) -> None:
+    """Declare ``--name`` and record `default` as its fallback in `_merge`.
+
+    argparse itself keeps None as the flag's default, so a flag the user
+    gave is told apart from one left out, and wins over a config value.
+    """
+    key = name.replace("-", "_")
+    p.get_default("settings")[key] = default
+    if default is not None:
+        help = f"{help} (default {default})"
+    p.add_argument(f"--{name}", dest=key, help=help, **kwargs)
+
+
+def _config_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", help="JSON config mirroring the flags")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coarseset",
@@ -304,70 +271,55 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common_order_flags(p):
-        p.add_argument("--embeddings", help="EMB1 or CSV embedding file")
-        p.add_argument("--out", help="output order CSV path")
-        p.add_argument("--metric", choices=_METRIC_CHOICES,
-                       help="distance metric (default sqeuclidean)")
-        p.add_argument("--seed-count", dest="seed_count", type=int,
-                       help="number of random seed centers (default 1)")
-        p.add_argument("--rng-seed", dest="rng_seed", type=int,
-                       help=f"RNG seed (default ${ENV_SEED} or 0)")
-        p.add_argument("--config", help="JSON config mirroring the flags")
+    def add_selection_flags(p, seed_count_help, rng_seed_help):
+        _flag(p, "metric", "distance metric", DEFAULT_METRIC.value, choices=_METRIC_CHOICES)
+        _flag(p, "seed-count", seed_count_help, selector.SelectionConfig.seed_count, type=int)
+        _flag(p, "rng-seed", f"{rng_seed_help} (default ${ENV_SEED} or 0)", type=int)
 
-    p_order = sub.add_parser("order", help="write the full annotation ordering")
-    add_common_order_flags(p_order)
-    p_order.set_defaults(func=cmd_order, budget=None)
+    def order_parser(name, help, **unflagged):
+        p = _subcommand(sub, name, cmd_order, help, **unflagged)
+        _flag(p, "embeddings", "EMB1 or CSV embedding file")
+        _flag(p, "out", "output order CSV path")
+        add_selection_flags(p, "number of random seed centers", "RNG seed")
+        _config_flag(p)
+        return p
 
-    p_select = sub.add_parser("select", help="like order, truncated to --budget points")
-    add_common_order_flags(p_select)
-    p_select.add_argument("--budget", type=int, help="total points to select (seeds included)")
-    p_select.set_defaults(func=cmd_order)
+    # an order config may hold `budget`, so one file serves order and select
+    order_parser("order", "write the full annotation ordering", budget=None)
+    p_select = order_parser("select", "like order, truncated to --budget points")
+    _flag(p_select, "budget", "total points to select (seeds included)", type=int)
 
-    p_sweep = sub.add_parser("sweep", help="accuracy-vs-budget comparison of methods")
-    p_sweep.add_argument("--train-emb", dest="train_emb", help="training embeddings")
-    p_sweep.add_argument("--train-lab", dest="train_lab", help="training labels")
-    p_sweep.add_argument("--test-emb", dest="test_emb", help="test embeddings")
-    p_sweep.add_argument("--test-lab", dest="test_lab", help="test labels")
-    p_sweep.add_argument("--budgets", help="comma-separated label budgets (default 2%%..40%% of n)")
-    p_sweep.add_argument("--methods",
-                         help=f"comma-separated subset of: {', '.join(harness.METHODS)}")
-    p_sweep.add_argument("--trials", type=int, help="trials per cell (default 20)")
-    p_sweep.add_argument("--out", help="output directory for results/summary CSVs")
-    p_sweep.add_argument("--metric", choices=_METRIC_CHOICES,
-                         help="distance metric (default sqeuclidean)")
-    p_sweep.add_argument("--seed-count", dest="seed_count", type=int,
-                         help="seed centers for fixed_feature (default 1)")
-    p_sweep.add_argument("--rng-seed", dest="rng_seed", type=int,
-                         help=f"base RNG seed; trial t uses seed+t (default ${ENV_SEED} or 0)")
-    p_sweep.add_argument("--jobs", type=int,
-                         help="worker threads (default 1; threads do not speed up the "
-                              "sweep on CPython, see README)")
-    p_sweep.add_argument("--epochs", type=int, help="proxy training epochs (default 100)")
-    p_sweep.add_argument("--batch-size", dest="batch_size", type=int,
-                         help="proxy batch size (default 32)")
-    p_sweep.add_argument("--learning-rate", dest="learning_rate", type=float,
-                         help="proxy learning rate (default 0.05)")
-    p_sweep.add_argument("--hidden", type=int, help="proxy hidden width (default 32)")
-    p_sweep.add_argument("--config", help="JSON config mirroring the flags")
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep = _subcommand(sub, "sweep", cmd_sweep, "accuracy-vs-budget comparison of methods")
+    _flag(p_sweep, "train-emb", "training embeddings")
+    _flag(p_sweep, "train-lab", "training labels")
+    _flag(p_sweep, "test-emb", "test embeddings")
+    _flag(p_sweep, "test-lab", "test labels")
+    _flag(p_sweep, "budgets", "comma-separated label budgets (default 2%%..40%% of n)")
+    _flag(p_sweep, "methods", "comma-separated subset of the methods", ",".join(harness.METHODS))
+    _flag(p_sweep, "trials", "trials per cell", 20, type=int)
+    _flag(p_sweep, "out", "output directory for results/summary CSVs")
+    add_selection_flags(p_sweep, "seed centers for fixed_feature",
+                        "base RNG seed; trial t uses seed+t")
+    _flag(p_sweep, "jobs", "worker threads; threads do not speed up the sweep on CPython, "
+                           "see README", 1, type=int)
+    _flag(p_sweep, "epochs", "proxy training epochs", TrainConfig.epochs, type=int)
+    _flag(p_sweep, "batch-size", "proxy batch size", TrainConfig.batch_size, type=int)
+    _flag(p_sweep, "learning-rate", "proxy learning rate", TrainConfig.learning_rate, type=float)
+    _flag(p_sweep, "hidden", "proxy hidden width", TrainConfig.hidden, type=int)
+    _config_flag(p_sweep)
 
-    p_hist = sub.add_parser("histogram", help="class counts of an order prefix")
-    p_hist.add_argument("--order", help="order CSV from `order`/`select`")
-    p_hist.add_argument("--labels", help="LAB1 or CSV label file")
-    p_hist.add_argument("--budget", type=int, help="prefix length to count")
-    p_hist.add_argument("--num-classes", dest="num_classes", type=int,
-                        help="override inferred class count")
-    p_hist.add_argument("--out", help="output histogram CSV path")
-    p_hist.add_argument("--config", help="JSON config mirroring the flags")
-    p_hist.set_defaults(func=cmd_histogram)
+    p_hist = _subcommand(sub, "histogram", cmd_histogram, "class counts of an order prefix")
+    _flag(p_hist, "order", "order CSV from `order`/`select`")
+    _flag(p_hist, "labels", "LAB1 or CSV label file")
+    _flag(p_hist, "budget", "prefix length to count", type=int)
+    _flag(p_hist, "num-classes", "override inferred class count", type=int)
+    _flag(p_hist, "out", "output histogram CSV path")
+    _config_flag(p_hist)
 
-    p_gen = sub.add_parser("gen-synth", help="generate synthetic EMB1/LAB1 files")
-    p_gen.add_argument("--spec", help="mixture spec JSON file")
-    p_gen.add_argument("--out-prefix", dest="out_prefix",
-                       help="writes <prefix>.emb and <prefix>.lab")
-    p_gen.add_argument("--config", help="JSON config mirroring the flags")
-    p_gen.set_defaults(func=cmd_gen_synth)
+    p_gen = _subcommand(sub, "gen-synth", cmd_gen_synth, "generate synthetic EMB1/LAB1 files")
+    _flag(p_gen, "spec", "mixture spec JSON file")
+    _flag(p_gen, "out-prefix", "writes <prefix>.emb and <prefix>.lab")
+    _config_flag(p_gen)
 
     return parser
 

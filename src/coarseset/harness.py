@@ -6,6 +6,10 @@ and fixed-feature methods reuse a single per-trial ordering, truncated at
 each budget; the iterative core-set baseline grows its labeled set in
 rounds sized by the schedule increments so every budget is hit exactly.
 
+Every setting (methods, budgets, trials, jobs, seed count, seed, metric) is
+checked before the first cell runs, so a bad one fails the sweep before any
+row is written.
+
 Each (method, trial) is an independent job. ``jobs=1`` (the default, and
 the CLI's) runs them in order on the calling thread; ``jobs > 1`` runs them
 on a thread pool that wide. The work is Python-bound and holds the
@@ -14,7 +18,8 @@ faster; the pool only keeps its results identical. Rows stream to
 ``results.csv`` as they finish so an interrupted sweep can resume by
 skipping completed cells, and the final files are rewritten in canonical
 (method, budget, trial) order so resumed, sequential, and threaded runs all
-produce byte-identical outputs.
+produce byte-identical outputs. The rewrite goes through a temporary file
+and a rename, so a failed rewrite leaves the streamed results in place.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import proxy, selector
-from .errors import BudgetExceedsOrder, CoarsesetError, IoFailure, ScheduleExceedsPool
+from .errors import BudgetExceedsOrder, BudgetExceedsPool, CoarsesetError, IoFailure, ScheduleExceedsPool
 from .metrics import DEFAULT_METRIC, Metric
 from .proxy import TrainConfig
 from .store import EmbeddingMatrix, LabelVector, PathLike
@@ -156,45 +161,34 @@ def _method_trial_rows(
     test_data: tuple[EmbeddingMatrix, LabelVector],
     schedule: BudgetSchedule,
     *,
-    base_seed: int,
-    metric: Metric,
-    seed_count: int,
+    sel_cfg: selector.SelectionConfig,
     train_cfg: TrainConfig,
     skip: set[tuple[str, int, int]],
     emit,
 ) -> None:
     emb, labels = train_data
-    trial_seed = base_seed + trial
+    trial_seed = sel_cfg.rng_seed + trial
+    sel_cfg = replace(sel_cfg, rng_seed=trial_seed)
     cfg = replace(train_cfg, rng_seed=trial_seed)
-    wanted = [b for b in schedule.budgets if (method, b, trial) not in skip]
-    if not wanted:
+    if all((method, b, trial) in skip for b in schedule.budgets):
         return
 
-    if method == "random":
-        order = selector.random_order(emb.n, trial_seed)
-        for b in wanted:
-            acc = _accuracy_cell(train_data, test_data, order.prefix(b), cfg)
-            emit(SweepRow(method, b, trial, trial_seed, acc))
-    elif method == "fixed_feature":
-        sel_cfg = selector.SelectionConfig(seed_count, trial_seed, metric)
-        order = selector.select_prefix(emb, sel_cfg, max(schedule.budgets))
-        for b in wanted:
-            acc = _accuracy_cell(train_data, test_data, order.prefix(b), cfg)
-            emit(SweepRow(method, b, trial, trial_seed, acc))
-    elif method == "coreset_iterative":
+    # the labeled subset at each budget of the schedule, in order
+    if method == "coreset_iterative":
         trainer = proxy.feature_trainer(cfg)
-        labeled_after = selector.iterative_rounds(
-            emb, labels, schedule.increments, trainer, trial_seed, metric
+        subsets = selector.iterative_rounds(
+            emb, labels, schedule.increments, trainer, trial_seed, sel_cfg.metric
         )
-        for b, labeled in zip(schedule.budgets, labeled_after):
-            if (method, b, trial) in skip:
-                continue
-            acc = _accuracy_cell(train_data, test_data, labeled, cfg)
-            emit(SweepRow(method, b, trial, trial_seed, acc))
     else:
-        raise CoarsesetError(
-            f"unknown method {method!r}; valid methods: {', '.join(METHODS)}"
-        )
+        if method == "random":
+            order = selector.random_order(emb.n, trial_seed)
+        else:
+            order = selector.select_prefix(emb, sel_cfg, max(schedule.budgets))
+        subsets = (order.prefix(b) for b in schedule.budgets)
+    for b, subset in zip(schedule.budgets, subsets):
+        if (method, b, trial) not in skip:
+            acc = _accuracy_cell(train_data, test_data, subset, cfg)
+            emit(SweepRow(method, b, trial, trial_seed, acc))
 
 
 def run_budget_sweep(
@@ -233,6 +227,11 @@ def run_budget_sweep(
         raise ScheduleExceedsPool(f"trials must be >= 1, got {trials}")
     if jobs < 1:
         raise CoarsesetError(f"jobs must be >= 1, got {jobs}")
+    sel_cfg = selector.SelectionConfig(seed_count, base_seed, metric)
+    if "fixed_feature" in methods and seed_count > max(schedule.budgets):
+        raise BudgetExceedsPool(
+            f"budget {max(schedule.budgets)} cannot cover {seed_count} seeds"
+        )
 
     done: dict[tuple[str, int, int], SweepRow] = {}
     results_path = None
@@ -275,8 +274,7 @@ def run_budget_sweep(
             for m, t in jobs_args:
                 _method_trial_rows(
                     m, t, train_data, test_data, schedule,
-                    base_seed=base_seed, metric=metric, seed_count=seed_count,
-                    train_cfg=train_cfg, skip=set(done), emit=emit,
+                    sel_cfg=sel_cfg, train_cfg=train_cfg, skip=set(done), emit=emit,
                 )
         else:
             with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -284,8 +282,7 @@ def run_budget_sweep(
                     pool.submit(
                         _method_trial_rows,
                         m, t, train_data, test_data, schedule,
-                        base_seed=base_seed, metric=metric, seed_count=seed_count,
-                        train_cfg=train_cfg, skip=set(done), emit=emit,
+                        sel_cfg=sel_cfg, train_cfg=train_cfg, skip=set(done), emit=emit,
                     )
                     for m, t in jobs_args
                 ]
@@ -337,21 +334,31 @@ def _read_results(path: Path) -> tuple[list[SweepRow], int]:
     return rows, complete
 
 
+def _write_csv(path: Path, header: list[str], rows: Iterable[list[str]]) -> None:
+    """Write to a temporary file beside `path`, then rename it over `path`, so
+    a write that fails partway leaves the previous file intact."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(header)
+            w.writerows(rows)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def emit_report(result: SweepResult, out_dir: PathLike) -> None:
     """Write results.csv (canonical row order) and summary.csv (mean/std)."""
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
         rows = _canonical(result.rows)
-        with open(out / "results.csv", "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(RESULTS_HEADER)
-            w.writerows(_format_row(r) for r in rows)
-        with open(out / "summary.csv", "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(SUMMARY_HEADER)
-            for method, budget, accs in _summary_cells(rows):
-                w.writerow([method, str(budget), repr(float(np.mean(accs))), repr(float(np.std(accs)))])
+        _write_csv(out / "results.csv", RESULTS_HEADER, (_format_row(r) for r in rows))
+        _write_csv(out / "summary.csv", SUMMARY_HEADER, (
+            [method, str(budget), repr(float(np.mean(accs))), repr(float(np.std(accs)))]
+            for method, budget, accs in _summary_cells(rows)
+        ))
     except OSError as exc:
         raise IoFailure(f"cannot write report to {out}: {exc}") from exc
 

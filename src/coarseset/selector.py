@@ -164,16 +164,13 @@ def full_ordering(e: EmbeddingMatrix, cfg: SelectionConfig) -> SelectionOrder:
 
     The budget-b selection for any b is simply the first b entries.
     """
-    remaining = e.n - cfg.seed_count
-    if remaining < 0:
-        raise BudgetExceedsPool(f"seed_count {cfg.seed_count} exceeds n={e.n}")
-    seeds = Rng(cfg.rng_seed).sample(e.n, cfg.seed_count)
-    return kcenter_greedy(e, seeds, remaining, cfg.metric)
+    return select_prefix(e, cfg, e.n)
 
 
 def select_prefix(e: EmbeddingMatrix, cfg: SelectionConfig, budget_total: int) -> SelectionOrder:
-    """Budget-limited variant: seeds plus greedy picks, budget_total entries
-    in all. Identical to the same-length prefix of full_ordering.
+    """`cfg.seed_count` seeds drawn by ``Rng(cfg.rng_seed).sample``, then
+    greedy picks, budget_total entries in all. Identical to the same-length
+    prefix of full_ordering.
     """
     if budget_total < cfg.seed_count:
         raise BudgetExceedsPool(

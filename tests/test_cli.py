@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from coarseset import harness
-from coarseset.cli import main
+from coarseset.cli import _merge, build_parser, main
+from coarseset.metrics import DEFAULT_METRIC
+from coarseset.proxy import TrainConfig
 from coarseset.store import EmbeddingMatrix, load_embeddings, load_labels, save_embeddings
+
+SUBCOMMANDS = ("order", "select", "sweep", "histogram", "gen-synth")
 
 FOUR_POINTS = np.array([[0, 0], [10, 0], [0, 10], [1, 1]], dtype=np.float32)
 
@@ -45,7 +49,8 @@ def test_order_seed_count_beyond_n_exits_2(emb_file, tmp_path, capsys):
         "--seed-count", "9",
     ])
     assert rc == 2
-    assert capsys.readouterr().err.strip()
+    err = capsys.readouterr().err
+    assert "9" in err and "seed" in err
 
 
 def test_select_truncates_order(emb_file, tmp_path):
@@ -249,7 +254,7 @@ def test_order_accepts_csv_embeddings(tmp_path):
 
 
 def test_help_on_every_subcommand(capsys):
-    for sub in ("order", "select", "sweep", "histogram", "gen-synth"):
+    for sub in SUBCOMMANDS:
         rc = main([sub, "--help"])
         assert rc == 0
         assert "--" in capsys.readouterr().out
@@ -303,13 +308,19 @@ def test_sweep_rejects_jobs_below_one(tmp_path, capsys, jobs):
     ("learning_rate", "fast", "--learning-rate"),
     ("budgets", ["6", None], "--budgets"),
     ("rng_seed", -1, "--rng-seed"),
+    ("seed_count", 0, "seed_count must be >= 1"),
+    ("seed_count", 20, "budget 12 cannot cover 20 seeds"),
 ])
 def test_sweep_bad_config_value_exits_2(tmp_path, capsys, key, value, needle):
-    cfg = sweep_config(tmp_path, **{key: value})
+    # every method and two budgets: a setting checked only inside one
+    # method's job would let the cells before it write rows
+    settings = {"methods": ",".join(harness.METHODS), "budgets": "6,12", key: value}
+    cfg = sweep_config(tmp_path, **settings)
     capsys.readouterr()
     assert main(["sweep", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("coarseset: error:") and needle in err
+    assert not (tmp_path / "s" / "results.csv").exists()
 
 
 def test_internal_value_error_exits_1(tmp_path, capsys, monkeypatch):
@@ -326,11 +337,46 @@ def test_internal_value_error_exits_1(tmp_path, capsys, monkeypatch):
 def test_sweep_jobs_defaults_to_one(tmp_path, monkeypatch):
     seen = {}
 
-    def record(*args, **kwargs):
-        seen["jobs"] = kwargs["jobs"]
+    def record(train_data, test_data, schedule, methods, trials, **kwargs):
+        seen.update(schedule=schedule, methods=methods, trials=trials, **kwargs)
         return harness.SweepResult(())
 
-    cfg = sweep_config(tmp_path)
+    spec = synth_spec(tmp_path, center_seed=42)
+    assert main(["gen-synth", "--spec", str(spec), "--out-prefix", str(tmp_path / "d")]) == 0
     monkeypatch.setattr(harness, "run_budget_sweep", record)
-    assert main(["sweep", "--config", str(cfg)]) == 0
-    assert seen == {"jobs": 1}
+    monkeypatch.delenv("COARSESET_RNG_SEED", raising=False)
+    assert main([
+        "sweep",
+        "--train-emb", str(tmp_path / "d.emb"), "--train-lab", str(tmp_path / "d.lab"),
+        "--test-emb", str(tmp_path / "d.emb"), "--test-lab", str(tmp_path / "d.lab"),
+        "--out", str(tmp_path / "s"),
+    ]) == 0
+    assert seen.pop("schedule") == harness.default_schedule(60)
+    assert seen.pop("metric") is DEFAULT_METRIC
+    assert seen == {
+        "methods": list(harness.METHODS), "trials": 20, "base_seed": 0, "seed_count": 1,
+        "train_cfg": TrainConfig(), "out_dir": str(tmp_path / "s"), "jobs": 1,
+    }
+
+
+def test_every_flag_reads_from_config_and_help_shows_defaults(tmp_path, capsys):
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if a.dest == "subcommand").choices
+    for sub in SUBCOMMANDS:
+        keys = [
+            opt[2:].replace("-", "_")
+            for action in subparsers[sub]._actions
+            for opt in action.option_strings
+            if opt.startswith("--") and opt not in ("--help", "--config")
+        ]
+        if sub == "order":  # one config file serves both order and select
+            keys.append("budget")
+        cfg = {key: f"from-config-{key}" for key in keys}
+        path = tmp_path / f"{sub}.json"
+        path.write_text(json.dumps(cfg))
+        assert _merge(parser.parse_args([sub, "--config", str(path)])) == cfg
+
+        help_text = " ".join(subparsers[sub].format_help().split())
+        for key, default in _merge(parser.parse_args([sub])).items():
+            if default is not None:
+                assert f"(default {default})" in help_text, (sub, key)

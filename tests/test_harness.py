@@ -3,7 +3,8 @@ import pytest
 
 from oracles import hypergeometric_std
 
-from coarseset.errors import BudgetExceedsOrder, CoarsesetError, ScheduleExceedsPool
+from coarseset import harness
+from coarseset.errors import BudgetExceedsOrder, CoarsesetError, IoFailure, ScheduleExceedsPool
 from coarseset.harness import (
     BudgetSchedule,
     ClassHistogram,
@@ -207,6 +208,39 @@ def test_sweep_writes_and_resumes_byte_identically(tmp_path):
         )
         assert (resume_dir / "results.csv").read_bytes() == full_results
         assert (resume_dir / "summary.csv").read_bytes() == full_summary
+
+
+def test_failed_report_rewrite_keeps_streamed_results(tmp_path, monkeypatch):
+    train_data, test_data = tiny_suite(n_per_class=12)
+    args = (train_data, test_data, BudgetSchedule((4, 8)), ("random", "fixed_feature"))
+    kwargs = dict(trials=2, base_seed=9, train_cfg=FAST_CFG)
+    run_budget_sweep(*args, **kwargs, out_dir=tmp_path / "full")
+
+    out = tmp_path / "crash"
+    streamed = {}
+    real_emit, real_format = harness.emit_report, harness._format_row
+
+    def format_until_disk_full(row):
+        if row.trial == 1:  # the second canonical row: partway through results.csv
+            raise OSError("disk full")
+        return real_format(row)
+
+    def emit_failing_partway(result, out_dir):
+        streamed["results"] = (out / "results.csv").read_bytes()
+        monkeypatch.setattr(harness, "_format_row", format_until_disk_full)
+        real_emit(result, out_dir)
+
+    monkeypatch.setattr(harness, "emit_report", emit_failing_partway)
+    with pytest.raises(IoFailure, match="disk full"):
+        run_budget_sweep(*args, **kwargs, out_dir=out)
+    assert len(streamed["results"].splitlines()) == 1 + 8
+    assert (out / "results.csv").read_bytes() == streamed["results"]
+    assert [p.name for p in out.iterdir()] == ["results.csv"]
+
+    monkeypatch.undo()
+    run_budget_sweep(*args, **kwargs, out_dir=out)
+    for name in ("results.csv", "summary.csv"):
+        assert (out / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
 
 
 def test_resume_rejects_mismatched_seeds(tmp_path):
