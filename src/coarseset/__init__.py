@@ -39,7 +39,15 @@ from .harness import (
     run_budget_sweep,
 )
 from .metrics import DEFAULT_METRIC, Metric, distance
-from .proxy import MlpModel, TrainConfig, accuracy, extract_features, gradient_check, train
+from .proxy import (
+    MlpModel,
+    TrainConfig,
+    accuracy,
+    extract_features,
+    gradient_check,
+    train,
+    train_group,
+)
 from .rng import Rng
 from .selector import (
     SelectionConfig,
@@ -118,4 +126,5 @@ __all__ = [
     "save_embeddings",
     "save_labels",
     "train",
+    "train_group",
 ]

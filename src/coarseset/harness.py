@@ -6,25 +6,41 @@ and fixed-feature methods reuse a single per-trial ordering, truncated at
 each budget; the iterative core-set baseline grows its labeled set in
 rounds sized by the schedule increments so every budget is hit exactly.
 
+Training is grouped. Within one trial every training at budget b has the
+same size and the same config (seed ``base_seed + trial``), so the cells
+of all methods at b, plus the core-set feature model for the next round,
+train as one ``proxy.train_group`` call; their init and shuffles are drawn
+once. Each model is byte-identical to training it alone, so a cell's row
+does not depend on which other methods ran or which cells a resume skips.
+
 Every setting (methods, budgets, trials, jobs, seed count, seed, metric) is
 checked before the first cell runs, so a bad one fails the sweep before any
 row is written.
 
-Each (method, trial) is an independent job. ``jobs=1`` (the default, and
-the CLI's) runs them in order on the calling thread; ``jobs > 1`` runs them
-on a thread pool that wide. The work is Python-bound and holds the
-interpreter lock, so on CPython more threads make a sweep slower, not
-faster; the pool only keeps its results identical. Rows stream to
-``results.csv`` as they finish so an interrupted sweep can resume by
-skipping completed cells, and the final files are rewritten in canonical
-(method, budget, trial) order so resumed, sequential, and threaded runs all
-produce byte-identical outputs. The rewrite goes through a temporary file
-and a rename, so a failed rewrite leaves the streamed results in place.
+Each trial is an independent job. ``jobs=1`` (the default, and the CLI's)
+runs them in order on the calling thread; ``jobs > 1`` runs them on a
+thread pool that wide. The work is Python-bound and holds the interpreter
+lock, so on CPython more threads do not make a sweep faster; the pool only
+keeps its results identical. Rows stream to ``results.csv`` as they finish
+so an interrupted sweep can resume by skipping completed cells, and the
+final files are rewritten in canonical (method, budget, trial) order so
+resumed, sequential, and threaded runs all produce byte-identical outputs.
+The rewrite goes through a temporary file and a rename, so a failed
+rewrite leaves the streamed results in place.
+
+Before the first cell, ``run.json`` beside the CSVs records every setting
+that determines a cell (budgets, seed, seed count, metric, training config)
+and the SHA-256 of the four inputs in their EMB1/LAB1 encoding, which for
+binary input files is the files' own digest. A resume into a directory
+whose rows were produced under a different record, or under none, is
+refused before anything is written.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import json
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -34,7 +50,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from . import proxy, selector
+from . import proxy, selector, store
 from .errors import BudgetExceedsOrder, BudgetExceedsPool, CoarsesetError, IoFailure, ScheduleExceedsPool
 from .metrics import DEFAULT_METRIC, Metric
 from .proxy import TrainConfig
@@ -45,6 +61,7 @@ METHODS = ("coreset_iterative", "fixed_feature", "random")
 RESULTS_HEADER = ["method", "budget", "trial", "seed", "accuracy"]
 SUMMARY_HEADER = ["method", "budget", "mean_accuracy", "std_accuracy"]
 HISTOGRAM_HEADER = ["class", "count"]
+RUN_FILE = "run.json"
 
 
 @dataclass(frozen=True)
@@ -142,53 +159,64 @@ def _canonical(rows: Iterable[SweepRow]) -> tuple[SweepRow, ...]:
     return tuple(sorted(rows, key=lambda r: (r.method, r.budget, r.trial)))
 
 
-def _accuracy_cell(
-    train_data: tuple[EmbeddingMatrix, LabelVector],
-    test_data: tuple[EmbeddingMatrix, LabelVector],
-    subset: Sequence[int],
-    cfg: TrainConfig,
-) -> float:
-    # sorted: the trained model depends on the subset as a set, not on the
-    # sequence a method discovered it in
-    model = proxy.train(train_data[0], train_data[1], sorted(int(i) for i in subset), cfg)
-    return proxy.accuracy(model, test_data[0], test_data[1])
-
-
-def _method_trial_rows(
-    method: str,
+def _trial_rows(
     trial: int,
     train_data: tuple[EmbeddingMatrix, LabelVector],
     test_data: tuple[EmbeddingMatrix, LabelVector],
     schedule: BudgetSchedule,
+    methods: Sequence[str],
     *,
     sel_cfg: selector.SelectionConfig,
     train_cfg: TrainConfig,
     skip: set[tuple[str, int, int]],
     emit,
 ) -> None:
+    """The cells of one trial not in `skip`, one training group per budget."""
     emb, labels = train_data
     trial_seed = sel_cfg.rng_seed + trial
     sel_cfg = replace(sel_cfg, rng_seed=trial_seed)
     cfg = replace(train_cfg, rng_seed=trial_seed)
-    if all((method, b, trial) in skip for b in schedule.budgets):
-        return
+    pending = {(m, b) for m in methods for b in schedule.budgets if (m, b, trial) not in skip}
+    pending_methods = {m for m, _ in pending}
 
-    # the labeled subset at each budget of the schedule, in order
-    if method == "coreset_iterative":
-        trainer = proxy.feature_trainer(cfg)
-        subsets = selector.iterative_rounds(
-            emb, labels, schedule.increments, trainer, trial_seed, sel_cfg.metric
-        )
-    else:
-        if method == "random":
-            order = selector.random_order(emb.n, trial_seed)
-        else:
-            order = selector.select_prefix(emb, sel_cfg, max(schedule.budgets))
-        subsets = (order.prefix(b) for b in schedule.budgets)
-    for b, subset in zip(schedule.budgets, subsets):
-        if (method, b, trial) not in skip:
-            acc = _accuracy_cell(train_data, test_data, subset, cfg)
-            emit(SweepRow(method, b, trial, trial_seed, acc))
+    # random and fixed_feature take prefixes of one ordering per trial
+    orders = {}
+    if "random" in pending_methods:
+        orders["random"] = selector.random_order(emb.n, trial_seed)
+    if "fixed_feature" in pending_methods:
+        orders["fixed_feature"] = selector.select_prefix(emb, sel_cfg, max(schedule.budgets))
+    # each coreset_iterative round after the first needs a feature model
+    # trained on the labeled list of the budget before it: that model trains
+    # in the earlier budget's group, and the trainer callback hands
+    # iterative_rounds its features
+    coreset_last = max((b for m, b in pending if m == "coreset_iterative"), default=0)
+    features: dict[tuple[int, ...], EmbeddingMatrix] = {}
+    rounds = selector.iterative_rounds(
+        emb, labels, schedule.increments,
+        lambda e, lab, labeled: features.pop(tuple(labeled)),
+        trial_seed, sel_cfg.metric,
+    )
+
+    for b in schedule.budgets:
+        # evaluation subsets are sorted: a model depends on its subset as a
+        # set, not on the sequence a method discovered it in
+        cells = [
+            (m, sorted(int(i) for i in orders[m].prefix(b)))
+            for m in methods if m in orders and (m, b) in pending
+        ]
+        feature_subset = None
+        if b <= coreset_last:
+            labeled = next(rounds)
+            if ("coreset_iterative", b) in pending:
+                cells.append(("coreset_iterative", sorted(labeled)))
+            if b < coreset_last:
+                feature_subset = labeled
+        subsets = [s for _, s in cells] + ([feature_subset] if feature_subset is not None else [])
+        models = proxy.train_group(emb, labels, subsets, cfg)
+        for (m, _), model in zip(cells, models):
+            emit(SweepRow(m, b, trial, trial_seed, proxy.accuracy(model, *test_data)))
+        if feature_subset is not None:
+            features[tuple(feature_subset)] = proxy.extract_features(models[-1], emb)
 
 
 def run_budget_sweep(
@@ -239,18 +267,24 @@ def run_budget_sweep(
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         results_path = out / "results.csv"
-        if results_path.exists():
-            rows, complete = _read_results(results_path)
-            for row in rows:
-                key = (row.method, row.budget, row.trial)
-                if row.method in methods and row.budget in schedule.budgets and 0 <= row.trial < trials:
-                    if row.seed != base_seed + row.trial:
-                        raise CoarsesetError(
-                            f"{results_path} was produced with different seeds; use a fresh out dir"
-                        )
-                    done[key] = row
-            if done:
-                os.truncate(results_path, complete)
+        record = _run_record(
+            train_data, test_data, schedule, base_seed=base_seed, seed_count=seed_count,
+            metric=metric, train_cfg=train_cfg,
+        )
+        rows, complete = _read_results(results_path) if results_path.exists() else ([], 0)
+        for row in rows:
+            key = (row.method, row.budget, row.trial)
+            if row.method in methods and row.budget in schedule.budgets and 0 <= row.trial < trials:
+                if row.seed != base_seed + row.trial:
+                    raise CoarsesetError(
+                        f"{results_path} was produced with different seeds; use a fresh out dir"
+                    )
+                done[key] = row
+        if rows:
+            _check_run_record(out / RUN_FILE, record, results_path)
+        _write_atomically(out / RUN_FILE, json.dumps(record, indent=2) + "\n")
+        if done:
+            os.truncate(results_path, complete)
 
     lock = threading.Lock()
     fresh: list[SweepRow] = []
@@ -268,25 +302,19 @@ def run_budget_sweep(
                 csv.writer(writer_fh, lineterminator="\n").writerow(_format_row(row))
                 writer_fh.flush()
 
-    jobs_args = [(m, t) for m in methods for t in range(trials)]
+    def run_trial(trial: int) -> None:
+        _trial_rows(
+            trial, train_data, test_data, schedule, methods,
+            sel_cfg=sel_cfg, train_cfg=train_cfg, skip=set(done), emit=emit,
+        )
+
     try:
         if jobs == 1:
-            for m, t in jobs_args:
-                _method_trial_rows(
-                    m, t, train_data, test_data, schedule,
-                    sel_cfg=sel_cfg, train_cfg=train_cfg, skip=set(done), emit=emit,
-                )
+            for t in range(trials):
+                run_trial(t)
         else:
             with ThreadPoolExecutor(max_workers=jobs) as pool:
-                futures = [
-                    pool.submit(
-                        _method_trial_rows,
-                        m, t, train_data, test_data, schedule,
-                        sel_cfg=sel_cfg, train_cfg=train_cfg, skip=set(done), emit=emit,
-                    )
-                    for m, t in jobs_args
-                ]
-                for f in futures:
+                for f in [pool.submit(run_trial, t) for t in range(trials)]:
                     f.result()
     finally:
         if writer_fh is not None:
@@ -334,18 +362,73 @@ def _read_results(path: Path) -> tuple[list[SweepRow], int]:
     return rows, complete
 
 
-def _write_csv(path: Path, header: list[str], rows: Iterable[list[str]]) -> None:
+def _run_record(
+    train_data: tuple[EmbeddingMatrix, LabelVector],
+    test_data: tuple[EmbeddingMatrix, LabelVector],
+    schedule: BudgetSchedule,
+    *,
+    base_seed: int,
+    seed_count: int,
+    metric: Metric,
+    train_cfg: TrainConfig,
+) -> dict:
+    """Every setting that determines a cell's row, as run.json holds it."""
+    return {
+        "budgets": list(schedule.budgets),
+        "base_seed": base_seed,
+        "seed_count": seed_count,
+        "metric": metric.value,
+        "epochs": train_cfg.epochs,
+        "batch_size": train_cfg.batch_size,
+        "learning_rate": train_cfg.learning_rate,
+        "hidden": train_cfg.hidden,
+        "train_emb_sha256": store.sha256(train_data[0]),
+        "train_lab_sha256": store.sha256(train_data[1]),
+        "test_emb_sha256": store.sha256(test_data[0]),
+        "test_lab_sha256": store.sha256(test_data[1]),
+    }
+
+
+def _check_run_record(path: Path, record: dict, results_path: Path) -> None:
+    """Refuse to add to rows produced under other settings, or under
+    settings nobody recorded."""
+    try:
+        old = json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise CoarsesetError(
+            f"{results_path} holds rows but {path.name} is missing, so their settings "
+            "are unknown; use a fresh out dir"
+        ) from None
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, not JSON
+        raise CoarsesetError(f"cannot read {path}: {exc}") from None
+    if not isinstance(old, dict):
+        raise CoarsesetError(f"{path} does not hold a JSON object")
+    for field, value in record.items():
+        if old.get(field) != value:
+            raise CoarsesetError(
+                f"{path}: {field} was {old.get(field)!r} for the rows in {results_path.name}, "
+                f"this run has {value!r}; use a fresh out dir"
+            )
+
+
+def _write_atomically(path: Path, text: str) -> None:
     """Write to a temporary file beside `path`, then rename it over `path`, so
     a write that fails partway leaves the previous file intact."""
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(header)
-            w.writerows(rows)
+            fh.write(text)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def _write_csv(path: Path, header: list[str], rows: Iterable[list[str]]) -> None:
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    _write_atomically(path, buf.getvalue())
 
 
 def emit_report(result: SweepResult, out_dir: PathLike) -> None:

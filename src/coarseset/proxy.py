@@ -9,15 +9,23 @@ Parameters are stored float32 with all arithmetic in float64; training is
 plain mini-batch SGD and fully deterministic given TrainConfig.rng_seed
 (init and per-epoch shuffles come from one Rng stream: W1 row-major, b1,
 W2 row-major, b2, each uniform in +-1/sqrt(fan_in), then one Fisher-Yates
-shuffle of the subset per epoch).
+shuffle of the subset positions per epoch).
+
+Training is grouped: ``train_group`` trains one model per subset for B
+subsets of one length under one config. Their init and per-epoch
+permutations are then identical, so it draws them once and runs each SGD
+step as stacked ``(B, k, .)`` matmuls and reductions over the B members.
+No member's arithmetic reads another's, so every model is byte-identical
+to training its subset alone; ``train`` is the group of one.
 
 The training loop computes gradients only (the loss is not needed for the
 update) through ``_grads``, the one backward pass, which
-``_loss_and_grads`` and ``gradient_check`` share. It keeps one float64
-mirror of the float32 params, refreshed from each float32 rounding of the
-update, so every step reads exactly the stored values without re-casting
-them. Each epoch gathers the shuffled subset once and takes contiguous
-batch slices of it.
+``_loss_and_grads`` and ``gradient_check`` share; it takes any number of
+leading stack dimensions. Training keeps one float64 mirror of the float32
+params, refreshed from each float32 rounding of the update, so every step
+reads exactly the stored values without re-casting them. Each epoch
+gathers the shuffled subsets and their one-hot targets once and takes
+contiguous batch slices of them.
 """
 
 from __future__ import annotations
@@ -94,11 +102,14 @@ def _init_params(rng: Rng, d: int, h: int, c: int, dtype) -> list[np.ndarray]:
 
 
 def _forward64(params64: Sequence[np.ndarray], x: np.ndarray):
-    """Returns (hidden pre-activation, hidden, logits) from float64 params."""
+    """Returns (hidden pre-activation, hidden, logits) from float64 params.
+
+    Leading dimensions of `x` and the params beyond one matrix are a stack
+    of independent models, each applied to its own rows."""
     w1, b1, w2, b2 = params64
-    z1 = x @ w1.T + b1
+    z1 = x @ w1.swapaxes(-1, -2) + b1[..., None, :]
     hidden = np.maximum(z1, 0.0)
-    logits = hidden @ w2.T + b2
+    logits = hidden @ w2.swapaxes(-1, -2) + b2[..., None, :]
     return z1, hidden, logits
 
 
@@ -108,9 +119,9 @@ def _forward(params: Sequence[np.ndarray], x: np.ndarray):
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
+    return exp / exp.sum(axis=-1, keepdims=True)
 
 
 def cross_entropy(logits: np.ndarray, y: np.ndarray) -> float:
@@ -120,32 +131,37 @@ def cross_entropy(logits: np.ndarray, y: np.ndarray) -> float:
     return float(-log_probs[np.arange(len(y)), y].mean())
 
 
-def _grads(params64: Sequence[np.ndarray], x: np.ndarray, y: np.ndarray):
+def _grads(params64: Sequence[np.ndarray], x: np.ndarray, target: np.ndarray):
     """The one backward pass: (logits, [dW1, db1, dW2, db2]) of the mean
-    softmax cross-entropy, from float64 params."""
+    softmax cross-entropy, from float64 params; `target` holds the labels'
+    one-hot rows. Stacked like `_forward64`."""
     z1, hidden, logits = _forward64(params64, x)
-    m = x.shape[0]
     dlogits = softmax(logits)
-    dlogits[np.arange(m), y] -= 1.0
-    dlogits /= m
-    dw2 = dlogits.T @ hidden
-    db2 = dlogits.sum(axis=0)
+    dlogits -= target  # p - 1 at the label; p - 0.0 == p exactly elsewhere
+    dlogits /= x.shape[-2]
+    dw2 = dlogits.swapaxes(-1, -2) @ hidden
+    db2 = dlogits.sum(axis=-2)
     dhidden = dlogits @ params64[2]
     dz1 = np.where(z1 > 0.0, dhidden, 0.0)
-    dw1 = dz1.T @ x
-    db1 = dz1.sum(axis=0)
+    dw1 = dz1.swapaxes(-1, -2) @ x
+    db1 = dz1.sum(axis=-2)
     return logits, [dw1, db1, dw2, db2]
 
 
+def _one_hot(y: np.ndarray, num_classes: int) -> np.ndarray:
+    return (y[..., None] == np.arange(num_classes)).astype(np.float64)
+
+
 def _loss_and_grads(params: Sequence[np.ndarray], x: np.ndarray, y: np.ndarray):
-    logits, grads = _grads([p.astype(np.float64) for p in params], x, y)
+    num_classes = params[3].shape[-1]
+    logits, grads = _grads([p.astype(np.float64) for p in params], x, _one_hot(y, num_classes))
     return cross_entropy(logits, y), grads
 
 
 def _apply_update(params: Sequence[np.ndarray], grads: Sequence[np.ndarray], lr: float):
     """SGD step in float64, results cast back to the storage dtype.
 
-    `train` takes this step on its float64 mirror of the params instead of
+    `train_group` takes this step on its float64 mirror of the params instead of
     re-casting them; the tests keep this form as its reference."""
     return [
         (p.astype(np.float64) - lr * g).astype(p.dtype)
@@ -160,38 +176,59 @@ def train(
     cfg: TrainConfig = TrainConfig(),
 ) -> MlpModel:
     """Mini-batch SGD on softmax cross-entropy over the given subset."""
-    idx = [int(i) for i in subset]
+    return train_group(e, labels, [subset], cfg)[0]
+
+
+def train_group(
+    e: EmbeddingMatrix,
+    labels: LabelVector,
+    subsets: Sequence[Sequence[int]],
+    cfg: TrainConfig = TrainConfig(),
+) -> list[MlpModel]:
+    """One model per subset, each byte-identical to ``train`` on it alone.
+
+    The subsets must share one length; see the module docstring."""
+    idx = [[int(i) for i in s] for s in subsets]
     if not idx:
-        raise EmptySubset("training subset is empty")
-    for i in idx:
-        if not 0 <= i < e.n:
-            raise IndexOutOfRange(f"subset index {i} outside [0, {e.n})")
+        return []
+    for s in idx:
+        if not s:
+            raise EmptySubset("training subset is empty")
+        for i in s:
+            if not 0 <= i < e.n:
+                raise IndexOutOfRange(f"subset index {i} outside [0, {e.n})")
+    m = len(idx[0])
+    if any(len(s) != m for s in idx):
+        raise DimensionMismatch(
+            f"grouped subsets must share one length, got {sorted({len(s) for s in idx})}"
+        )
     if len(labels) != e.n:
         raise DimensionMismatch(
             f"labels cover {len(labels)} points, embeddings have {e.n}"
         )
-    y_all = labels.labels
-    if int(y_all[idx].max()) >= labels.num_classes:
+    idx = np.asarray(idx, dtype=np.int64)
+    y_pool = labels.labels[idx]
+    if int(y_pool.max()) >= labels.num_classes:
         raise LabelOutOfRange("label id not below num_classes")
 
     x_pool = e.data[idx].astype(np.float64)
-    y_pool = y_all[idx]
+    target_pool = _one_hot(y_pool, labels.num_classes)
     rng = Rng(cfg.rng_seed)
-    params = _init_params(rng, e.d, cfg.hidden, labels.num_classes, np.float32)
+    init = _init_params(rng, e.d, cfg.hidden, labels.num_classes, np.float32)
+    params = [np.repeat(p[None], len(idx), axis=0) for p in init]
     # the float64 copy the arithmetic reads; refreshed from every float32
     # rounding, so it is always exactly the stored params
     params64 = [p.astype(np.float64) for p in params]
 
-    m = len(idx)
     lr = cfg.learning_rate
     positions = list(range(m))
     for _ in range(cfg.epochs):
         rng.shuffle(positions)
-        x_epoch = x_pool[positions]
-        y_epoch = y_pool[positions]
+        x_epoch = x_pool[:, positions]
+        target_epoch = target_pool[:, positions]
         for start in range(0, m, cfg.batch_size):
             stop = start + cfg.batch_size
-            _, grads = _grads(params64, x_epoch[start:stop], y_epoch[start:stop])
+            _, grads = _grads(params64, x_epoch[:, start:stop], target_epoch[:, start:stop])
             for k, g in enumerate(grads):
                 params[k] = (params64[k] - lr * g).astype(np.float32)
                 params64[k] = params[k].astype(np.float64)
@@ -199,7 +236,7 @@ def train(
     for p in params:
         if not np.isfinite(p).all():
             raise ArithmeticError("training produced non-finite parameters")
-    return MlpModel(*params)
+    return [MlpModel(*(p[b] for p in params)) for b in range(len(idx))]
 
 
 def extract_features(m: MlpModel, e: EmbeddingMatrix) -> EmbeddingMatrix:

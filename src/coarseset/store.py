@@ -12,6 +12,10 @@ no header row: embeddings are one comma-separated point per line, labels one
 non-negative integer per line. ``load_embeddings``/``load_labels``
 auto-detect binary vs CSV by the magic bytes.
 
+A label vector holds at most ``MAX_CLASSES`` classes, so a label file that
+implies more (one stray label near 2**32 would) is rejected with the file
+and the label's position before anything is sized by the class count.
+
 Values are stored as float32 (both on disk and in memory); all distance
 arithmetic upcasts to float64 (see :mod:`coarseset.metrics`). Instances are
 immutable after construction and safe to share across threads.
@@ -41,7 +45,21 @@ LAB1_MAGIC = b"LAB1"
 _EMB1_HEADER = struct.Struct("<4sBBHQQ")
 _LAB1_HEADER = struct.Struct("<4sBBBBQ")
 
+try:
+    # CPython's built-in SHA-256, as random.py takes its sha512: hashlib
+    # loads OpenSSL, which adds ~3.5 MB to a command's peak resident memory
+    from _sha256 import sha256 as _sha256  # Python <= 3.11
+except ImportError:  # pragma: no cover - depends on the interpreter build
+    try:
+        from _sha2 import sha256 as _sha256  # Python >= 3.12
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
 PathLike = Union[str, Path]
+
+# the largest class count a LabelVector may hold; class-sized arrays (the
+# proxy's output layer, histogram counts) are allocated from it
+MAX_CLASSES = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -88,6 +106,10 @@ class LabelVector:
             raise EmptyFile("label vector must be a non-empty 1-D sequence")
         if (src < 0).any():
             raise MalformedLabel("labels must be non-negative")
+        if self.num_classes > MAX_CLASSES:
+            raise MalformedLabel(
+                f"num_classes={self.num_classes} exceeds MAX_CLASSES={MAX_CLASSES}"
+            )
         if int(src.max()) >= self.num_classes:
             raise MalformedLabel(
                 f"label {int(src.max())} exceeds num_classes={self.num_classes}"
@@ -111,13 +133,17 @@ class LabelVector:
 
 # --- embeddings ---------------------------------------------------------------
 
+def _emb1_parts(m: EmbeddingMatrix) -> tuple[bytes, np.ndarray]:
+    return _EMB1_HEADER.pack(EMB1_MAGIC, 1, 1, 0, m.n, m.d), m.data.astype("<f4", copy=False)
+
+
 def save_embeddings(m: EmbeddingMatrix, path: PathLike) -> None:
     """Write EMB1; round-trips bit-exactly through load_embeddings."""
-    header = _EMB1_HEADER.pack(EMB1_MAGIC, 1, 1, 0, m.n, m.d)
+    header, payload = _emb1_parts(m)
     try:
         with open(path, "wb") as fh:
             fh.write(header)
-            fh.write(m.data.astype("<f4", copy=False).tobytes(order="C"))
+            fh.write(payload.tobytes(order="C"))
     except OSError as exc:
         raise IoFailure(f"cannot write embeddings to {path}: {exc}") from exc
 
@@ -180,17 +206,30 @@ def _parse_embedding_csv(raw: bytes, path: PathLike) -> EmbeddingMatrix:
 
 # --- labels ---------------------------------------------------------------------
 
+def _lab1_parts(v: LabelVector) -> tuple[bytes, np.ndarray]:
+    # labels are below MAX_CLASSES, so they fit LAB1's u32
+    return _LAB1_HEADER.pack(LAB1_MAGIC, 1, 0, 0, 0, len(v)), v.labels.astype("<u4")
+
+
 def save_labels(v: LabelVector, path: PathLike) -> None:
-    """Write LAB1; labels must fit in u32."""
-    if int(v.labels.max()) > 0xFFFFFFFF:
-        raise MalformedLabel("LAB1 stores u32 labels")
-    header = _LAB1_HEADER.pack(LAB1_MAGIC, 1, 0, 0, 0, len(v))
+    """Write LAB1; round-trips bit-exactly through load_labels."""
+    header, payload = _lab1_parts(v)
     try:
         with open(path, "wb") as fh:
             fh.write(header)
-            fh.write(v.labels.astype("<u4").tobytes())
+            fh.write(payload.tobytes())
     except OSError as exc:
         raise IoFailure(f"cannot write labels to {path}: {exc}") from exc
+
+
+def sha256(obj: Union[EmbeddingMatrix, LabelVector]) -> str:
+    """Hex SHA-256 of `obj` in its EMB1 or LAB1 encoding: the digest of the
+    file ``save_embeddings``/``save_labels`` would write, and so of any EMB1
+    or LAB1 file that loads into `obj` (both round-trip bit-exactly)."""
+    header, payload = _emb1_parts(obj) if isinstance(obj, EmbeddingMatrix) else _lab1_parts(obj)
+    h = _sha256(header)
+    h.update(payload)
+    return h.hexdigest()
 
 
 def load_labels(path: PathLike, num_classes: Optional[int] = None) -> LabelVector:
@@ -223,7 +262,15 @@ def _parse_lab1(raw: bytes, path: PathLike) -> np.ndarray:
         raise MalformedHeader(
             f"{path}: LAB1 payload holds {payload // 4} labels, expected {n}"
         )
-    return np.frombuffer(raw, dtype="<u4", offset=_LAB1_HEADER.size).astype(np.int64)
+    labels = np.frombuffer(raw, dtype="<u4", offset=_LAB1_HEADER.size).astype(np.int64)
+    over = np.flatnonzero(labels >= MAX_CLASSES)
+    if over.size:
+        i = int(over[0])
+        raise MalformedLabel(
+            f"{path}: entry {i}: label {int(labels[i])} implies "
+            f"{int(labels[i]) + 1} classes, more than MAX_CLASSES={MAX_CLASSES}"
+        )
+    return labels
 
 
 def _parse_label_csv(raw: bytes, path: PathLike) -> np.ndarray:
@@ -242,6 +289,11 @@ def _parse_label_csv(raw: bytes, path: PathLike) -> np.ndarray:
             raise MalformedLabel(f"{path}: line {lineno}: {tok!r} is not an integer") from None
         if label < 0:
             raise MalformedLabel(f"{path}: line {lineno}: negative label {label}")
+        if label >= MAX_CLASSES:
+            raise MalformedLabel(
+                f"{path}: line {lineno}: label {label} implies {label + 1} classes, "
+                f"more than MAX_CLASSES={MAX_CLASSES}"
+            )
         values.append(label)
     if not values:
         raise EmptyFile(f"{path}: no labels")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -380,3 +381,63 @@ def test_every_flag_reads_from_config_and_help_shows_defaults(tmp_path, capsys):
         for key, default in _merge(parser.parse_args([sub])).items():
             if default is not None:
                 assert f"(default {default})" in help_text, (sub, key)
+
+
+def test_sweep_run_json_records_the_settings_and_input_digests(tmp_path, monkeypatch):
+    monkeypatch.delenv("COARSESET_RNG_SEED", raising=False)
+    cfg = sweep_config(tmp_path, budgets="6,12", epochs=3)
+    assert main(["sweep", "--config", str(cfg), "--hidden", "8"]) == 0
+    record = json.loads((tmp_path / "s" / "run.json").read_text())
+    digest = {
+        name: hashlib.sha256((tmp_path / f"d.{name[-3:]}").read_bytes()).hexdigest()
+        for name in ("emb", "lab")
+    }
+    assert record == {
+        "budgets": [6, 12], "base_seed": 0, "seed_count": 1, "metric": DEFAULT_METRIC.value,
+        "epochs": 3, "batch_size": TrainConfig.batch_size,
+        "learning_rate": TrainConfig.learning_rate, "hidden": 8,
+        "train_emb_sha256": digest["emb"], "train_lab_sha256": digest["lab"],
+        "test_emb_sha256": digest["emb"], "test_lab_sha256": digest["lab"],
+    }
+
+
+@pytest.mark.parametrize("flags,field", [
+    (["--epochs", "50", "--hidden", "8"], "epochs"),
+    (["--budgets", "6,9"], "budgets"),
+    (["--learning-rate", "0.1"], "learning_rate"),
+    (["--metric", "euclidean"], "metric"),
+])
+def test_sweep_resume_refuses_a_changed_config(tmp_path, capsys, monkeypatch, flags, field):
+    monkeypatch.delenv("COARSESET_RNG_SEED", raising=False)
+    cfg = sweep_config(tmp_path, methods=",".join(harness.METHODS), budgets="6,12", epochs=1)
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    out = tmp_path / "s"
+    before = {name: (out / name).read_bytes() for name in ("results.csv", "summary.csv", "run.json")}
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(cfg)] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("coarseset: error:") and f"run.json: {field} was" in err
+    assert {name: (out / name).read_bytes() for name in before} == before
+    # the same settings resume (nothing left to run) and keep every byte
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert {name: (out / name).read_bytes() for name in before} == before
+
+
+def test_sweep_resume_refuses_rows_without_run_json(tmp_path, capsys):
+    cfg = sweep_config(tmp_path)
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    (tmp_path / "s" / "run.json").unlink()
+    results = (tmp_path / "s" / "results.csv").read_bytes()
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert "run.json is missing" in capsys.readouterr().err
+    assert (tmp_path / "s" / "results.csv").read_bytes() == results
+
+
+def test_sweep_more_trials_extend_a_finished_run(tmp_path):
+    cfg = sweep_config(tmp_path, methods=",".join(harness.METHODS), budgets="6,12")
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert main(["sweep", "--config", str(cfg), "--trials", "2"]) == 0
+    assert main(["sweep", "--config", str(cfg), "--trials", "2", "--out", str(tmp_path / "f")]) == 0
+    for name in ("results.csv", "summary.csv", "run.json"):
+        assert (tmp_path / "s" / name).read_bytes() == (tmp_path / "f" / name).read_bytes()

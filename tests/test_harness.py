@@ -1,3 +1,6 @@
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,8 +19,15 @@ from coarseset.harness import (
     format_summary,
     run_budget_sweep,
 )
-from coarseset.proxy import TrainConfig
-from coarseset.selector import SelectionConfig, SelectionOrder, full_ordering, random_order
+from coarseset.proxy import TrainConfig, accuracy, feature_trainer, train
+from coarseset.selector import (
+    SelectionConfig,
+    SelectionOrder,
+    full_ordering,
+    iterative_rounds,
+    random_order,
+    select_prefix,
+)
 from coarseset.store import LabelVector
 from coarseset.synth import MixtureSpec, generate
 
@@ -201,6 +211,7 @@ def test_sweep_writes_and_resumes_byte_identically(tmp_path):
     for i, partial in enumerate(["", cut_accuracy, torn[: torn.rindex(",")]]):
         resume_dir = tmp_path / f"resume{i}"
         resume_dir.mkdir()
+        (resume_dir / "run.json").write_bytes((full_dir / "run.json").read_bytes())
         (resume_dir / "results.csv").write_text("\n".join(lines[:5]) + "\n" + partial)
         run_budget_sweep(
             train_data, test_data, schedule, ("random", "fixed_feature"),
@@ -235,7 +246,7 @@ def test_failed_report_rewrite_keeps_streamed_results(tmp_path, monkeypatch):
         run_budget_sweep(*args, **kwargs, out_dir=out)
     assert len(streamed["results"].splitlines()) == 1 + 8
     assert (out / "results.csv").read_bytes() == streamed["results"]
-    assert [p.name for p in out.iterdir()] == ["results.csv"]
+    assert sorted(p.name for p in out.iterdir()) == ["results.csv", "run.json"]
 
     monkeypatch.undo()
     run_budget_sweep(*args, **kwargs, out_dir=out)
@@ -274,3 +285,136 @@ def test_coreset_budget_matches_schedule_points():
         trials=1, base_seed=1, train_cfg=FAST_CFG,
     )
     assert {r.budget for r in res.rows} == {4, 10}
+
+
+# --- grouped training ------------------------------------------------------------
+
+ALL_METHODS = ("coreset_iterative", "fixed_feature", "random")
+GROUP_SCHEDULE = BudgetSchedule((4, 8, 12))
+
+
+def sweep_lines(out_dir, methods, **kwargs):
+    train_data, test_data = tiny_suite(n_per_class=12)
+    kwargs = {"trials": 2, "base_seed": 9, "train_cfg": FAST_CFG, **kwargs}
+    run_budget_sweep(train_data, test_data, GROUP_SCHEDULE, methods, out_dir=out_dir, **kwargs)
+    return (out_dir / "results.csv").read_text().splitlines()
+
+
+def test_grouped_sweep_rows_equal_one_training_per_cell():
+    # the per-cell definition of every row: its own proxy.train on the sorted
+    # subset, and iterative_rounds driven by proxy.feature_trainer
+    train_data, test_data = tiny_suite(n_per_class=12)
+    (emb, lab), base_seed = train_data, 9
+    res = run_budget_sweep(train_data, test_data, GROUP_SCHEDULE, ALL_METHODS, trials=2,
+                           base_seed=base_seed, train_cfg=FAST_CFG)
+    want = []
+    for trial in range(2):
+        seed = base_seed + trial
+        cfg = replace(FAST_CFG, rng_seed=seed)
+        subsets = {
+            "random": [random_order(emb.n, seed).prefix(b) for b in GROUP_SCHEDULE.budgets],
+            "fixed_feature": [
+                select_prefix(emb, SelectionConfig(rng_seed=seed), b)
+                .order for b in GROUP_SCHEDULE.budgets
+            ],
+            "coreset_iterative": list(iterative_rounds(
+                emb, lab, GROUP_SCHEDULE.increments, feature_trainer(cfg), seed
+            )),
+        }
+        for method, per_budget in subsets.items():
+            for b, subset in zip(GROUP_SCHEDULE.budgets, per_budget):
+                model = train(emb, lab, sorted(int(i) for i in subset), cfg)
+                want.append(SweepRow(method, b, trial, seed, accuracy(model, *test_data)))
+    assert res.rows == tuple(sorted(want, key=lambda r: (r.method, r.budget, r.trial)))
+
+
+def test_each_method_and_pair_writes_the_rows_of_the_full_run(tmp_path):
+    # a method's cells train in groups with the other methods' cells; the
+    # group shares init and shuffles only, so no row depends on who else ran
+    full = sweep_lines(tmp_path / "all", ALL_METHODS)
+    assert len(full) == 1 + 3 * 3 * 2
+    for k in (1, 2):
+        for methods in itertools.combinations(ALL_METHODS, k):
+            got = sweep_lines(tmp_path / "-".join(methods), methods)
+            want = [full[0]] + [line for line in full[1:] if line.split(",")[0] in methods]
+            assert got == want, methods
+
+
+def test_jobs_two_writes_the_bytes_of_jobs_one(tmp_path):
+    sweep_lines(tmp_path / "j1", ALL_METHODS, trials=3, jobs=1)
+    sweep_lines(tmp_path / "j2", ALL_METHODS, trials=3, jobs=2)
+    for name in ("results.csv", "summary.csv", "run.json"):
+        assert (tmp_path / "j2" / name).read_bytes() == (tmp_path / "j1" / name).read_bytes()
+
+
+def test_resume_from_a_cut_inside_a_budget_group(tmp_path, monkeypatch):
+    sweep_lines(tmp_path / "full", ALL_METHODS)
+    # the rows as they stream, before the canonical rewrite
+    monkeypatch.setattr(harness, "emit_report", lambda result, out_dir: None)
+    streamed = sweep_lines(tmp_path / "stream", ALL_METHODS)
+    monkeypatch.undo()
+    cell = [tuple(line.split(",")[1:3]) for line in streamed[1:]]  # (budget, trial)
+    assert cell[0] == cell[1] == cell[2]  # one budget group streams its rows together
+    for cut in (1, 2, 4, 9, len(streamed) - 2):
+        out = tmp_path / f"cut{cut}"
+        out.mkdir()
+        (out / "run.json").write_bytes((tmp_path / "stream" / "run.json").read_bytes())
+        (out / "results.csv").write_text("\n".join(streamed[: 1 + cut]) + "\n")
+        sweep_lines(out, ALL_METHODS)
+        for name in ("results.csv", "summary.csv"):
+            assert (out / name).read_bytes() == (tmp_path / "full" / name).read_bytes(), cut
+
+
+def test_done_cells_drop_out_of_their_group(tmp_path, monkeypatch):
+    sizes = []
+    real = harness.proxy.train_group
+
+    def recording(e, labels, subsets, cfg):
+        sizes.append(len(subsets))
+        return real(e, labels, subsets, cfg)
+
+    monkeypatch.setattr(harness.proxy, "train_group", recording)
+    full = sweep_lines(tmp_path / "full", ALL_METHODS, trials=1)
+    # three cells per budget, plus the feature model while a round remains
+    assert sizes == [4, 4, 3]
+    sizes.clear()
+    out = tmp_path / "resume"
+    out.mkdir()
+    (out / "run.json").write_bytes((tmp_path / "full" / "run.json").read_bytes())
+    kept = [line for line in full[1:] if line.startswith(("coreset_iterative,12,", "random,4,"))]
+    (out / "results.csv").write_text("\n".join([full[0]] + kept) + "\n")
+    assert sweep_lines(out, ALL_METHODS, trials=1) == full
+    # budget 8 is the last coreset cell left, so it trains no feature model
+    assert sizes == [3, 3, 2]
+
+
+@pytest.mark.parametrize("field,change", [
+    ("budgets", dict(schedule=BudgetSchedule((4, 10)))),
+    ("seed_count", dict(seed_count=2)),
+    ("epochs", dict(train_cfg=TrainConfig(epochs=21, rng_seed=0))),
+    ("hidden", dict(train_cfg=TrainConfig(epochs=20, rng_seed=0, hidden=8))),
+    ("test_lab_sha256", dict(test_labels=[0, 1, 2] * 11 + [0, 2, 1])),
+])
+def test_resume_refuses_changed_settings(tmp_path, field, change):
+    train_data, test_data = tiny_suite(n_per_class=12)
+    args = dict(methods=("random", "fixed_feature"), trials=1, base_seed=9,
+                train_cfg=FAST_CFG, out_dir=tmp_path)
+    run_budget_sweep(train_data, test_data, BudgetSchedule((4, 8)), **args)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    schedule = change.pop("schedule", BudgetSchedule((4, 8)))
+    if "test_labels" in change:
+        test_data = (test_data[0], LabelVector.from_labels(change.pop("test_labels")))
+    with pytest.raises(CoarsesetError, match=f"run.json: {field} was "):
+        run_budget_sweep(train_data, test_data, schedule, **dict(args, **change))
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_resume_refuses_rows_without_run_json(tmp_path):
+    train_data, test_data = tiny_suite(n_per_class=12)
+    args = (train_data, test_data, BudgetSchedule((4,)), ("random",))
+    run_budget_sweep(*args, trials=1, train_cfg=FAST_CFG, out_dir=tmp_path)
+    (tmp_path / "run.json").unlink()
+    results = (tmp_path / "results.csv").read_bytes()
+    with pytest.raises(CoarsesetError, match="run.json is missing"):
+        run_budget_sweep(*args, trials=1, train_cfg=FAST_CFG, out_dir=tmp_path)
+    assert (tmp_path / "results.csv").read_bytes() == results

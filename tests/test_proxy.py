@@ -22,6 +22,7 @@ from coarseset.proxy import (
     make_probe,
     softmax,
     train,
+    train_group,
 )
 from coarseset.rng import Rng
 from coarseset.store import EmbeddingMatrix, LabelVector
@@ -283,3 +284,51 @@ def test_feature_trainer_is_bit_identical_to_reference_loop(per_class, subset, c
     x = emb.data.astype(np.float64)
     hidden = np.maximum(x @ want.w1.astype(np.float64).T + want.b1.astype(np.float64), 0.0)
     assert feats.data.tobytes() == hidden.astype(np.float32).tobytes()
+
+
+def reversed_every_other(subset):
+    """Unsorted: every second index taken from the back."""
+    return subset[::2] + subset[1::2][::-1]
+
+
+GROUP_CASES = [
+    # (pool per class, subset length, B, TrainConfig)
+    (20, 12, 1, TrainConfig(epochs=9, batch_size=32, rng_seed=21, hidden=32)),  # m < batch
+    (30, 40, 3, TrainConfig(epochs=8, batch_size=7, rng_seed=22, hidden=9)),  # m % batch != 0
+    (30, 20, 4, TrainConfig(epochs=12, batch_size=1, rng_seed=23, hidden=32)),
+    (40, 64, 4, TrainConfig(epochs=6, batch_size=16, rng_seed=24, hidden=48,
+                            learning_rate=0.2)),
+    (40, 100, 3, TrainConfig(epochs=5, batch_size=32, rng_seed=25, hidden=32)),
+]
+
+
+@pytest.mark.parametrize("per_class,m,members,cfg", GROUP_CASES)
+def test_train_group_is_bit_identical_to_reference_loop(per_class, m, members, cfg):
+    emb, lab = generate(MixtureSpec([per_class] * 3, d=5, separation=4.0, rng_seed=12))
+    rng = Rng(cfg.rng_seed + 1000)
+    # mixed members: sorted and unsorted draws, and the same points in two orders
+    drawn = [rng.sample(emb.n, m) for _ in range(members)]
+    subsets = [sorted(s) if b % 2 == 0 else s for b, s in enumerate(drawn)]
+    if members > 1:
+        subsets[-1] = reversed_every_other(sorted(subsets[0]))
+    models = train_group(emb, lab, subsets, cfg)
+    assert len(models) == members
+    for subset, got in zip(subsets, models):
+        want = reference_train(emb, lab, subset, cfg)
+        for name in ("w1", "b1", "w2", "b2"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.dtype == w.dtype == np.float32
+            assert g.shape == w.shape
+            assert g.tobytes() == w.tobytes(), name
+
+
+def test_train_group_validation():
+    emb, lab = generate(MixtureSpec([10] * 2, d=3, separation=4.0, rng_seed=3))
+    cfg = TrainConfig(epochs=1)
+    assert train_group(emb, lab, [], cfg) == []
+    with pytest.raises(DimensionMismatch, match="one length"):
+        train_group(emb, lab, [[0, 1, 2], [3, 4]], cfg)
+    with pytest.raises(EmptySubset):
+        train_group(emb, lab, [[0, 1], []], cfg)
+    with pytest.raises(IndexOutOfRange):
+        train_group(emb, lab, [[0, 1], [2, emb.n]], cfg)

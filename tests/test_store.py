@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -13,12 +14,14 @@ from coarseset.errors import (
     SizeMismatch,
 )
 from coarseset.store import (
+    MAX_CLASSES,
     EmbeddingMatrix,
     LabelVector,
     load_embeddings,
     load_labels,
     save_embeddings,
     save_labels,
+    sha256,
 )
 
 
@@ -263,3 +266,44 @@ def test_label_vector_pairs_with_matrix():
     assert len(v) == 3
     with pytest.raises(ValueError):
         v.labels[0] = 2
+
+
+def test_lab1_label_beyond_class_limit_names_file_and_entry(tmp_path):
+    p = tmp_path / "hostile.lab"
+    p.write_bytes(lab1_bytes([0, 1, 2**32 - 1, 2]))
+    with pytest.raises(MalformedLabel, match=r"hostile\.lab: entry 2: label 4294967295"):
+        load_labels(p)
+    p.write_bytes(lab1_bytes([0, MAX_CLASSES, 1]))
+    with pytest.raises(MalformedLabel, match="entry 1"):
+        load_labels(p)
+    p.write_bytes(lab1_bytes([0, MAX_CLASSES - 1]))
+    assert load_labels(p).num_classes == MAX_CLASSES
+
+
+def test_csv_label_beyond_class_limit_names_file_and_line(tmp_path):
+    p = tmp_path / "hostile.csv"
+    p.write_text(f"0\n\n1\n{2**32 - 1}\n")
+    with pytest.raises(MalformedLabel, match=r"hostile\.csv: line 4: label 4294967295"):
+        load_labels(p)
+    p.write_text(f"0\n{10**30}\n")  # beyond int64 too
+    with pytest.raises(MalformedLabel, match="line 2"):
+        load_labels(p)
+    p.write_text(f"{MAX_CLASSES - 1}\n")
+    assert load_labels(p).num_classes == MAX_CLASSES
+
+
+def test_label_vector_rejects_class_count_beyond_limit():
+    with pytest.raises(MalformedLabel, match="MAX_CLASSES"):
+        LabelVector.from_labels([0, 1], num_classes=MAX_CLASSES + 1)
+
+
+def test_sha256_is_the_digest_of_the_binary_file(tmp_path):
+    rng = np.random.default_rng(3)
+    emb = EmbeddingMatrix(rng.normal(size=(7, 3)).astype(np.float32))
+    labels = LabelVector.from_labels([3, 0, 1, 1, 2, 0, 3])
+    save_embeddings(emb, tmp_path / "e.emb")
+    save_labels(labels, tmp_path / "l.lab")
+    assert sha256(emb) == hashlib.sha256((tmp_path / "e.emb").read_bytes()).hexdigest()
+    assert sha256(labels) == hashlib.sha256((tmp_path / "l.lab").read_bytes()).hexdigest()
+    assert sha256(load_embeddings(tmp_path / "e.emb")) == sha256(emb)
+    assert sha256(LabelVector.from_labels([3, 0, 1, 1, 2, 0, 2])) != sha256(labels)
