@@ -26,7 +26,9 @@ so an interrupted sweep can resume by skipping completed cells, and the
 final files are rewritten in canonical (method, budget, trial) order so
 resumed, sequential, and threaded runs all produce byte-identical outputs.
 The rewrite goes through a temporary file and a rename, so a failed
-rewrite leaves the streamed results in place.
+rewrite leaves the streamed results in place. A rerun that asks for fewer
+methods or trials keeps the rows it does not ask for: they are seed-checked
+like the others and stay in both files, and in the returned result.
 
 Before the first cell, ``run.json`` beside the CSVs records every setting
 that determines a cell (budgets, seed, seed count, metric, training config)
@@ -272,17 +274,17 @@ def run_budget_sweep(
             metric=metric, train_cfg=train_cfg,
         )
         rows, complete = _read_results(results_path) if results_path.exists() else ([], 0)
+        # every row is kept, also those of methods or trials this run does
+        # not request: they stay in the file and in the final rewrite
         for row in rows:
-            key = (row.method, row.budget, row.trial)
-            if row.method in methods and row.budget in schedule.budgets and 0 <= row.trial < trials:
-                if row.seed != base_seed + row.trial:
-                    raise CoarsesetError(
-                        f"{results_path} was produced with different seeds; use a fresh out dir"
-                    )
-                done[key] = row
+            if row.seed != base_seed + row.trial:
+                raise CoarsesetError(
+                    f"{results_path} was produced with different seeds; use a fresh out dir"
+                )
+            done[(row.method, row.budget, row.trial)] = row
         if rows:
             _check_run_record(out / RUN_FILE, record, results_path)
-        _write_atomically(out / RUN_FILE, json.dumps(record, indent=2) + "\n")
+        store.write_atomically(out / RUN_FILE, json.dumps(record, indent=2) + "\n")
         if done:
             os.truncate(results_path, complete)
 
@@ -411,24 +413,12 @@ def _check_run_record(path: Path, record: dict, results_path: Path) -> None:
             )
 
 
-def _write_atomically(path: Path, text: str) -> None:
-    """Write to a temporary file beside `path`, then rename it over `path`, so
-    a write that fails partway leaves the previous file intact."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
-def _write_csv(path: Path, header: list[str], rows: Iterable[list[str]]) -> None:
+def _write_csv(path: PathLike, header: list[str], rows: Iterable[list[str]]) -> None:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
     w.writerows(rows)
-    _write_atomically(path, buf.getvalue())
+    store.write_atomically(path, buf.getvalue())
 
 
 def emit_report(result: SweepResult, out_dir: PathLike) -> None:
@@ -467,10 +457,8 @@ def format_summary(result: SweepResult) -> str:
 def save_histogram(hist: ClassHistogram, path: PathLike) -> None:
     """CSV with one `class,count` row per class."""
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(HISTOGRAM_HEADER)
-            for cls, count in enumerate(hist.counts):
-                w.writerow([str(cls), str(int(count))])
+        _write_csv(path, HISTOGRAM_HEADER, (
+            [str(cls), str(int(count))] for cls, count in enumerate(hist.counts)
+        ))
     except OSError as exc:
         raise IoFailure(f"cannot write histogram to {path}: {exc}") from exc

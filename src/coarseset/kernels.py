@@ -1,25 +1,80 @@
-"""The hot selection kernel: min-distance updates in feature-major numpy.
+"""The hot selection kernel: screened min-distance updates in numpy.
 
 Layout
 ------
-A :class:`DistanceKernel` holds the one float64 working copy of a greedy
-run, stored feature-major: a contiguous ``d x n`` array built once from the
-float32 embeddings. Feature ``j`` of every point is then one contiguous
-row, so an update streams through the array once, row by row, with
-in-place ufuncs on n-length buffers allocated once per run. No other module
-knows this layout; callers pass the ``n x d`` embedding data and a
-:class:`~coarseset.metrics.Metric`.
+A :class:`DistanceKernel` holds the one working copy of a greedy run: the
+embeddings as float32, feature-major (a C-ordered ``d x n`` array), so
+feature ``j`` of every point is one contiguous row. Beside it sit the
+float64 squared norms ``sq[i] = sum_j x_ij**2``, summed once per run in
+ascending feature order (for cosine, their square roots are the point norms
+of the contract). Every metric uses this one layout. Arithmetic on the
+values is float64 (float32 -> float64 is exact); only the screen below runs
+in float32. No other module knows this layout; callers pass the ``n x d``
+embedding data and a :class:`~coarseset.metrics.Metric`.
+
+Screening
+---------
+Only a few points per pick come closer to the new center than to every
+earlier one, so ``update(center, min_dist)`` first bounds every distance
+from below and runs the exact arithmetic only on the columns whose bound
+does not beat their ``min_dist``. With ``u = 2**-53`` (float64) and
+``g = d * 2**-24 / (1 - d * 2**-24)`` (float32 rounding over ``d`` terms),
+the bound for squared euclidean distance is::
+
+    lb[i] = sq[i] + sq[c] - p2[i] - rho * (sq[i] + sq[c]) - alpha
+    p2    = einsum("i,ij->j", 2 * x[:, c], x)     # float32, single-threaded
+    rho   = g * (1 + 2**-20) + (4 * d + 40) * u
+    alpha = d * 2**-147
+
+Why it holds. The true distance is ``D = S_i + S_c - 2 p`` with squared
+norms ``S`` and dot product ``p``. Any float32 summation order of ``d``
+products is off by at most ``g * sum_j |x_ij c_j| + d * 2**-150``: the
+first term is rounding, and Cauchy-Schwarz with AM-GM bounds the sum by
+``(S_i + S_c) / 2``; the second is float32 underflow, as products of tiny
+values round to subnormals. ``sq`` is within ``d u`` (relative) of ``S``.
+The exact step sums ``d`` non-negative float64 terms, so its result is at
+least ``D * (1 - (d + 2) u)``, and ``D <= 2 (S_i + S_c)``. Together these
+take ``g`` and ``(3d + 5) u`` of ``rho``; rounding ``lb`` itself (and, for
+euclidean, squaring ``min_dist``) takes under ``10 u`` more, and the rest
+is margin. So the exact kernel's value is at least ``lb``, and a point
+with ``lb > min_dist`` provably keeps its ``min_dist``.
+
+* Euclidean compares ``lb`` with ``min_dist**2`` as rounded in float64.
+  The spare ``rho`` covers the rounding of that square, and a correctly
+  rounded square root is monotone, so ``sqrt(D) >= min_dist`` still holds.
+* Cosine screens with the same ``p2``: with the stored norms ``N``,
+  ``lb = (1 - rho) - (p2 / 2 + alpha / 4) / (N_i N_c)``. The exact value
+  ``1 - acc / (N_i N_c)`` is off from ``1 - t``, with ``t`` the exact
+  cosine similarity, by at most
+  ``(2d + 12) u``, and the screen's ``t`` by ``g`` plus the underflow
+  term. ``rho`` covers both, with the rounding of the screen itself.
+  Identical or parallel points have a true distance of 0, so their bound
+  is negative: the short-circuit to 0.0 never meets a skipped point.
+* The test is ``skip = lb > min_dist`` and the candidates are ``~skip``,
+  so a NaN bound falls through to the exact step. An infinite
+  ``min_dist`` (the first update) makes every column a candidate.
+* The float32 dot product cannot overflow while ``d * max|x|**2 <=
+  2**126``. For data beyond that (values near 1e18 and up) the kernel does
+  not screen and runs the exact step on every column.
+
+These bounds assume IEEE arithmetic with round-to-nearest and gradual
+underflow, numpy's defaults.
 
 Bit-exactness
 -------------
-The kernel implements the metrics contract literally: per point, the
-feature reduction runs in strictly ascending index order with one float64
-accumulation per feature. Vectorizing across *points* while looping over
-features performs the exact same float64 operation sequence per point as the
-scalar reference in :mod:`coarseset.metrics`, and elementary numpy ufuncs are
-correctly rounded, so every distance is bit-identical to
-:func:`coarseset.metrics.distance`. The farthest-point argmax keeps the
-first maximum, i.e. ties resolve to the lowest index.
+The exact step gathers the candidate columns in chunks with ``np.take``
+into a C-ordered ``(d, m)`` buffer, upcasts to float64, subtracts the
+center, squares and reduces with ``np.add.reduce(axis=0)``. On a C-ordered
+block that reduction adds row after row, which is exactly the contract's
+ascending per-feature float64 sum in :func:`coarseset.metrics.distance`;
+every stored distance is therefore bit-identical to it. Two layouts make
+numpy sum a column pairwise instead (an 8-way unrolled order that rounds
+differently once ``d >= 8``): an F-ordered block, which fancy indexing
+``x[:, idx]`` returns, and a single-column block, whose one remaining axis
+is the reduced one. So the gather always uses ``np.take`` into the C-order
+buffer, and a lone candidate is gathered twice. The farthest-point pick in
+:func:`coarseset.selector.greedy_steps` keeps the first maximum, i.e. ties
+resolve to the lowest index.
 """
 
 from __future__ import annotations
@@ -29,56 +84,114 @@ import numpy as np
 from .errors import ZeroVector
 from .metrics import Metric
 
+_U64 = 2.0 ** -53  # float64 unit roundoff
+_U32 = 2.0 ** -24  # float32 unit roundoff
+# float64 values gathered per exact-step chunk, across all d rows
+_CHUNK_VALUES = 1 << 15
+
 
 class DistanceKernel:
     """Distances from every point to one center, folded into a min-dist
-    vector. Built once per greedy run from the ``n x d`` embedding data."""
+    vector. Built once per greedy run from the ``n x d`` float32 embedding
+    data (other dtypes are converted to float32, as in EmbeddingMatrix)."""
 
     def __init__(self, data: np.ndarray, metric: Metric):
         n, d = data.shape
         self.metric = metric
-        self._xt = np.empty((d, n), dtype=np.float64)
-        np.copyto(self._xt, data.T)  # float32 storage, float64 arithmetic
-        self._acc = np.empty(n, dtype=np.float64)
-        self._buf = np.empty(n, dtype=np.float64)
+        self._x = np.ascontiguousarray(np.asarray(data, dtype=np.float32).T)
+        sq = np.zeros(n, dtype=np.float64)
+        self._lb = np.empty(n, dtype=np.float64)
+        for row in self._x:
+            np.multiply(row, row, out=self._lb, dtype=np.float64)
+            np.add(sq, self._lb, out=sq)
+        self._p2 = np.empty(n, dtype=np.float32)
+        self._skip = np.empty(n, dtype=np.bool_)
+        # >= 2 columns per chunk: a one-column block would be summed pairwise
+        self._chunk = max(2, _CHUNK_VALUES // d)
+        self._blk32 = np.empty(d * self._chunk, dtype=np.float32)
+        self._blk = np.empty(d * self._chunk, dtype=np.float64)
+        self._acc = np.empty(self._chunk, dtype=np.float64)
+
+        amax = max(float(self._x.max()), -float(self._x.min()))
+        self._screen = d < 2 ** 20 and d * amax * amax <= 2.0 ** 126
+        g = d * _U32 / (1.0 - d * _U32) if self._screen else 0.0
+        self._rho = g * (1.0 + 2.0 ** -20) + (4 * d + 40) * _U64
+        self._alpha = d * 2.0 ** -147
         if metric is Metric.COSINE:
-            self._same = np.empty(n, dtype=np.bool_)
-            self._eq = np.empty(n, dtype=np.bool_)
-            self._norms = np.zeros(n, dtype=np.float64)
-            for row in self._xt:
-                np.multiply(row, row, out=self._buf)
-                np.add(self._norms, self._buf, out=self._norms)
-            np.sqrt(self._norms, out=self._norms)
+            self._norms = np.sqrt(sq)
             if not self._norms.all():
                 bad = int(np.nonzero(self._norms == 0.0)[0][0])
                 raise ZeroVector(f"cosine metric rejects all-zero point {bad}")
+            self._inv = 1.0 / self._norms
+        else:
+            self._sq_low = np.multiply(sq, 1.0 - self._rho, out=sq)  # sq[i] (1 - rho)
+            if metric is Metric.EUCLIDEAN:
+                self._min_sq = np.empty(n, dtype=np.float64)
 
     def update(self, center: int, min_dist: np.ndarray) -> None:
         """min_dist[i] = min(min_dist[i], distance(point i, point center))."""
-        acc, buf = self._acc, self._buf
-        acc.fill(0.0)
-        coords = self._xt[:, center].tolist()
+        if self._screen:
+            cols = self._candidates(center, min_dist)
+        else:
+            cols = np.arange(min_dist.shape[0])
+        for lo in range(0, cols.shape[0], self._chunk):
+            self._exact_block(cols[lo:lo + self._chunk], center, min_dist)
+
+    def _candidates(self, center: int, min_dist: np.ndarray) -> np.ndarray:
+        """Indices whose lower bound does not beat their min_dist."""
+        lb, p2, skip = self._lb, self._p2, self._skip
+        c2 = self._x[:, center] * np.float32(2.0)  # exact: a power of two
+        np.einsum("i,ij->j", c2, self._x, out=p2)
+        limit = min_dist
         if self.metric is Metric.COSINE:
-            same, eq = self._same, self._eq
-            same.fill(True)
-            for row, c in zip(self._xt, coords):
-                np.multiply(row, c, out=buf)
-                np.add(acc, buf, out=acc)
-                np.equal(row, c, out=eq)
-                np.logical_and(same, eq, out=same)
-            np.multiply(self._norms, self._norms[center], out=buf)
-            np.divide(acc, buf, out=acc)
+            # lb = (1 - rho) - (p2 / 2 + alpha / 4) / (N_i N_c)
+            np.add(p2, self._alpha / 2.0, out=lb, dtype=np.float64)
+            np.multiply(lb, self._inv, out=lb)
+            np.multiply(lb, 0.5 * self._inv[center], out=lb)
+            np.subtract(1.0 - self._rho, lb, out=lb)
+        else:
+            # lb = sq[i] (1 - rho) + sq[c] (1 - rho) - alpha - p2[i]
+            np.add(self._sq_low, self._sq_low[center] - self._alpha, out=lb)
+            np.subtract(lb, p2, out=lb, dtype=np.float64)
+            if self.metric is Metric.EUCLIDEAN:  # lb bounds the squared distance
+                limit = np.multiply(min_dist, min_dist, out=self._min_sq)
+        np.greater(lb, limit, out=skip)
+        np.logical_not(skip, out=skip)
+        return np.flatnonzero(skip)
+
+    def _exact_block(self, cols: np.ndarray, center: int, min_dist: np.ndarray) -> None:
+        """The contract's arithmetic on the columns `cols` (at most one
+        chunk), folded into their min_dist entries."""
+        d = self._x.shape[0]
+        m = cols.shape[0]
+        if m == 1:
+            cols = np.repeat(cols, 2)
+        k = cols.shape[0]
+        blk32 = self._blk32[:d * k].reshape(d, k)
+        blk = self._blk[:d * k].reshape(d, k)
+        acc = self._acc[:k]
+        np.take(self._x, cols, axis=1, out=blk32, mode="clip")
+        c = self._x[:, center, None]
+        if self.metric is Metric.COSINE:
+            np.multiply(blk32, c, out=blk, dtype=np.float64)
+            np.add.reduce(blk, axis=0, out=acc)
+            same = np.equal(blk32, c).all(axis=0)
+            den = self._norms[cols]
+            np.multiply(den, self._norms[center], out=den)
+            np.divide(acc, den, out=acc)
             np.subtract(1.0, acc, out=acc)
             np.maximum(acc, 0.0, out=acc)
             np.copyto(acc, 0.0, where=same)
         else:
-            for row, c in zip(self._xt, coords):
-                np.subtract(row, c, out=buf)
-                np.multiply(buf, buf, out=buf)
-                np.add(acc, buf, out=acc)
+            np.subtract(blk32, c, out=blk, dtype=np.float64)
+            np.multiply(blk, blk, out=blk)
+            np.add.reduce(blk, axis=0, out=acc)
             if self.metric is Metric.EUCLIDEAN:
                 np.sqrt(acc, out=acc)
-        np.minimum(min_dist, acc, out=min_dist)
+        cols, acc = cols[:m], acc[:m]
+        cur = min_dist[cols]
+        np.minimum(cur, acc, out=cur)
+        min_dist[cols] = cur
 
 
 def masked_argmax(values: np.ndarray, taken: np.ndarray) -> int:

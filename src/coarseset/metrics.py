@@ -2,9 +2,11 @@
 
 All three metrics accumulate in float64 over strictly ascending feature
 index, one scalar add per feature. That fixed operation order is the
-reproducibility contract: the vectorized kernel in :mod:`coarseset.kernels`
-is bit-identical to the scalar reference below because it keeps the same
-per-feature reduction order (it vectorizes across points, not features).
+reproducibility contract: the kernel in :mod:`coarseset.kernels` is
+bit-identical to the scalar reference below because its exact step keeps
+the same per-feature reduction order (it sums a C-ordered feature-major
+block row by row, one float64 add per feature), and its float32 screen only
+skips points whose distance it has proven cannot lower their minimum.
 
 Cosine distance is ``1 - dot(a, b) / (|a| * |b|)`` with two documented float
 edges: element-wise identical vectors short-circuit to exactly 0.0, and a

@@ -16,7 +16,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from . import kernels
+from . import kernels, store
 from .errors import (
     BudgetExceedsPool,
     DuplicateSeed,
@@ -138,7 +138,11 @@ def greedy_steps(
         kern.update(c, min_dist)
     yield state
     for _ in range(budget):
-        pick = kernels.masked_argmax(min_dist, taken)
+        # every taken point holds min_dist == 0.0 exactly (its own update
+        # sets it), so the first maximum is free unless the maximum is 0
+        pick = int(np.argmax(min_dist))
+        if taken[pick]:
+            pick = kernels.masked_argmax(min_dist, taken)
         taken[pick] = True
         state.centers.append(pick)
         kern.update(pick, min_dist)
@@ -256,7 +260,7 @@ def save_order(order: SelectionOrder, path: PathLike) -> None:
     lines = [f"# seed_count={order.seed_count}"]
     lines.extend(str(int(i)) for i in order.order)
     try:
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+        store.write_atomically(path, "\n".join(lines) + "\n")
     except OSError as exc:
         raise IoFailure(f"cannot write order to {path}: {exc}") from exc
 

@@ -23,6 +23,7 @@ immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -131,6 +132,21 @@ class LabelVector:
         return int(self.labels.shape[0])
 
 
+def write_atomically(path: PathLike, *parts) -> None:
+    """Write `parts` (str as UTF-8, or bytes-like) to a temporary file beside
+    `path`, then rename it over `path`, so a write that fails partway leaves
+    the previous file intact and no temporary file behind."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            for part in parts:
+                fh.write(part.encode("utf-8") if isinstance(part, str) else part)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 # --- embeddings ---------------------------------------------------------------
 
 def _emb1_parts(m: EmbeddingMatrix) -> tuple[bytes, np.ndarray]:
@@ -139,11 +155,8 @@ def _emb1_parts(m: EmbeddingMatrix) -> tuple[bytes, np.ndarray]:
 
 def save_embeddings(m: EmbeddingMatrix, path: PathLike) -> None:
     """Write EMB1; round-trips bit-exactly through load_embeddings."""
-    header, payload = _emb1_parts(m)
     try:
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(payload.tobytes(order="C"))
+        write_atomically(path, *_emb1_parts(m))
     except OSError as exc:
         raise IoFailure(f"cannot write embeddings to {path}: {exc}") from exc
 
@@ -213,11 +226,8 @@ def _lab1_parts(v: LabelVector) -> tuple[bytes, np.ndarray]:
 
 def save_labels(v: LabelVector, path: PathLike) -> None:
     """Write LAB1; round-trips bit-exactly through load_labels."""
-    header, payload = _lab1_parts(v)
     try:
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(payload.tobytes())
+        write_atomically(path, *_lab1_parts(v))
     except OSError as exc:
         raise IoFailure(f"cannot write labels to {path}: {exc}") from exc
 

@@ -62,6 +62,38 @@ def min_dists_scalar(data: np.ndarray, centers: list[int], metric: Metric) -> np
     )
 
 
+class ReferenceKernel:
+    """The dense per-feature float64 loop the screened kernel must match bit
+    for bit: a feature-major float64 copy, every point updated at every
+    call, one in-place ufunc per feature in ascending order."""
+
+    def __init__(self, data: np.ndarray, metric: Metric):
+        self.metric = metric
+        self.xt = np.ascontiguousarray(np.asarray(data, dtype=np.float32).T, dtype=np.float64)
+        if metric is Metric.COSINE:
+            self.norms = np.sqrt(sum(row * row for row in self.xt))
+
+    def update(self, center: int, min_dist: np.ndarray) -> None:
+        n = self.xt.shape[1]
+        acc = np.zeros(n)
+        coords = self.xt[:, center].tolist()
+        if self.metric is Metric.COSINE:
+            same = np.ones(n, dtype=bool)
+            for row, c in zip(self.xt, coords):
+                acc += row * c
+                same &= row == c
+            acc = 1.0 - acc / (self.norms * self.norms[center])
+            np.maximum(acc, 0.0, out=acc)
+            acc[same] = 0.0
+        else:
+            for row, c in zip(self.xt, coords):
+                diff = row - c
+                acc += diff * diff
+            if self.metric is Metric.EUCLIDEAN:
+                np.sqrt(acc, out=acc)
+        np.minimum(min_dist, acc, out=min_dist)
+
+
 def brute_force_greedy(
     data: np.ndarray, seeds: list[int], budget: int, metric: Metric
 ) -> list[int]:

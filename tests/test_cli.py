@@ -434,6 +434,16 @@ def test_sweep_resume_refuses_rows_without_run_json(tmp_path, capsys):
     assert (tmp_path / "s" / "results.csv").read_bytes() == results
 
 
+def test_sweep_rerun_with_fewer_methods_keeps_every_row(tmp_path):
+    cfg = sweep_config(tmp_path, methods=",".join(harness.METHODS), budgets="6,12")
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    before = {name: (out / name).read_bytes() for name in ("results.csv", "summary.csv")}
+    assert len(before["results.csv"].splitlines()) == 7
+    assert main(["sweep", "--config", str(cfg), "--methods", "random"]) == 0
+    assert {name: (out / name).read_bytes() for name in before} == before
+
+
 def test_sweep_more_trials_extend_a_finished_run(tmp_path):
     cfg = sweep_config(tmp_path, methods=",".join(harness.METHODS), budgets="6,12")
     assert main(["sweep", "--config", str(cfg)]) == 0

@@ -418,3 +418,26 @@ def test_resume_refuses_rows_without_run_json(tmp_path):
     with pytest.raises(CoarsesetError, match="run.json is missing"):
         run_budget_sweep(*args, trials=1, train_cfg=FAST_CFG, out_dir=tmp_path)
     assert (tmp_path / "results.csv").read_bytes() == results
+
+
+def test_subset_rerun_keeps_the_rows_it_does_not_request(tmp_path):
+    out = tmp_path / "s"
+    full = sweep_lines(out, ALL_METHODS, trials=1)
+    before = {name: (out / name).read_bytes() for name in ("results.csv", "summary.csv")}
+    assert len(full) == 1 + 3 * 3
+    # fewer methods, then fewer trials after a two-trial run: nothing to
+    # compute, and every row stays in both the streamed and the final files
+    assert sweep_lines(out, ("random",), trials=1) == full
+    assert {name: (out / name).read_bytes() for name in before} == before
+    two = sweep_lines(tmp_path / "two", ALL_METHODS, trials=2)
+    assert sweep_lines(tmp_path / "two", ("fixed_feature",), trials=1) == two
+
+
+def test_subset_rerun_seed_checks_the_rows_it_does_not_request(tmp_path):
+    out = tmp_path / "s"
+    full = sweep_lines(out, ALL_METHODS, trials=1)
+    # a random row with a seed this run's base seed would not give it
+    lines = [line.replace(",9,", ",3,") if line.startswith("random,") else line for line in full]
+    (out / "results.csv").write_text("\n".join(lines) + "\n")
+    with pytest.raises(CoarsesetError, match="different seeds"):
+        sweep_lines(out, ("fixed_feature",), trials=1)

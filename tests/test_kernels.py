@@ -1,11 +1,17 @@
-"""Bit-level parity between the feature-major kernel and the scalar
-reference in coarseset.metrics."""
+"""Bit-level parity between the screened kernel, the scalar reference in
+coarseset.metrics and the dense per-feature loop in oracles."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import ReferenceKernel, brute_force_greedy
 
 from coarseset import kernels
 from coarseset.metrics import Metric, distance
+from coarseset.selector import kcenter_greedy
+from coarseset.store import EmbeddingMatrix
 
 
 def random_case(seed, n_max=60, d_max=9):
@@ -70,3 +76,137 @@ def test_all_points_identical_picks_lowest_free_index():
     values = np.zeros(5)
     taken = np.array([True, False, True, False, False])
     assert kernels.masked_argmax(values, taken) == 1
+
+
+# --- the screened kernel against the dense reference loop ---------------------
+
+@st.composite
+def kernel_cases(draw):
+    """Float32 pools across scales (subnormal to 1e18), optionally clustered,
+    quantized to force ties, and with duplicate rows."""
+    n = draw(st.integers(1, 60))
+    d = draw(st.integers(1, 80))
+    scale = 10.0 ** draw(st.integers(-45, 18))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = rng.normal(size=(n, d))
+    clusters = draw(st.integers(0, 5))
+    if clusters:
+        x = 0.05 * x + 8.0 * rng.normal(size=(clusters, d))[rng.integers(0, clusters, n)]
+    levels = draw(st.sampled_from([0, 1, 4]))
+    if levels:
+        x = np.round(x * levels) / levels
+    x = (x * scale).astype(np.float32)
+    if draw(st.booleans()) and n > 1:
+        x[rng.integers(0, n, n // 3 + 1)] = x[rng.integers(0, n, n // 3 + 1)]
+    return x, draw(st.sampled_from(list(Metric))), rng
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_cases(), st.sampled_from([2, 3, 7, None]))
+def test_screened_update_is_bitwise_the_dense_loop(case, chunk):
+    x, metric, rng = case
+    n = x.shape[0]
+    if metric is Metric.COSINE:
+        x[~x.any(axis=1), 0] = 1.0  # cosine rejects all-zero rows
+    kern = kernels.DistanceKernel(x, metric)
+    if chunk is not None:
+        kern._chunk = chunk  # smaller chunks split the exact step more often
+    ref = ReferenceKernel(x, metric)
+    got = np.full(n, np.inf)
+    want = np.full(n, np.inf)
+    taken = np.zeros(n, dtype=bool)
+    center = int(rng.integers(0, n))
+    for step in range(min(n, 12)):
+        kern.update(center, got)
+        ref.update(center, want)
+        assert got.tobytes() == want.tobytes(), f"update {step}, center {center}"
+        taken[center] = True
+        if taken.all():
+            break
+        # mostly farthest-first, as in greedy, and sometimes a random center
+        center = kernels.masked_argmax(want, taken) if step % 3 else int(rng.integers(0, n))
+
+
+def test_screen_prunes_a_clustered_pool(monkeypatch):
+    rng = np.random.default_rng(5)
+    centers = 6.0 * rng.normal(size=(20, 32))
+    x = (centers[rng.integers(0, 20, 2000)] + rng.normal(size=(2000, 32))).astype(np.float32)
+    reached: list[int] = []
+    exact_block = kernels.DistanceKernel._exact_block
+
+    def counting(self, cols, center, min_dist):
+        reached[-1] += cols.shape[0]
+        exact_block(self, cols, center, min_dist)
+
+    update = kernels.DistanceKernel.update
+
+    def counting_update(self, center, min_dist):
+        reached.append(0)
+        update(self, center, min_dist)
+
+    monkeypatch.setattr(kernels.DistanceKernel, "_exact_block", counting)
+    monkeypatch.setattr(kernels.DistanceKernel, "update", counting_update)
+    e = EmbeddingMatrix(x)
+    order = kcenter_greedy(e, [0], 100)
+    assert reached[0] == 2000  # the seed's update meets an all-inf min_dist
+    picks = reached[1:]
+    assert len(picks) == 100
+    assert sum(picks) / len(picks) < 0.10 * 2000
+    assert list(order.order) == brute_force_greedy(x, [0], 100, Metric.SQEUCLIDEAN)
+
+
+def _feature_sums_differ_by_order(d=64):
+    """A point whose squared distance to the origin sums to 2**54 in
+    ascending order, but to more if the ones are added apart from the first
+    term (any blocked or pairwise order)."""
+    x = np.zeros((3, d), dtype=np.float32)
+    x[1, 0] = 2.0 ** 27
+    x[1, 1:] = 1.0
+    x[2] = x[1]
+    return x
+
+
+def test_f_ordered_or_single_column_block_breaks_the_sum():
+    x = _feature_sums_differ_by_order()
+    block = (x.T.astype(np.float64)) ** 2  # (d, n) squared diffs to point 0
+    ascending = block[0].copy()
+    for row in block[1:]:
+        ascending += row
+    assert ascending[1] == 2.0 ** 54
+    cols = np.array([1, 2])
+    c_block = np.take(block, cols, axis=1)
+    assert c_block.flags.c_contiguous
+    assert np.add.reduce(c_block, axis=0).tobytes() == ascending[cols].tobytes()
+    # what fancy indexing returns, and a lone column: summed pairwise
+    f_block = np.asfortranarray(c_block)
+    assert not block[:, cols].flags.c_contiguous
+    assert np.add.reduce(f_block, axis=0)[0] != ascending[1]
+    assert np.add.reduce(np.take(block, [1], axis=1), axis=0)[0] != ascending[1]
+
+
+@pytest.mark.parametrize("metric", [Metric.SQEUCLIDEAN, Metric.EUCLIDEAN])
+def test_kernel_keeps_ascending_sum_for_lone_and_paired_columns(metric):
+    x = _feature_sums_differ_by_order()
+    for cols in ([1], [1, 2]):
+        sub = x[[0] + cols]
+        got = np.full(len(sub), np.inf)
+        want = np.full(len(sub), np.inf)
+        kernels.DistanceKernel(sub, metric).update(0, got)
+        ReferenceKernel(sub, metric).update(0, want)
+        assert got.tobytes() == want.tobytes()
+    assert got[1] == (2.0 ** 54 if metric is Metric.SQEUCLIDEAN else 2.0 ** 27)
+
+
+def test_unscreened_data_still_exact():
+    # d * max|x|**2 above 2**126 could overflow the float32 screen
+    x = np.random.default_rng(3).normal(scale=1e19, size=(30, 8)).astype(np.float32)
+    for metric in Metric:
+        kern = kernels.DistanceKernel(x, metric)
+        assert not kern._screen
+        ref = ReferenceKernel(x, metric)
+        got = np.full(30, np.inf)
+        want = np.full(30, np.inf)
+        for c in (0, 7, 19):
+            kern.update(c, got)
+            ref.update(c, want)
+        assert got.tobytes() == want.tobytes()

@@ -1,3 +1,5 @@
+import builtins
+import errno
 import hashlib
 import struct
 
@@ -13,6 +15,7 @@ from coarseset.errors import (
     NonFiniteValue,
     SizeMismatch,
 )
+from coarseset import harness, selector, store
 from coarseset.store import (
     MAX_CLASSES,
     EmbeddingMatrix,
@@ -307,3 +310,56 @@ def test_sha256_is_the_digest_of_the_binary_file(tmp_path):
     assert sha256(labels) == hashlib.sha256((tmp_path / "l.lab").read_bytes()).hexdigest()
     assert sha256(load_embeddings(tmp_path / "e.emb")) == sha256(emb)
     assert sha256(LabelVector.from_labels([3, 0, 1, 1, 2, 0, 2])) != sha256(labels)
+
+
+# --- atomic writes -----------------------------------------------------------
+
+class _HalfWriter:
+    """A file whose first write stores half its bytes, then fails as a full
+    disk would."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def write(self, data):
+        data = data.encode("utf-8") if isinstance(data, str) else memoryview(data).cast("B")
+        self._fh.write(data[: len(data) // 2 + 1])
+        self._fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+WRITERS = {
+    "embeddings": (save_embeddings, EmbeddingMatrix(np.ones((3, 2))),
+                   EmbeddingMatrix(np.arange(40.0).reshape(8, 5))),
+    "labels": (save_labels, LabelVector.from_labels([0, 1]),
+               LabelVector.from_labels(list(range(9)))),
+    "order": (selector.save_order, selector.SelectionOrder(np.array([1, 0]), 1),
+              selector.SelectionOrder(np.arange(50), 1)),
+    "histogram": (harness.save_histogram, harness.ClassHistogram(np.array([1, 1]), 2),
+                  harness.ClassHistogram(np.arange(12), 66)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_writer_failing_partway_leaves_the_previous_file(tmp_path, monkeypatch, name):
+    write, old, new = WRITERS[name]
+    path = tmp_path / name
+    write(old, path)
+    before = path.read_bytes()
+    monkeypatch.setattr(
+        store, "open", lambda *a, **k: _HalfWriter(builtins.open(*a, **k)), raising=False
+    )
+    with pytest.raises(IoFailure, match="No space left"):
+        write(new, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+    monkeypatch.undo()
+    write(new, path)
+    assert path.read_bytes() != before
+    assert [p.name for p in tmp_path.iterdir()] == [name]
