@@ -63,18 +63,23 @@ underflow, numpy's defaults.
 Bit-exactness
 -------------
 The exact step gathers the candidate columns in chunks with ``np.take``
-into a C-ordered ``(d, m)`` buffer, upcasts to float64, subtracts the
-center, squares and reduces with ``np.add.reduce(axis=0)``. On a C-ordered
-block that reduction adds row after row, which is exactly the contract's
-ascending per-feature float64 sum in :func:`coarseset.metrics.distance`;
-every stored distance is therefore bit-identical to it. Two layouts make
-numpy sum a column pairwise instead (an 8-way unrolled order that rounds
-differently once ``d >= 8``): an F-ordered block, which fancy indexing
-``x[:, idx]`` returns, and a single-column block, whose one remaining axis
-is the reduced one. So the gather always uses ``np.take`` into the C-order
-buffer, and a lone candidate is gathered twice. The farthest-point pick in
-:func:`coarseset.selector.greedy_steps` keeps the first maximum, i.e. ties
-resolve to the lowest index.
+into a float32 ``(d, m)`` buffer (no allocation per chunk), copies them
+into a C-ordered float64 buffer, subtracts the center (for cosine:
+multiplies by it), squares, and reduces with ``np.add.reduce(axis=0)``.
+When every column is a candidate (the first update of a run, or data that
+is not screened), the chunks are contiguous column ranges of the stored
+copy, read in place with no gather. On a C-ordered block that reduction
+adds row after row, which is exactly the contract's ascending per-feature
+float64 sum in :func:`coarseset.metrics.distance`; every stored distance
+is therefore bit-identical to it. Two layouts make numpy sum a column
+pairwise instead (an 8-way unrolled order that rounds differently once
+``d >= 8``): an F-ordered block, which fancy indexing ``x[:, idx]``
+returns, and a single-column block, whose one remaining axis is the
+reduced one. So the reduction always runs on the preallocated C-ordered
+float64 buffer with at least two columns: a lone candidate is gathered
+twice, and a column range holds at least two columns. The farthest-point
+pick in :func:`coarseset.selector.greedy_steps` keeps the first maximum,
+i.e. ties resolve to the lowest index.
 """
 
 from __future__ import annotations
@@ -102,7 +107,8 @@ class DistanceKernel:
         sq = np.zeros(n, dtype=np.float64)
         self._lb = np.empty(n, dtype=np.float64)
         for row in self._x:
-            np.multiply(row, row, out=self._lb, dtype=np.float64)
+            np.copyto(self._lb, row)  # exact upcast; see _exact_block
+            np.multiply(self._lb, self._lb, out=self._lb)
             np.add(sq, self._lb, out=sq)
         self._p2 = np.empty(n, dtype=np.float32)
         self._skip = np.empty(n, dtype=np.bool_)
@@ -130,12 +136,16 @@ class DistanceKernel:
 
     def update(self, center: int, min_dist: np.ndarray) -> None:
         """min_dist[i] = min(min_dist[i], distance(point i, point center))."""
-        if self._screen:
-            cols = self._candidates(center, min_dist)
-        else:
-            cols = np.arange(min_dist.shape[0])
-        for lo in range(0, cols.shape[0], self._chunk):
-            self._exact_block(cols[lo:lo + self._chunk], center, min_dist)
+        n = min_dist.shape[0]
+        cols = self._candidates(center, min_dist) if self._screen else None
+        if cols is not None and cols.shape[0] < n:
+            for lo in range(0, cols.shape[0], self._chunk):
+                self._exact_block(cols[lo:lo + self._chunk], center, min_dist)
+            return
+        # every column: contiguous ranges need no gather
+        for lo in range(0, n, self._chunk):
+            hi = min(lo + self._chunk, n)
+            self._exact_block(slice(lo, hi) if hi - lo > 1 else np.array([lo]), center, min_dist)
 
     def _candidates(self, center: int, min_dist: np.ndarray) -> np.ndarray:
         """Indices whose lower bound does not beat their min_dist."""
@@ -159,36 +169,42 @@ class DistanceKernel:
         np.logical_not(skip, out=skip)
         return np.flatnonzero(skip)
 
-    def _exact_block(self, cols: np.ndarray, center: int, min_dist: np.ndarray) -> None:
-        """The contract's arithmetic on the columns `cols` (at most one
-        chunk), folded into their min_dist entries."""
+    def _exact_block(self, cols, center: int, min_dist: np.ndarray) -> None:
+        """The contract's arithmetic on the columns `cols`, folded into their
+        min_dist entries: a slice of at least two columns, or an index array
+        of at most one chunk."""
         d = self._x.shape[0]
-        m = cols.shape[0]
-        if m == 1:
-            cols = np.repeat(cols, 2)
-        k = cols.shape[0]
-        blk32 = self._blk32[:d * k].reshape(d, k)
+        if isinstance(cols, slice):
+            src = self._x[:, cols]
+            k = src.shape[1]
+        else:
+            if cols.shape[0] == 1:
+                cols = np.repeat(cols, 2)
+            k = cols.shape[0]
+            src = self._blk32[:d * k].reshape(d, k)
+            np.take(self._x, cols, axis=1, out=src, mode="clip")
         blk = self._blk[:d * k].reshape(d, k)
         acc = self._acc[:k]
-        np.take(self._x, cols, axis=1, out=blk32, mode="clip")
-        c = self._x[:, center, None]
+        # upcast first: float32 -> float64 is exact, and a float64 ufunc
+        # runs faster than one that casts its input on the fly
+        np.copyto(blk, src)
+        c = self._x[:, center, None].astype(np.float64)
         if self.metric is Metric.COSINE:
-            np.multiply(blk32, c, out=blk, dtype=np.float64)
+            same = np.equal(blk, c).all(axis=0)
+            np.multiply(blk, c, out=blk)
             np.add.reduce(blk, axis=0, out=acc)
-            same = np.equal(blk32, c).all(axis=0)
-            den = self._norms[cols]
-            np.multiply(den, self._norms[center], out=den)
+            den = self._norms[cols] * self._norms[center]
             np.divide(acc, den, out=acc)
             np.subtract(1.0, acc, out=acc)
             np.maximum(acc, 0.0, out=acc)
             np.copyto(acc, 0.0, where=same)
         else:
-            np.subtract(blk32, c, out=blk, dtype=np.float64)
+            np.subtract(blk, c, out=blk)
             np.multiply(blk, blk, out=blk)
             np.add.reduce(blk, axis=0, out=acc)
             if self.metric is Metric.EUCLIDEAN:
                 np.sqrt(acc, out=acc)
-        cols, acc = cols[:m], acc[:m]
+        # a repeated lone column holds the same value twice
         cur = min_dist[cols]
         np.minimum(cur, acc, out=cur)
         min_dist[cols] = cur

@@ -24,6 +24,7 @@ immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import os
+import stat
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -135,16 +136,36 @@ class LabelVector:
 def write_atomically(path: PathLike, *parts) -> None:
     """Write `parts` (str as UTF-8, or bytes-like) to a temporary file beside
     `path`, then rename it over `path`, so a write that fails partway leaves
-    the previous file intact and no temporary file behind."""
+    the previous file intact and no temporary file behind.
+
+    A symlink is followed: the file it points to is replaced and the link
+    stays. A replaced file keeps its permission bits. A target that exists
+    but is not a regular file (a FIFO, or a device such as /dev/stdout)
+    cannot be renamed over, so it is written directly."""
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+    try:
+        mode = path.stat().st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "wb") as fh:
+            _write_parts(fh, parts)
+        return
+    target = path.resolve()
+    tmp = target.with_name(target.name + ".tmp")
     try:
         with open(tmp, "wb") as fh:
-            for part in parts:
-                fh.write(part.encode("utf-8") if isinstance(part, str) else part)
-        os.replace(tmp, path)
+            _write_parts(fh, parts)
+        if mode is not None:
+            os.chmod(tmp, stat.S_IMODE(mode))
+        os.replace(tmp, target)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def _write_parts(fh, parts) -> None:
+    for part in parts:
+        fh.write(part.encode("utf-8") if isinstance(part, str) else part)
 
 
 # --- embeddings ---------------------------------------------------------------

@@ -3,8 +3,6 @@ coarseset.metrics and the dense per-feature loop in oracles."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from oracles import ReferenceKernel, brute_force_greedy
 
@@ -80,31 +78,32 @@ def test_all_points_identical_picks_lowest_free_index():
 
 # --- the screened kernel against the dense reference loop ---------------------
 
-@st.composite
-def kernel_cases(draw):
-    """Float32 pools across scales (subnormal to 1e18), optionally clustered,
-    quantized to force ties, and with duplicate rows."""
-    n = draw(st.integers(1, 60))
-    d = draw(st.integers(1, 80))
-    scale = 10.0 ** draw(st.integers(-45, 18))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+def kernel_case(seed):
+    """A float32 pool drawn from `seed`: any scale from subnormal to 1e18,
+    optionally clustered, quantized to force ties, and with duplicate rows;
+    with a metric and a chunk size (None keeps the kernel's own)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 61))
+    d = int(rng.integers(1, 81))
+    scale = 10.0 ** int(rng.integers(-45, 19))
     x = rng.normal(size=(n, d))
-    clusters = draw(st.integers(0, 5))
+    clusters = int(rng.integers(0, 6))
     if clusters:
         x = 0.05 * x + 8.0 * rng.normal(size=(clusters, d))[rng.integers(0, clusters, n)]
-    levels = draw(st.sampled_from([0, 1, 4]))
+    levels = int(rng.choice([0, 1, 4]))
     if levels:
         x = np.round(x * levels) / levels
     x = (x * scale).astype(np.float32)
-    if draw(st.booleans()) and n > 1:
+    if rng.random() < 0.5 and n > 1:
         x[rng.integers(0, n, n // 3 + 1)] = x[rng.integers(0, n, n // 3 + 1)]
-    return x, draw(st.sampled_from(list(Metric))), rng
+    metric = list(Metric)[seed % 3]
+    chunk = [2, 3, 7, None][int(rng.integers(0, 4))]
+    return x, metric, chunk, rng
 
 
-@settings(max_examples=150, deadline=None)
-@given(kernel_cases(), st.sampled_from([2, 3, 7, None]))
-def test_screened_update_is_bitwise_the_dense_loop(case, chunk):
-    x, metric, rng = case
+@pytest.mark.parametrize("seed", range(150))
+def test_screened_update_is_bitwise_the_dense_loop(seed):
+    x, metric, chunk, rng = kernel_case(seed)
     n = x.shape[0]
     if metric is Metric.COSINE:
         x[~x.any(axis=1), 0] = 1.0  # cosine rejects all-zero rows
@@ -127,6 +126,16 @@ def test_screened_update_is_bitwise_the_dense_loop(case, chunk):
         center = kernels.masked_argmax(want, taken) if step % 3 else int(rng.integers(0, n))
 
 
+def test_cases_cover_the_ranges_the_kernel_must_handle():
+    cases = [kernel_case(seed) for seed in range(150)]
+    ds = {x.shape[1] for x, *_ in cases}
+    assert min(ds) <= 2 and max(ds) >= 75
+    tiny = [x for x, *_ in cases if 0 < np.abs(x[x != 0]).min(initial=np.inf) < 2.0 ** -126]
+    huge = [x for x, *_ in cases if np.abs(x).max() > 1e17]
+    assert tiny and huge  # subnormal values, and data too large to screen
+    assert {m for _, m, _, _ in cases} == set(Metric)
+
+
 def test_screen_prunes_a_clustered_pool(monkeypatch):
     rng = np.random.default_rng(5)
     centers = 6.0 * rng.normal(size=(20, 32))
@@ -135,7 +144,7 @@ def test_screen_prunes_a_clustered_pool(monkeypatch):
     exact_block = kernels.DistanceKernel._exact_block
 
     def counting(self, cols, center, min_dist):
-        reached[-1] += cols.shape[0]
+        reached[-1] += len(range(2000)[cols]) if isinstance(cols, slice) else cols.shape[0]
         exact_block(self, cols, center, min_dist)
 
     update = kernels.DistanceKernel.update
@@ -210,3 +219,31 @@ def test_unscreened_data_still_exact():
             kern.update(c, got)
             ref.update(c, want)
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("metric", list(Metric))
+@pytest.mark.parametrize("n, chunk", [(3, 2), (5, 2), (7, 3), (6, 64)])
+def test_full_update_reads_column_ranges_in_ascending_order(metric, n, chunk):
+    # an all-inf min_dist makes every column a candidate: the exact step
+    # reads contiguous ranges of the stored copy, and a lone last column
+    # goes through the gather
+    x = np.repeat(_feature_sums_differ_by_order()[1:2], n, axis=0)
+    x[0] = 1.0 if metric is Metric.COSINE else 0.0  # cosine rejects zero rows
+    kern = kernels.DistanceKernel(x, metric)
+    kern._chunk = chunk
+    seen = []
+    exact_block = kern._exact_block
+
+    def recording(cols, center, min_dist):
+        seen.append(cols if isinstance(cols, slice) else list(cols))
+        exact_block(cols, center, min_dist)
+
+    kern._exact_block = recording
+    got = np.full(n, np.inf)
+    want = np.full(n, np.inf)
+    kern.update(0, got)
+    ReferenceKernel(x, metric).update(0, want)
+    assert got.tobytes() == want.tobytes()
+    assert all(isinstance(c, slice) and c.stop - c.start >= 2 for c in seen[:-1])
+    last = seen[-1]
+    assert last == [n - 1] if n % chunk == 1 else isinstance(last, slice)

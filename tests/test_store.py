@@ -1,7 +1,9 @@
 import builtins
 import errno
 import hashlib
+import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -363,3 +365,36 @@ def test_writer_failing_partway_leaves_the_previous_file(tmp_path, monkeypatch, 
     write(new, path)
     assert path.read_bytes() != before
     assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
+def test_atomic_write_through_a_symlink_keeps_the_link(tmp_path):
+    real = tmp_path / "real.csv"
+    real.write_text("old\n")
+    real.chmod(0o640)
+    link = tmp_path / "link.csv"
+    link.symlink_to(real)
+    store.write_atomically(link, "new\n")
+    assert link.is_symlink() and link.resolve() == real.resolve()
+    assert real.read_text() == "new\n"
+    assert real.stat().st_mode & 0o777 == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv"]
+
+
+def test_atomic_write_to_a_dangling_symlink_creates_its_target(tmp_path):
+    link = tmp_path / "link.csv"
+    link.symlink_to(tmp_path / "made.csv")
+    store.write_atomically(link, "x\n")
+    assert link.is_symlink() and (tmp_path / "made.csv").read_text() == "x\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_atomic_write_to_a_fifo_writes_through_it(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    save_labels(LabelVector.from_labels([0, 1, 1]), fifo)
+    reader.join(timeout=10)
+    assert got and got[0][:4] == b"LAB1"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe"]
