@@ -11,7 +11,10 @@ declared once, by ``_flag``, together with its default, which ``--help``
 shows. The defaults of engine settings are read from the engine
 (``TrainConfig``, ``SelectionConfig``, ``DEFAULT_METRIC``,
 ``harness.METHODS``), not restated here. The default RNG seed comes from the
-COARSESET_RNG_SEED environment variable when set.
+COARSESET_RNG_SEED environment variable when set. Integer settings must be
+integers: a float or a bool in a config file is a usage error, never
+truncated. BLAS runs single-threaded unless the caller sets
+OPENBLAS_NUM_THREADS.
 
 Exit codes: 0 success, 2 usage or input error (one-line diagnostic on
 stderr), 1 internal failure. User-input errors raised as ``ValueError``
@@ -28,6 +31,14 @@ import json
 import os
 import sys
 from typing import Optional, Sequence
+
+# Before anything loads numpy: OpenBLAS starts its worker threads when numpy
+# is imported, and the engine never gives them useful work (the distance
+# kernel is single-threaded, the proxy's matmuls are tiny). On a 2-vCPU VM
+# the pool cost ~60 ms of CPU per command: importing this module and numpy
+# took a median 244 ms of CPU with it, 183 ms without. Outputs do not
+# depend on it; a value the caller set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import harness, selector, synth
 from .errors import CoarsesetError
@@ -97,10 +108,16 @@ def _require(merged: dict, *keys: str) -> None:
             raise UsageError(f"--{key.replace('_', '-')} is required")
 
 
+def _as_int(value) -> int:
+    """An int or an integer string as an int. Anything else, a bool or a
+    float included, raises: int() would truncate it silently."""
+    return int(value) if isinstance(value, str) else synth.check_int("value", value)
+
+
 def _int_list(value, flag: str) -> list[int]:
     try:
         if isinstance(value, (list, tuple)):
-            return [int(v) for v in value]
+            return [_as_int(v) for v in value]
         return [int(tok) for tok in str(value).split(",") if tok.strip()]
     except (TypeError, ValueError):
         raise UsageError(f"{flag} expects comma-separated integers, got {value!r}") from None
@@ -109,16 +126,20 @@ def _int_list(value, flag: str) -> list[int]:
 def _int(opts: dict, key: str) -> int:
     """A config or flag value as an int; a value that is not one is a usage error."""
     try:
-        return int(opts[key])
+        return _as_int(opts[key])
     except (TypeError, ValueError):
         raise UsageError(f"--{key.replace('_', '-')} expects an integer, got {opts[key]!r}") from None
 
 
 def _float(opts: dict, key: str) -> float:
+    """A config or flag value as a float; a bool is a usage error, not 0 or 1."""
+    value = opts[key]
     try:
-        return float(opts[key])
+        if isinstance(value, bool):
+            raise TypeError
+        return float(value)
     except (TypeError, ValueError):
-        raise UsageError(f"--{key.replace('_', '-')} expects a number, got {opts[key]!r}") from None
+        raise UsageError(f"--{key.replace('_', '-')} expects a number, got {value!r}") from None
 
 
 def _seed(opts: dict) -> int:
@@ -222,9 +243,9 @@ def cmd_gen_synth(args: argparse.Namespace) -> int:
     declared = raw.pop("num_classes", None)
     try:
         spec = synth.MixtureSpec(**raw)
-        declared = int(declared) if declared is not None else None
+        declared = synth.check_int("num_classes", declared) if declared is not None else None
     except (TypeError, ValueError) as exc:
-        raise UsageError(f"invalid mixture spec: {exc}") from exc
+        raise UsageError(f"invalid mixture spec {opts['spec']}: {exc}") from exc
     if declared is not None and declared != spec.num_classes:
         raise UsageError(
             f"num_classes={declared} but per_class_counts lists {spec.num_classes} classes"

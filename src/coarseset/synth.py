@@ -17,6 +17,7 @@ Rng(center_seed) stream; the point noise and shuffle stay on Rng(rng_seed).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -24,6 +25,14 @@ import numpy as np
 
 from .rng import Rng
 from .store import EmbeddingMatrix, LabelVector
+
+
+def check_int(field: str, value) -> int:
+    """`value` if it is an integer (a Python or numpy int, not a bool);
+    otherwise TypeError naming `field`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{field} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -40,9 +49,13 @@ class MixtureSpec:
     center_seed: Optional[int] = None
 
     def __post_init__(self):
-        counts = [int(c) for c in self.per_class_counts]
+        counts = [check_int("per_class_counts", c) for c in self.per_class_counts]
         if not counts or any(c < 1 for c in counts):
             raise ValueError(f"per_class_counts must be positive, got {counts}")
+        check_int("d", self.d)
+        check_int("rng_seed", self.rng_seed)
+        if self.center_seed is not None:
+            check_int("center_seed", self.center_seed)
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
         stds = self.class_stds

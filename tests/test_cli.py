@@ -101,6 +101,27 @@ def test_config_file_and_flag_precedence(emb_file, tmp_path):
     assert out_flag.read_text().splitlines()[1] == "0"
 
 
+@pytest.mark.parametrize("budget", [5.9, True])
+def test_select_config_budget_must_be_an_integer(emb_file, tmp_path, capsys, budget):
+    # int() would truncate 5.9 to 5 and read true as 1; the flag refuses both
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"embeddings": str(emb_file), "budget": budget}))
+    out = tmp_path / "o.csv"
+    capsys.readouterr()
+    assert main(["select", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("coarseset: error:") and "--budget" in err
+    assert not out.exists()
+
+
+def test_select_config_budget_accepts_an_integer_string(emb_file, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"embeddings": str(emb_file), "budget": "3", "rng_seed": 10}))
+    out = tmp_path / "o.csv"
+    assert main(["select", "--config", str(cfg), "--out", str(out)]) == 0
+    assert out.read_text() == "# seed_count=1\n0\n1\n2\n"
+
+
 def test_config_unknown_key_exits_2(emb_file, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"embeddingz": str(emb_file)}))
@@ -145,6 +166,24 @@ def test_gen_synth_invalid_spec_exits_2(tmp_path, capsys):
     assert main(["gen-synth", "--spec", str(bad), "--out-prefix", str(tmp_path / "x")]) == 2
     bad.write_text(json.dumps({"per_class_counts": [3], "d": 2, "num_classes": 7}))
     assert main(["gen-synth", "--spec", str(bad), "--out-prefix", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize("field,value", [
+    ("d", 8.5),
+    ("d", True),
+    ("rng_seed", 1.5),
+    ("center_seed", 2.5),
+    ("per_class_counts", [1.5, 3]),
+])
+def test_gen_synth_non_integer_field_exits_2(tmp_path, capsys, field, value):
+    spec = synth_spec(tmp_path, **{field: value})
+    capsys.readouterr()
+    rc = main(["gen-synth", "--spec", str(spec), "--out-prefix", str(tmp_path / "x")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("coarseset: error:") and err.count("\n") == 1
+    assert str(spec) in err and field in err
+    assert not (tmp_path / "x.emb").exists()
 
 
 def test_histogram_through_files(emb_file, tmp_path):
@@ -309,6 +348,10 @@ def test_sweep_rejects_jobs_below_one(tmp_path, capsys, jobs):
     ("learning_rate", "fast", "--learning-rate"),
     ("budgets", ["6", None], "--budgets"),
     ("rng_seed", -1, "--rng-seed"),
+    ("trials", 1.5, "--trials"),
+    ("epochs", True, "--epochs"),
+    ("learning_rate", True, "--learning-rate"),
+    ("budgets", [6, 12.5], "--budgets"),
     ("seed_count", 0, "seed_count must be >= 1"),
     ("seed_count", 20, "budget 12 cannot cover 20 seeds"),
 ])

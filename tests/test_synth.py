@@ -96,3 +96,19 @@ def test_spec_validation():
         MixtureSpec([3], d=2, separation=-1.0)
     with pytest.raises(ValueError):
         MixtureSpec([3, 3], d=2, centers=[[0.0, 0.0]])
+
+
+@pytest.mark.parametrize("fields", [
+    dict(d=2.0), dict(d=True), dict(rng_seed=1.5), dict(center_seed=2.5),
+    dict(per_class_counts=[3.0]),
+])
+def test_spec_integer_fields_reject_floats_and_bools(fields):
+    spec = dict(per_class_counts=[3], d=2) | fields
+    with pytest.raises(TypeError, match=next(iter(fields))):
+        MixtureSpec(**spec)
+
+
+def test_spec_accepts_numpy_integers():
+    spec = MixtureSpec(np.array([3, 4]), d=np.int64(2), rng_seed=5)
+    emb, lab = generate(spec)
+    assert emb.n == 7 and lab.labels.tolist().count(1) == 4
