@@ -46,7 +46,8 @@ class SelectionOrder:
         arr = np.asarray(self.order, dtype=np.int64)
         if arr.ndim != 1:
             raise IndexOutOfRange("order must be a 1-D index sequence")
-        if len(np.unique(arr)) != arr.shape[0]:
+        ranked = np.sort(arr)
+        if (ranked[1:] == ranked[:-1]).any():
             raise DuplicateSeed("order entries must be distinct")
         if not 0 <= self.seed_count <= arr.shape[0]:
             raise IndexOutOfRange(

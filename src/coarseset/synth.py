@@ -8,6 +8,12 @@ direction (redrawn if degenerate), scaled by `separation`; (2) class by
 class, count*d normals for the point cloud; (3) one Fisher-Yates shuffle of
 the assembled rows.
 
+Step (2) is drawn as one block of normals for all classes, which lets a
+large pool take the Rng's lane route. Class c takes its count*d values from
+its own whole Box-Muller pairs, 2*ceil(count*d/2) raw outputs, and drops the
+last value when count*d is odd: the stream one normals() call per class
+would consume.
+
 Train/test pairs need the same mixture sampled twice: either pass explicit
 `centers` to both specs, or set the same `center_seed` with different
 `rng_seed`s. A set `center_seed` moves the center draw onto its own
@@ -97,7 +103,7 @@ def _auto_centers(spec: MixtureSpec, rng: Rng) -> np.ndarray:
     centers = np.empty((spec.num_classes, spec.d), dtype=np.float64)
     for c in range(spec.num_classes):
         while True:
-            direction = np.asarray(rng.normals(spec.d), dtype=np.float64)
+            direction = rng.normal_array(spec.d)
             norm = math.sqrt(float((direction * direction).sum()))
             if norm > 1e-12:
                 break
@@ -115,15 +121,20 @@ def generate(spec: MixtureSpec) -> tuple[EmbeddingMatrix, LabelVector]:
     else:
         centers = _auto_centers(spec, rng)
 
-    n = spec.n
-    points = np.empty((n, spec.d), dtype=np.float64)
+    n, d = spec.n, int(spec.d)
+    counts = [int(c) for c in spec.per_class_counts]
+    # class c takes its count*d normals from a whole number of pairs
+    spans = [2 * ((count * d + 1) // 2) for count in counts]
+    noise = rng.normal_array(sum(spans))
+    points = np.empty((n, d), dtype=np.float64)
     labels = np.empty(n, dtype=np.int64)
-    row = 0
-    for c, (count, std) in enumerate(zip(spec.per_class_counts, spec.class_stds)):
-        noise = np.asarray(rng.normals(count * spec.d), dtype=np.float64)
-        points[row : row + count] = centers[c] + std * noise.reshape(count, spec.d)
+    row = start = 0
+    for c, (count, span, std) in enumerate(zip(counts, spans, spec.class_stds)):
+        block = noise[start : start + count * d].reshape(count, d)
+        points[row : row + count] = centers[c] + std * block
         labels[row : row + count] = c
         row += count
+        start += span
 
     perm = rng.permutation(n)
     emb = EmbeddingMatrix(points[perm].astype(np.float32))

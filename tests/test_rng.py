@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from coarseset.rng import Rng, _splitmix64
+from coarseset.rng import _LANE_MIN_COUNT, _LANES, Rng, _splitmix64
 
 
 def test_splitmix64_reference_values():
@@ -118,6 +119,14 @@ def test_sample_validation():
         Rng(-1)
 
 
+def test_numpy_integer_seeds_give_the_python_int_stream():
+    for seed in (np.int64(5), np.int32(5), np.uint64(5)):
+        assert Rng(seed).normals(3) == Rng(5).normals(3)
+    assert Rng(np.uint64(2**64 - 1)).next_uint64() == Rng(2**64 - 1).next_uint64()
+    with pytest.raises(TypeError):
+        Rng(5.0)
+
+
 # --- the block-drawn paths against one-draw-at-a-time references -------------
 
 def ref_below(rng, bound):
@@ -202,3 +211,61 @@ def test_fisher_yates_walk_rejection_keeps_the_stream():
             assert fast._fisher_yates_offsets(n, steps) == expected
             assert fast.next_uint64() == ref.next_uint64()
     assert rejected > 500
+
+
+# --- the lane route against the scalar loop ------------------------------------
+
+LANE_SEEDS = (0, 1, 12345, 2**64 - 1)
+
+
+def assert_block_matches(seed, draw, count):
+    """`draw(rng)` returns the next `count` outputs of rng as an array, and
+    leaves it where count next_uint64 calls would."""
+    fast, ref = Rng(seed), Rng(seed)
+    got = draw(fast)
+    assert got.dtype == np.uint64
+    assert got.tolist() == [ref.next_uint64() for _ in range(count)]
+    assert fast.next_uint64() == ref.next_uint64()
+
+
+@pytest.mark.parametrize("count", [_LANE_MIN_COUNT - 1, _LANE_MIN_COUNT, _LANE_MIN_COUNT + 1])
+def test_raw_array_at_the_lane_threshold(count):
+    for seed in (0, 2**64 - 1):
+        assert_block_matches(seed, lambda rng: rng._raw_array(count), count)
+
+
+def test_default_lane_layout_at_full_lanes_plus_minus_one():
+    # 32 * _LANES outputs are _LANES full lanes of 32; one fewer halves the
+    # lane length, one more adds a lane holding a single output
+    for count in (32 * _LANES - 1, 32 * _LANES, 32 * _LANES + 1):
+        assert_block_matches(7, lambda rng: rng._lanes(count), count)
+
+
+@pytest.mark.parametrize("lane_length", [1, 2, 5, 8])
+def test_lanes_with_short_lanes(lane_length):
+    for lanes in (1, 3, 4, 7):
+        for count in {lanes * lane_length - 1, lanes * lane_length, lanes * lane_length + 1} - {0}:
+            for seed in LANE_SEEDS:
+                assert_block_matches(seed, lambda rng: rng._lanes(count, lane_length), count)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    count=st.integers(1, 400),
+    lane_length=st.integers(1, 40),
+)
+def test_lanes_equal_the_scalar_loop(seed, count, lane_length):
+    fast, ref = Rng(seed), Rng(seed)
+    assert fast._lanes(count, lane_length).tolist() == ref._raw(count)
+    assert fast.next_uint64() == ref.next_uint64()
+
+
+@pytest.mark.parametrize("count", [2 * _LANE_MIN_COUNT, 2 * _LANE_MIN_COUNT + 1])
+def test_array_box_muller_on_the_lane_route(count):
+    for seed in (3, 2**64 - 1):
+        fast, ref = Rng(seed), Rng(seed)
+        got = fast.normal_array(count)
+        assert got.dtype == np.float64
+        assert got.tolist() == ref_normals(ref, count)
+        assert fast.next_uint64() == ref.next_uint64()

@@ -67,6 +67,27 @@ def test_caller_blas_thread_setting_wins():
     assert threads == run_python(f"import os, numpy; print({THREADS})", OPENBLAS_NUM_THREADS="2")
 
 
+def test_select_leaves_numpy_ma_unloaded(tmp_path):
+    # np.unique imports numpy.ma, ~20 ms of a command's start-up
+    (tmp_path / "pool.json").write_text(json.dumps(SPEC))
+    run_cli(["gen-synth", "--spec", "pool.json", "--out-prefix", "pool"], tmp_path, "1")
+    loaded = run_python(
+        "import sys; from coarseset import cli; "
+        f"cli.main(['select', '--embeddings', {str(tmp_path / 'pool.emb')!r}, "
+        f"'--out', {str(tmp_path / 'top.csv')!r}, '--budget', '5']); "
+        "print('numpy.ma' in sys.modules)"
+    )
+    assert loaded == "False"
+    assert len((tmp_path / "top.csv").read_text().splitlines()) == 6
+
+
+def test_lane_route_does_not_depend_on_blas_threads():
+    # its GF(2) jump matrices are float32 matmuls, summed by BLAS
+    code = ("import hashlib; from coarseset.rng import Rng, _LANE_MIN_COUNT; "
+            "print(hashlib.sha256(Rng(3)._raw_array(4 * _LANE_MIN_COUNT).tobytes()).hexdigest())")
+    assert run_python(code, OPENBLAS_NUM_THREADS="1") == run_python(code, OPENBLAS_NUM_THREADS="2")
+
+
 def test_star_import_binds_every_public_name():
     names = json.loads(run_python(
         "import json; from coarseset import *; import coarseset; "

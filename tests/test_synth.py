@@ -4,6 +4,7 @@ import pytest
 from oracles import pairwise_to_centers
 
 from coarseset.metrics import Metric
+from coarseset.rng import _LANE_MIN_COUNT, Rng
 from coarseset.synth import MixtureSpec, generate
 
 
@@ -109,6 +110,44 @@ def test_spec_integer_fields_reject_floats_and_bools(fields):
 
 
 def test_spec_accepts_numpy_integers():
-    spec = MixtureSpec(np.array([3, 4]), d=np.int64(2), rng_seed=5)
+    spec = MixtureSpec(np.array([3, 4]), d=np.int64(2), rng_seed=np.int64(5))
     emb, lab = generate(spec)
     assert emb.n == 7 and lab.labels.tolist().count(1) == 4
+
+
+def encoded(spec):
+    emb, lab = generate(spec)
+    return emb.data.tobytes(), lab.labels.tobytes()
+
+
+def test_numpy_seeds_give_the_python_int_bytes():
+    assert encoded(MixtureSpec([3], d=2, rng_seed=np.int32(5))) == encoded(
+        MixtureSpec([3], d=2, rng_seed=5))
+    shared = dict(per_class_counts=[4, 2], d=3, rng_seed=1)
+    assert encoded(MixtureSpec(**shared, center_seed=np.uint64(9))) == encoded(
+        MixtureSpec(**shared, center_seed=9))
+
+
+def generate_class_by_class(spec):
+    """The documented stream order with one normals() call per class."""
+    rng = Rng(spec.rng_seed)
+    centers = np.asarray(spec.centers, dtype=np.float64)
+    rows, labels = [], []
+    for c, (count, std) in enumerate(zip(spec.per_class_counts, spec.class_stds)):
+        noise = np.asarray(rng.normals(count * spec.d)).reshape(count, spec.d)
+        rows.append(centers[c] + std * noise)
+        labels += [c] * count
+    perm = rng.permutation(spec.n)
+    return (np.vstack(rows)[perm].astype(np.float32).tobytes(),
+            np.asarray(labels, dtype=np.int64)[perm].tobytes())
+
+
+@pytest.mark.parametrize("counts, d", [
+    ([3, 5, 4], 3),            # odd count*d: each class discards a normal
+    # one block above the lane threshold, each class below it
+    ([_LANE_MIN_COUNT // 6, 1001, _LANE_MIN_COUNT // 6], 3),
+])
+def test_one_noise_block_matches_class_by_class_draws(counts, d):
+    centers = [[float(c + k) for k in range(d)] for c in range(len(counts))]
+    spec = MixtureSpec(counts, d=d, std=[0.5, 1.0, 2.0], centers=centers, rng_seed=4)
+    assert encoded(spec) == generate_class_by_class(spec)
