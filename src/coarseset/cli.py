@@ -10,7 +10,11 @@ flag names with underscores); explicit flags win over the file. Each flag is
 declared once, by ``_flag``, together with its default, which ``--help``
 shows. The defaults of engine settings are read from the engine
 (``TrainConfig``, ``SelectionConfig``, ``DEFAULT_METRIC``,
-``harness.METHODS``), not restated here. The default RNG seed comes from the
+``harness.METHODS``), not restated here. A command imports only the engine
+it runs: ``main`` declares the flags of the chosen subcommand alone, and
+each subcommand imports its engine modules when its flags are declared or
+its handler runs, so ``order``/``select`` never load the sweep's harness
+and proxy, nor ``gen-synth`` the selector. The default RNG seed comes from the
 COARSESET_RNG_SEED environment variable when set. Integer settings must be
 integers: a float or a bool in a config file is a usage error, never
 truncated. BLAS runs single-threaded unless the caller sets
@@ -27,32 +31,22 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 # Before anything loads numpy: OpenBLAS starts its worker threads when numpy
-# is imported, and the engine never gives them useful work (the distance
-# kernel is single-threaded, the proxy's matmuls are tiny). On a 2-vCPU VM
+# is imported, and the engine's BLAS calls are small (one sgemv per greedy
+# pick in the distance kernel's screen, the proxy's matmuls). On a 2-vCPU VM
 # the pool cost ~60 ms of CPU per command: importing this module and numpy
 # took a median 244 ms of CPU with it, 183 ms without. Outputs do not
 # depend on it; a value the caller set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import harness, selector, synth
-from .errors import CoarsesetError
-from .metrics import DEFAULT_METRIC, Metric
-from .proxy import TrainConfig
-from .store import load_embeddings, load_labels, save_embeddings, save_labels
+from .errors import CoarsesetError, check_int
+from .store import load_embeddings, load_labels
 
 ENV_SEED = "COARSESET_RNG_SEED"
-
-_METRIC_CHOICES = [m.value for m in Metric]
-
-# keys of a gen-synth spec: the MixtureSpec fields, plus a class count that
-# must agree with per_class_counts
-_SPEC_KEYS = {f.name for f in dataclasses.fields(synth.MixtureSpec)} | {"num_classes"}
 
 
 class UsageError(CoarsesetError):
@@ -71,6 +65,8 @@ def _env_seed() -> int:
 
 def _read_object(path: str, what: str, known) -> dict:
     """The JSON object held in `path`; a key not in `known` is a usage error."""
+    import json  # only commands given a config or spec file need it
+
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -111,7 +107,7 @@ def _require(merged: dict, *keys: str) -> None:
 def _as_int(value) -> int:
     """An int or an integer string as an int. Anything else, a bool or a
     float included, raises: int() would truncate it silently."""
-    return int(value) if isinstance(value, str) else synth.check_int("value", value)
+    return int(value) if isinstance(value, str) else check_int("value", value)
 
 
 def _int_list(value, flag: str) -> list[int]:
@@ -149,7 +145,9 @@ def _seed(opts: dict) -> int:
     return seed
 
 
-def _metric(opts: dict) -> Metric:
+def _metric(opts: dict):
+    from .metrics import Metric
+
     try:
         return Metric.from_name(str(opts["metric"]))
     except ValueError as exc:
@@ -165,6 +163,8 @@ def _str_list(value) -> list[str]:
 # --- subcommand handlers ---------------------------------------------------------
 
 def cmd_order(args: argparse.Namespace) -> int:
+    from . import selector
+
     opts = _merge(args)
     _require(opts, "embeddings", "out")
     seed = _seed(opts)
@@ -184,6 +184,9 @@ def cmd_order(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from . import harness
+    from .proxy import TrainConfig
+
     opts = _merge(args)
     _require(opts, "train_emb", "train_lab", "test_emb", "test_lab", "out")
     train_data = (load_embeddings(opts["train_emb"]), load_labels(opts["train_lab"]))
@@ -224,6 +227,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_histogram(args: argparse.Namespace) -> int:
+    from . import harness, selector
+
     opts = _merge(args)
     _require(opts, "order", "labels", "budget", "out")
     order = selector.load_order(opts["order"])
@@ -235,15 +240,21 @@ def cmd_histogram(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_synth(args: argparse.Namespace) -> int:
+    from . import synth
+    from .store import save_embeddings, save_labels
+
     opts = _merge(args)
     _require(opts, "spec", "out_prefix")
-    raw = _read_object(opts["spec"], "spec", _SPEC_KEYS)
+    # keys of a gen-synth spec: the MixtureSpec fields, plus a class count
+    # that must agree with per_class_counts
+    keys = {f.name for f in dataclasses.fields(synth.MixtureSpec)} | {"num_classes"}
+    raw = _read_object(opts["spec"], "spec", keys)
     if "per_class_counts" not in raw or "d" not in raw:
         raise UsageError("mixture spec needs per_class_counts and d")
     declared = raw.pop("num_classes", None)
     try:
         spec = synth.MixtureSpec(**raw)
-        declared = synth.check_int("num_classes", declared) if declared is not None else None
+        declared = check_int("num_classes", declared) if declared is not None else None
     except (TypeError, ValueError) as exc:
         raise UsageError(f"invalid mixture spec {opts['spec']}: {exc}") from exc
     if declared is not None and declared != spec.num_classes:
@@ -259,14 +270,6 @@ def cmd_gen_synth(args: argparse.Namespace) -> int:
 
 
 # --- parser --------------------------------------------------------------------
-
-def _subcommand(sub, name: str, func, help: str, **unflagged) -> argparse.ArgumentParser:
-    """A subparser whose flags are declared with `_flag`. `unflagged` are
-    config keys it accepts and ignores, with no flag of their own."""
-    p = sub.add_parser(name, help=help)
-    p.set_defaults(func=func, settings=dict(unflagged), **unflagged)
-    return p
-
 
 def _flag(p: argparse.ArgumentParser, name: str, help: str, default=None, **kwargs) -> None:
     """Declare ``--name`` and record `default` as its fallback in `_merge`.
@@ -285,68 +288,106 @@ def _config_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config mirroring the flags")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _selection_flags(p: argparse.ArgumentParser, seed_count_help: str, rng_seed_help: str) -> None:
+    from .metrics import DEFAULT_METRIC, Metric
+    from .selector import SelectionConfig
+
+    _flag(p, "metric", "distance metric", DEFAULT_METRIC.value, choices=[m.value for m in Metric])
+    _flag(p, "seed-count", seed_count_help, SelectionConfig.seed_count, type=int)
+    _flag(p, "rng-seed", f"{rng_seed_help} (default ${ENV_SEED} or 0)", type=int)
+
+
+def _order_flags(p: argparse.ArgumentParser) -> None:
+    _flag(p, "embeddings", "EMB1 or CSV embedding file")
+    _flag(p, "out", "output order CSV path")
+    _selection_flags(p, "number of random seed centers", "RNG seed")
+    _config_flag(p)
+
+
+def _declare_order(p: argparse.ArgumentParser) -> None:
+    # an order config may hold `budget`, so one file serves order and select;
+    # the key is accepted and ignored, with no flag of its own
+    p.set_defaults(budget=None)
+    p.get_default("settings")["budget"] = None
+    _order_flags(p)
+
+
+def _declare_select(p: argparse.ArgumentParser) -> None:
+    _order_flags(p)
+    _flag(p, "budget", "total points to select (seeds included)", type=int)
+
+
+def _declare_sweep(p: argparse.ArgumentParser) -> None:
+    from .harness import METHODS
+    from .proxy import TrainConfig
+
+    _flag(p, "train-emb", "training embeddings")
+    _flag(p, "train-lab", "training labels")
+    _flag(p, "test-emb", "test embeddings")
+    _flag(p, "test-lab", "test labels")
+    _flag(p, "budgets", "comma-separated label budgets (default 2%%..40%% of n)")
+    _flag(p, "methods", "comma-separated subset of the methods", ",".join(METHODS))
+    _flag(p, "trials", "trials per cell", 20, type=int)
+    _flag(p, "out", "output directory for results/summary CSVs")
+    _selection_flags(p, "seed centers for fixed_feature", "base RNG seed; trial t uses seed+t")
+    _flag(p, "jobs", "worker threads; threads do not speed up the sweep on CPython, "
+                     "see README", 1, type=int)
+    _flag(p, "epochs", "proxy training epochs", TrainConfig.epochs, type=int)
+    _flag(p, "batch-size", "proxy batch size", TrainConfig.batch_size, type=int)
+    _flag(p, "learning-rate", "proxy learning rate", TrainConfig.learning_rate, type=float)
+    _flag(p, "hidden", "proxy hidden width", TrainConfig.hidden, type=int)
+    _config_flag(p)
+
+
+def _declare_histogram(p: argparse.ArgumentParser) -> None:
+    _flag(p, "order", "order CSV from `order`/`select`")
+    _flag(p, "labels", "LAB1 or CSV label file")
+    _flag(p, "budget", "prefix length to count", type=int)
+    _flag(p, "num-classes", "override inferred class count", type=int)
+    _flag(p, "out", "output histogram CSV path")
+    _config_flag(p)
+
+
+def _declare_gen_synth(p: argparse.ArgumentParser) -> None:
+    _flag(p, "spec", "mixture spec JSON file")
+    _flag(p, "out-prefix", "writes <prefix>.emb and <prefix>.lab")
+    _config_flag(p)
+
+
+# name: (one-line help, handler, flag declarer)
+_SUBCOMMANDS = {
+    "order": ("write the full annotation ordering", cmd_order, _declare_order),
+    "select": ("like order, truncated to --budget points", cmd_order, _declare_select),
+    "sweep": ("accuracy-vs-budget comparison of methods", cmd_sweep, _declare_sweep),
+    "histogram": ("class counts of an order prefix", cmd_histogram, _declare_histogram),
+    "gen-synth": ("generate synthetic EMB1/LAB1 files", cmd_gen_synth, _declare_gen_synth),
+}
+
+
+def build_parser(commands: Iterable[str] = tuple(_SUBCOMMANDS)) -> argparse.ArgumentParser:
+    """The parser of every subcommand, with flags declared for those named in
+    `commands`. Declaring a subcommand's flags imports the engine modules
+    that supply their defaults."""
     parser = argparse.ArgumentParser(
         prog="coarseset",
         description="Budget-constrained annotation ordering over precomputed embeddings.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_selection_flags(p, seed_count_help, rng_seed_help):
-        _flag(p, "metric", "distance metric", DEFAULT_METRIC.value, choices=_METRIC_CHOICES)
-        _flag(p, "seed-count", seed_count_help, selector.SelectionConfig.seed_count, type=int)
-        _flag(p, "rng-seed", f"{rng_seed_help} (default ${ENV_SEED} or 0)", type=int)
-
-    def order_parser(name, help, **unflagged):
-        p = _subcommand(sub, name, cmd_order, help, **unflagged)
-        _flag(p, "embeddings", "EMB1 or CSV embedding file")
-        _flag(p, "out", "output order CSV path")
-        add_selection_flags(p, "number of random seed centers", "RNG seed")
-        _config_flag(p)
-        return p
-
-    # an order config may hold `budget`, so one file serves order and select
-    order_parser("order", "write the full annotation ordering", budget=None)
-    p_select = order_parser("select", "like order, truncated to --budget points")
-    _flag(p_select, "budget", "total points to select (seeds included)", type=int)
-
-    p_sweep = _subcommand(sub, "sweep", cmd_sweep, "accuracy-vs-budget comparison of methods")
-    _flag(p_sweep, "train-emb", "training embeddings")
-    _flag(p_sweep, "train-lab", "training labels")
-    _flag(p_sweep, "test-emb", "test embeddings")
-    _flag(p_sweep, "test-lab", "test labels")
-    _flag(p_sweep, "budgets", "comma-separated label budgets (default 2%%..40%% of n)")
-    _flag(p_sweep, "methods", "comma-separated subset of the methods", ",".join(harness.METHODS))
-    _flag(p_sweep, "trials", "trials per cell", 20, type=int)
-    _flag(p_sweep, "out", "output directory for results/summary CSVs")
-    add_selection_flags(p_sweep, "seed centers for fixed_feature",
-                        "base RNG seed; trial t uses seed+t")
-    _flag(p_sweep, "jobs", "worker threads; threads do not speed up the sweep on CPython, "
-                           "see README", 1, type=int)
-    _flag(p_sweep, "epochs", "proxy training epochs", TrainConfig.epochs, type=int)
-    _flag(p_sweep, "batch-size", "proxy batch size", TrainConfig.batch_size, type=int)
-    _flag(p_sweep, "learning-rate", "proxy learning rate", TrainConfig.learning_rate, type=float)
-    _flag(p_sweep, "hidden", "proxy hidden width", TrainConfig.hidden, type=int)
-    _config_flag(p_sweep)
-
-    p_hist = _subcommand(sub, "histogram", cmd_histogram, "class counts of an order prefix")
-    _flag(p_hist, "order", "order CSV from `order`/`select`")
-    _flag(p_hist, "labels", "LAB1 or CSV label file")
-    _flag(p_hist, "budget", "prefix length to count", type=int)
-    _flag(p_hist, "num-classes", "override inferred class count", type=int)
-    _flag(p_hist, "out", "output histogram CSV path")
-    _config_flag(p_hist)
-
-    p_gen = _subcommand(sub, "gen-synth", cmd_gen_synth, "generate synthetic EMB1/LAB1 files")
-    _flag(p_gen, "spec", "mixture spec JSON file")
-    _flag(p_gen, "out-prefix", "writes <prefix>.emb and <prefix>.lab")
-    _config_flag(p_gen)
-
+    commands = set(commands)
+    for name, (help, func, declare) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func, settings={})
+        if name in commands:
+            declare(p)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the only top-level option is --help, so the first argument that is not
+    # an option names the subcommand; only its flags (and engine) are loaded
+    chosen = next((arg for arg in argv if not arg.startswith("-")), None)
+    parser = build_parser([chosen])
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed usage/help

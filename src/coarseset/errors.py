@@ -1,9 +1,20 @@
-"""Exception types raised by the coarseset engine.
+"""Exception types raised by the coarseset engine, and the integer check
+shared by its settings.
 
 Everything derives from CoarsesetError so callers (and the CLI) can treat
 "bad input" uniformly; most subclasses also inherit ValueError or OSError
 for interoperability with generic handling.
 """
+
+import numbers
+
+
+def check_int(field: str, value) -> int:
+    """`value` if it is an integer (a Python or numpy int, not a bool);
+    otherwise TypeError naming `field`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{field} must be an integer, got {value!r}")
+    return int(value)
 
 
 class CoarsesetError(Exception):

@@ -53,7 +53,14 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import proxy, selector, store
-from .errors import BudgetExceedsOrder, BudgetExceedsPool, CoarsesetError, IoFailure, ScheduleExceedsPool
+from .errors import (
+    BudgetExceedsOrder,
+    BudgetExceedsPool,
+    CoarsesetError,
+    IndexOutOfRange,
+    IoFailure,
+    ScheduleExceedsPool,
+)
 from .metrics import DEFAULT_METRIC, Metric
 from .proxy import TrainConfig
 from .store import EmbeddingMatrix, LabelVector, PathLike
@@ -151,6 +158,12 @@ def class_histogram(
             f"budget {budget} exceeds order length {len(order)}"
         )
     chosen = order.prefix(budget)
+    beyond = np.flatnonzero(chosen >= len(labels))
+    if beyond.shape[0]:
+        raise IndexOutOfRange(
+            f"order index {int(chosen[beyond[0]])} (entry {int(beyond[0])}) "
+            f"is out of range for {len(labels)} labels"
+        )
     counts = np.bincount(labels.labels[chosen], minlength=labels.num_classes)
     return ClassHistogram(counts.astype(np.int64), budget)
 

@@ -2,42 +2,53 @@
 
 Layout
 ------
-A :class:`DistanceKernel` holds the one working copy of a greedy run: the
-embeddings as float32, feature-major (a C-ordered ``d x n`` array), so
-feature ``j`` of every point is one contiguous row. Beside it sit the
-float64 squared norms ``sq[i] = sum_j x_ij**2``, summed once per run in
-ascending feature order (for cosine, their square roots are the point norms
-of the contract). Every metric uses this one layout. Arithmetic on the
-values is float64 (float32 -> float64 is exact); only the screen below runs
-in float32. No other module knows this layout; callers pass the ``n x d``
-embedding data and a :class:`~coarseset.metrics.Metric`.
+A :class:`DistanceKernel` works on the caller's ``n x d`` float32 data,
+row-major, as an :class:`~coarseset.store.EmbeddingMatrix` holds it (and a
+loaded EMB1 file is): C-contiguous float32 data is kept with no copy, any
+other input is converted once. Beside it sit the float64 squared norms
+``sq[i] = sum_j x_ij**2``, summed once per run in ascending feature order,
+like every exact sum below (for cosine, their square roots are the point
+norms of the contract). Arithmetic on the values is float64 (float32 ->
+float64 is exact); only the screen below runs in float32, on the caller's
+BLAS. Callers pass the embedding data and a
+:class:`~coarseset.metrics.Metric`; no other module knows the buffers.
 
 Screening
 ---------
 Only a few points per pick come closer to the new center than to every
 earlier one, so ``update(center, min_dist)`` first bounds every distance
-from below and runs the exact arithmetic only on the columns whose bound
+from below and runs the exact arithmetic only on the points whose bound
 does not beat their ``min_dist``. With ``u = 2**-53`` (float64) and
 ``g = d * 2**-24 / (1 - d * 2**-24)`` (float32 rounding over ``d`` terms),
 the bound for squared euclidean distance is::
 
     lb[i] = sq[i] + sq[c] - p2[i] - rho * (sq[i] + sq[c]) - alpha
-    p2    = einsum("i,ij->j", 2 * x[:, c], x)     # float32, single-threaded
+    p2    = matmul(x, 2 * x[c])     # float32 sgemv on the caller's BLAS
     rho   = g * (1 + 2**-20) + (4 * d + 40) * u
     alpha = d * 2**-147
 
 Why it holds. The true distance is ``D = S_i + S_c - 2 p`` with squared
-norms ``S`` and dot product ``p``. Any float32 summation order of ``d``
-products is off by at most ``g * sum_j |x_ij c_j| + d * 2**-150``: the
-first term is rounding, and Cauchy-Schwarz with AM-GM bounds the sum by
-``(S_i + S_c) / 2``; the second is float32 underflow, as products of tiny
-values round to subnormals. ``sq`` is within ``d u`` (relative) of ``S``.
-The exact step sums ``d`` non-negative float64 terms, so its result is at
+norms ``S`` and dot product ``p``. ``p2[i]`` is a float32 dot product of
+``d`` terms computed in an order the BLAS chooses: blocked, split across
+threads, or with fused multiply-adds. Whatever the order, every term passes
+through at most ``d`` roundings (its product, unless fused, and at most
+``d - 1`` additions), each off by at most ``2**-24`` relative; a fused
+multiply-add only removes roundings, and wider accumulators only shrink
+them. Under gradual underflow an addition whose result is subnormal is
+exact, so underflow enters only where a product (plain or fused) rounds to
+a subnormal, at most ``2**-150`` each time and ``d`` times in all. So
+``p2`` is off by at most ``g * sum_j |x_ij c_j| + d * 2**-150``, and
+``alpha`` leaves a factor 8 on the second term for its propagation through
+later roundings. Cauchy-Schwarz with AM-GM bounds the sum in the first term
+by ``(S_i + S_c) / 2``. ``sq`` is within ``d u`` (relative) of ``S``. The
+exact step sums ``d`` non-negative float64 terms, so its result is at
 least ``D * (1 - (d + 2) u)``, and ``D <= 2 (S_i + S_c)``. Together these
 take ``g`` and ``(3d + 5) u`` of ``rho``; rounding ``lb`` itself (and, for
 euclidean, squaring ``min_dist``) takes under ``10 u`` more, and the rest
 is margin. So the exact kernel's value is at least ``lb``, and a point
-with ``lb > min_dist`` provably keeps its ``min_dist``.
+with ``lb > min_dist`` provably keeps its ``min_dist``. The screen decides
+only which points reach the exact step, never a stored value, so orders do
+not depend on the BLAS or its thread count.
 
 * Euclidean compares ``lb`` with ``min_dist**2`` as rounded in float64.
   The spare ``rho`` covers the rounding of that square, and a correctly
@@ -52,34 +63,36 @@ with ``lb > min_dist`` provably keeps its ``min_dist``.
   is negative: the short-circuit to 0.0 never meets a skipped point.
 * The test is ``skip = lb > min_dist`` and the candidates are ``~skip``,
   so a NaN bound falls through to the exact step. An infinite
-  ``min_dist`` (the first update) makes every column a candidate.
+  ``min_dist`` (the first update) makes every point a candidate.
 * The float32 dot product cannot overflow while ``d * max|x|**2 <=
   2**126``. For data beyond that (values near 1e18 and up) the kernel does
-  not screen and runs the exact step on every column.
+  not screen and runs the exact step on every point.
 
 These bounds assume IEEE arithmetic with round-to-nearest and gradual
-underflow, numpy's defaults.
+underflow, numpy's defaults, in the BLAS as well: a BLAS built to flush
+subnormals to zero (FTZ/DAZ) could lose up to ``2**-126`` per operation,
+which ``alpha`` does not cover.
 
 Bit-exactness
 -------------
-The exact step gathers the candidate columns in chunks with ``np.take``
-into a float32 ``(d, m)`` buffer (no allocation per chunk), copies them
-into a C-ordered float64 buffer, subtracts the center (for cosine:
-multiplies by it), squares, and reduces with ``np.add.reduce(axis=0)``.
-When every column is a candidate (the first update of a run, or data that
-is not screened), the chunks are contiguous column ranges of the stored
-copy, read in place with no gather. On a C-ordered block that reduction
-adds row after row, which is exactly the contract's ascending per-feature
-float64 sum in :func:`coarseset.metrics.distance`; every stored distance
-is therefore bit-identical to it. Two layouts make numpy sum a column
-pairwise instead (an 8-way unrolled order that rounds differently once
-``d >= 8``): an F-ordered block, which fancy indexing ``x[:, idx]``
-returns, and a single-column block, whose one remaining axis is the
+The exact step gathers the candidate rows in chunks with ``np.take(axis=0)``
+into a float32 ``(k, d)`` buffer (no allocation per chunk), copies them
+transposed into a C-ordered float64 ``(d, k)`` buffer, subtracts the center
+(for cosine: multiplies by it), squares, and reduces with
+``np.add.reduce(axis=0)``. When every point is a candidate (the first update
+of a run, or data that is not screened), the chunks are contiguous row
+ranges of the data, copied with no gather. On a C-ordered block that
+reduction adds row after row, which is exactly the contract's ascending
+per-feature float64 sum in :func:`coarseset.metrics.distance`; every stored
+distance is therefore bit-identical to it. Two layouts make numpy sum a
+column pairwise instead (an 8-way unrolled order that rounds differently
+once ``d >= 8``): an F-ordered block, such as the transposed rows
+themselves, and a single-column block, whose one remaining axis is the
 reduced one. So the reduction always runs on the preallocated C-ordered
 float64 buffer with at least two columns: a lone candidate is gathered
-twice, and a column range holds at least two columns. The farthest-point
-pick in :func:`coarseset.selector.greedy_steps` keeps the first maximum,
-i.e. ties resolve to the lowest index.
+twice, and a row range holds at least two rows. The farthest-point pick in
+:func:`coarseset.selector.greedy_steps` keeps the first maximum, i.e. ties
+resolve to the lowest index.
 """
 
 from __future__ import annotations
@@ -98,25 +111,28 @@ _CHUNK_VALUES = 1 << 15
 class DistanceKernel:
     """Distances from every point to one center, folded into a min-dist
     vector. Built once per greedy run from the ``n x d`` float32 embedding
-    data (other dtypes are converted to float32, as in EmbeddingMatrix)."""
+    data, which it keeps without a copy when it is C-contiguous float32
+    (other inputs are converted, as in EmbeddingMatrix)."""
 
     def __init__(self, data: np.ndarray, metric: Metric):
         n, d = data.shape
         self.metric = metric
-        self._x = np.ascontiguousarray(np.asarray(data, dtype=np.float32).T)
-        sq = np.zeros(n, dtype=np.float64)
-        self._lb = np.empty(n, dtype=np.float64)
-        for row in self._x:
-            np.copyto(self._lb, row)  # exact upcast; see _exact_block
-            np.multiply(self._lb, self._lb, out=self._lb)
-            np.add(sq, self._lb, out=sq)
+        self._x = np.ascontiguousarray(data, dtype=np.float32)
         self._p2 = np.empty(n, dtype=np.float32)
+        self._lb = np.empty(n, dtype=np.float64)
         self._skip = np.empty(n, dtype=np.bool_)
         # >= 2 columns per chunk: a one-column block would be summed pairwise
         self._chunk = max(2, _CHUNK_VALUES // d)
-        self._blk32 = np.empty(d * self._chunk, dtype=np.float32)
+        self._rows = np.empty(self._chunk * d, dtype=np.float32)
         self._blk = np.empty(d * self._chunk, dtype=np.float64)
         self._acc = np.empty(self._chunk, dtype=np.float64)
+        sq = np.empty(n, dtype=np.float64)
+        for lo in range(0, n, self._chunk):
+            hi = min(lo + self._chunk, n)
+            blk = self._block(slice(lo, hi) if hi - lo > 1 else np.array([lo, lo]))
+            np.multiply(blk, blk, out=blk)
+            np.add.reduce(blk, axis=0, out=self._acc[:blk.shape[1]])
+            sq[lo:hi] = self._acc[:hi - lo]
 
         amax = max(float(self._x.max()), -float(self._x.min()))
         self._screen = d < 2 ** 20 and d * amax * amax <= 2.0 ** 126
@@ -142,7 +158,7 @@ class DistanceKernel:
             for lo in range(0, cols.shape[0], self._chunk):
                 self._exact_block(cols[lo:lo + self._chunk], center, min_dist)
             return
-        # every column: contiguous ranges need no gather
+        # every point is a candidate: contiguous row ranges need no gather
         for lo in range(0, n, self._chunk):
             hi = min(lo + self._chunk, n)
             self._exact_block(slice(lo, hi) if hi - lo > 1 else np.array([lo]), center, min_dist)
@@ -150,8 +166,8 @@ class DistanceKernel:
     def _candidates(self, center: int, min_dist: np.ndarray) -> np.ndarray:
         """Indices whose lower bound does not beat their min_dist."""
         lb, p2, skip = self._lb, self._p2, self._skip
-        c2 = self._x[:, center] * np.float32(2.0)  # exact: a power of two
-        np.einsum("i,ij->j", c2, self._x, out=p2)
+        c2 = self._x[center] * np.float32(2.0)  # exact: a power of two
+        np.matmul(self._x, c2, out=p2)  # sgemv on the caller's BLAS
         limit = min_dist
         if self.metric is Metric.COSINE:
             # lb = (1 - rho) - (p2 / 2 + alpha / 4) / (N_i N_c)
@@ -169,26 +185,32 @@ class DistanceKernel:
         np.logical_not(skip, out=skip)
         return np.flatnonzero(skip)
 
-    def _exact_block(self, cols, center: int, min_dist: np.ndarray) -> None:
-        """The contract's arithmetic on the columns `cols`, folded into their
-        min_dist entries: a slice of at least two columns, or an index array
-        of at most one chunk."""
-        d = self._x.shape[0]
+    def _block(self, cols) -> np.ndarray:
+        """The points `cols` as a C-ordered float64 ``(d, k)`` view of the
+        preallocated buffer, feature j in row j. `cols` is a slice of the
+        data or an index array of at most one chunk, of at least two points
+        either way."""
+        d = self._x.shape[1]
         if isinstance(cols, slice):
-            src = self._x[:, cols]
-            k = src.shape[1]
+            src = self._x[cols]
         else:
-            if cols.shape[0] == 1:
-                cols = np.repeat(cols, 2)
-            k = cols.shape[0]
-            src = self._blk32[:d * k].reshape(d, k)
-            np.take(self._x, cols, axis=1, out=src, mode="clip")
-        blk = self._blk[:d * k].reshape(d, k)
-        acc = self._acc[:k]
-        # upcast first: float32 -> float64 is exact, and a float64 ufunc
-        # runs faster than one that casts its input on the fly
-        np.copyto(blk, src)
-        c = self._x[:, center, None].astype(np.float64)
+            src = self._rows[:cols.shape[0] * d].reshape(cols.shape[0], d)
+            np.take(self._x, cols, axis=0, out=src, mode="clip")
+        blk = self._blk[:d * src.shape[0]].reshape(d, src.shape[0])
+        # transpose and upcast in one copy: float32 -> float64 is exact, and
+        # a float64 ufunc runs faster than one that casts on the fly
+        np.copyto(blk, src.T)
+        return blk
+
+    def _exact_block(self, cols, center: int, min_dist: np.ndarray) -> None:
+        """The contract's arithmetic on the points `cols`, folded into their
+        min_dist entries: a slice of at least two points, or an index array
+        of at most one chunk."""
+        if not isinstance(cols, slice) and cols.shape[0] == 1:
+            cols = np.repeat(cols, 2)
+        blk = self._block(cols)
+        acc = self._acc[:blk.shape[1]]
+        c = self._x[center, :, None].astype(np.float64)
         if self.metric is Metric.COSINE:
             same = np.equal(blk, c).all(axis=0)
             np.multiply(blk, c, out=blk)

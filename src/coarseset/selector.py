@@ -47,6 +47,8 @@ class SelectionOrder:
         if arr.ndim != 1:
             raise IndexOutOfRange("order must be a 1-D index sequence")
         ranked = np.sort(arr)
+        if ranked.shape[0] and ranked[0] < 0:
+            raise IndexOutOfRange(f"order entries must be non-negative, got {ranked[0]}")
         if (ranked[1:] == ranked[:-1]).any():
             raise DuplicateSeed("order entries must be distinct")
         if not 0 <= self.seed_count <= arr.shape[0]:
@@ -286,9 +288,12 @@ def load_order(path: PathLike) -> SelectionOrder:
                     raise MalformedHeader(f"{path}: bad seed_count comment") from None
             continue
         try:
-            indices.append(int(tok))
+            index = int(tok)
         except ValueError:
             raise MalformedHeader(f"{path}: line {lineno}: {tok!r} is not an index") from None
+        if index < 0:
+            raise IndexOutOfRange(f"{path}: line {lineno}: index {index} is negative")
+        indices.append(index)
     if not indices:
         raise MalformedHeader(f"{path}: no indices")
     return SelectionOrder(np.asarray(indices, dtype=np.int64), seed_count)

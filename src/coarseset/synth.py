@@ -23,22 +23,14 @@ Rng(center_seed) stream; the point noise and shuffle stay on Rng(rng_seed).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from .errors import check_int
 from .rng import Rng
 from .store import EmbeddingMatrix, LabelVector
-
-
-def check_int(field: str, value) -> int:
-    """`value` if it is an integer (a Python or numpy int, not a bool);
-    otherwise TypeError naming `field`."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise TypeError(f"{field} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)

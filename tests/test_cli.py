@@ -211,6 +211,35 @@ def test_histogram_budget_too_large_exits_2(emb_file, tmp_path, capsys):
     assert rc == 2
 
 
+def test_histogram_index_beyond_labels_exits_2(tmp_path, capsys):
+    order = tmp_path / "order.csv"
+    order.write_text("# seed_count=1\n0\n1\n2\n")
+    labels = tmp_path / "labels.csv"
+    labels.write_text("0\n1\n")
+    rc = main([
+        "histogram", "--order", str(order), "--labels", str(labels),
+        "--budget", "3", "--out", str(tmp_path / "h.csv"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "order index 2" in err and "2 labels" in err and "internal" not in err
+    assert not (tmp_path / "h.csv").exists()
+
+
+def test_order_file_with_negative_index_exits_2(tmp_path, capsys):
+    order = tmp_path / "order.csv"
+    order.write_text("# seed_count=1\n0\n-1\n")
+    labels = tmp_path / "labels.csv"
+    labels.write_text("0\n1\n")
+    rc = main([
+        "histogram", "--order", str(order), "--labels", str(labels),
+        "--budget", "2", "--out", str(tmp_path / "h.csv"),
+    ])
+    assert rc == 2
+    assert f"{order}: line 3: index -1 is negative" in capsys.readouterr().err
+    assert not (tmp_path / "h.csv").exists()
+
+
 def test_sweep_tiny_row_count(tmp_path, capsys):
     train_spec = synth_spec(tmp_path, "train.json", center_seed=42, rng_seed=1)
     test_spec = synth_spec(tmp_path, "test.json", center_seed=42, rng_seed=2)

@@ -7,7 +7,13 @@ import pytest
 from oracles import hypergeometric_std
 
 from coarseset import harness
-from coarseset.errors import BudgetExceedsOrder, CoarsesetError, IoFailure, ScheduleExceedsPool
+from coarseset.errors import (
+    BudgetExceedsOrder,
+    CoarsesetError,
+    IndexOutOfRange,
+    IoFailure,
+    ScheduleExceedsPool,
+)
 from coarseset.harness import (
     BudgetSchedule,
     ClassHistogram,
@@ -89,6 +95,14 @@ def test_histogram_budget_exceeds_order():
         class_histogram(order, labels, 3)
     with pytest.raises(BudgetExceedsOrder):  # not order[:-1]
         class_histogram(order, labels, -1)
+
+
+def test_histogram_rejects_an_index_beyond_the_labels():
+    labels = LabelVector.from_labels([0, 1])
+    order = SelectionOrder(np.array([1, 2, 0]), seed_count=0)
+    assert class_histogram(order, labels, 1).counts.tolist() == [0, 1]
+    with pytest.raises(IndexOutOfRange, match=r"order index 2 \(entry 1\) is out of range for 2 labels"):
+        class_histogram(order, labels, 2)
 
 
 def test_histogram_counts_sum_to_budget():

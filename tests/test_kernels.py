@@ -247,3 +247,16 @@ def test_full_update_reads_column_ranges_in_ascending_order(metric, n, chunk):
     assert all(isinstance(c, slice) and c.stop - c.start >= 2 for c in seen[:-1])
     last = seen[-1]
     assert last == [n - 1] if n % chunk == 1 else isinstance(last, slice)
+
+
+def test_kernel_keeps_c_contiguous_float32_data_without_a_copy():
+    x = np.random.default_rng(5).normal(size=(40, 6)).astype(np.float32)
+    assert np.shares_memory(kernels.DistanceKernel(x, Metric.SQEUCLIDEAN)._x, x)
+    loaded = EmbeddingMatrix(x).data  # read-only, as load_embeddings returns it
+    assert np.shares_memory(kernels.DistanceKernel(loaded, Metric.COSINE)._x, loaded)
+    others = (x.astype(np.float64), np.asfortranarray(x), x[::2], x[:, :5], x.astype(">f4"))
+    for other in others:
+        kern = kernels.DistanceKernel(other, Metric.SQEUCLIDEAN)
+        assert not np.shares_memory(kern._x, other)
+        assert kern._x.flags.c_contiguous and kern._x.dtype == np.float32
+        assert kern._x.tobytes() == np.ascontiguousarray(other, dtype=np.float32).tobytes()

@@ -179,6 +179,8 @@ def test_selection_order_validation():
         SelectionOrder(np.array([1, 1]), 0)
     with pytest.raises(IndexOutOfRange):
         SelectionOrder(np.array([0, 1]), 3)
+    with pytest.raises(IndexOutOfRange, match="non-negative"):
+        SelectionOrder(np.array([0, -1]), 0)
 
 
 def test_order_file_roundtrip(tmp_path):
@@ -199,6 +201,9 @@ def test_order_file_rejects_garbage(tmp_path):
         load_order(p)
     p.write_text("# seed_count=1\n")
     with pytest.raises(MalformedHeader):
+        load_order(p)
+    p.write_text("# seed_count=1\n0\n\n-4\n")
+    with pytest.raises(IndexOutOfRange, match="bad.csv: line 4: index -4 is negative"):
         load_order(p)
 
 

@@ -15,6 +15,8 @@ import coarseset
 
 SRC = str(Path(coarseset.__file__).resolve().parent.parent)
 SPEC = {"per_class_counts": [30, 30, 30], "d": 4, "separation": 6.0, "center_seed": 7}
+# each subcommand's --help as printed before the CLI loaded engines per command
+HELP = Path(__file__).with_name("help")
 
 
 def child_env(**overrides) -> dict:
@@ -34,11 +36,22 @@ def run_python(code: str, **env) -> str:
     return proc.stdout.strip()
 
 
-def run_cli(argv: list, cwd: Path, blas_threads: str) -> None:
-    subprocess.run(
+def run_cli(argv: list, cwd: Path, blas_threads: str = "1", **env) -> str:
+    proc = subprocess.run(
         [sys.executable, "-m", "coarseset.cli", *argv], cwd=cwd,
-        env=child_env(OPENBLAS_NUM_THREADS=blas_threads), capture_output=True, check=True,
+        env=child_env(OPENBLAS_NUM_THREADS=blas_threads, **env),
+        capture_output=True, text=True, check=True,
     )
+    return proc.stdout
+
+
+def loaded_after(argv: list) -> set:
+    """The coarseset modules a fresh interpreter holds after `main(argv)`."""
+    return set(json.loads(run_python(
+        "import json, sys; from coarseset import cli; "
+        f"assert cli.main({argv!r}) == 0; "
+        "print(json.dumps([m for m in sys.modules if m.startswith('coarseset')]))"
+    )))
 
 
 THREADS = "len(os.listdir('/proc/self/task'))"
@@ -81,6 +94,26 @@ def test_select_leaves_numpy_ma_unloaded(tmp_path):
     assert len((tmp_path / "top.csv").read_text().splitlines()) == 6
 
 
+def test_each_command_loads_only_its_engine(tmp_path):
+    (tmp_path / "pool.json").write_text(json.dumps(SPEC))
+    spec, pool = str(tmp_path / "pool.json"), str(tmp_path / "pool")
+    gen = loaded_after(["gen-synth", "--spec", spec, "--out-prefix", pool])
+    assert {"coarseset.synth", "coarseset.store", "coarseset.rng"} <= gen
+    assert not gen & {"coarseset.selector", "coarseset.kernels", "coarseset.harness",
+                      "coarseset.proxy"}
+    select = loaded_after(["select", "--embeddings", pool + ".emb", "--budget", "5",
+                           "--out", str(tmp_path / "top.csv")])
+    assert {"coarseset.selector", "coarseset.kernels", "coarseset.store", "coarseset.rng",
+            "coarseset.metrics"} <= select
+    assert not select & {"coarseset.harness", "coarseset.proxy", "coarseset.synth"}
+
+
+@pytest.mark.parametrize("sub", ["top", "order", "select", "sweep", "histogram", "gen-synth"])
+def test_help_text_is_unchanged(sub, tmp_path):
+    argv = ["--help"] if sub == "top" else [sub, "--help"]
+    assert run_cli(argv, tmp_path, COLUMNS="80", NO_COLOR="1") == (HELP / f"{sub}.txt").read_text()
+
+
 def test_lane_route_does_not_depend_on_blas_threads():
     # its GF(2) jump matrices are float32 matmuls, summed by BLAS
     code = ("import hashlib; from coarseset.rng import Rng, _LANE_MIN_COUNT; "
@@ -99,12 +132,20 @@ def test_star_import_binds_every_public_name():
 def test_outputs_do_not_depend_on_blas_threads(tmp_path):
     (tmp_path / "train.json").write_text(json.dumps(dict(SPEC, rng_seed=1)))
     (tmp_path / "test.json").write_text(json.dumps(dict(SPEC, rng_seed=2)))
-    for name in ("train", "test"):
+    # 10000 x 64: OpenBLAS 0.3.31 splits the kernel's screen (an sgemv) across
+    # two threads from about 8000 x 64 on, and ran 6000 x 64 on one
+    (tmp_path / "pool.json").write_text(json.dumps(
+        {"per_class_counts": [1000] * 10, "d": 64, "separation": 8.0, "rng_seed": 5}))
+    for name in ("train", "test", "pool"):
         run_cli(["gen-synth", "--spec", f"{name}.json", "--out-prefix", name], tmp_path, "1")
+    metrics = ("sqeuclidean", "euclidean", "cosine")
     outputs = {}
     for threads in ("1", "2"):
         run_cli(["order", "--embeddings", "train.emb", "--out", f"order_{threads}.csv",
                  "--rng-seed", "3"], tmp_path, threads)
+        for metric in metrics:
+            run_cli(["order", "--embeddings", "pool.emb", "--metric", metric, "--seed-count", "3",
+                     "--out", f"pool_{metric}_{threads}.csv"], tmp_path, threads)
         run_cli(["sweep", "--train-emb", "train.emb", "--train-lab", "train.lab",
                  "--test-emb", "test.emb", "--test-lab", "test.lab",
                  "--budgets", "12,24", "--trials", "1", "--epochs", "5",
@@ -112,6 +153,7 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path):
         outputs[threads] = [
             (tmp_path / f).read_bytes()
             for f in (f"order_{threads}.csv", f"sweep_{threads}/results.csv",
-                      f"sweep_{threads}/summary.csv")
+                      f"sweep_{threads}/summary.csv",
+                      *(f"pool_{metric}_{threads}.csv" for metric in metrics))
         ]
     assert outputs["1"] == outputs["2"]
