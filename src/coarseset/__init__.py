@@ -48,7 +48,7 @@ _EXPORTS = {
     "rng": ("Rng",),
     "selector": (
         "SelectionConfig", "SelectionOrder", "SelectionState", "coverage_radius",
-        "full_ordering", "iterative_coreset", "kcenter_greedy", "random_order",
+        "full_ordering", "kcenter_greedy", "random_order",
     ),
     "store": (
         "EmbeddingMatrix", "LabelVector", "load_embeddings", "load_labels",
@@ -122,7 +122,6 @@ __all__ = [
     "full_ordering",
     "generate",
     "gradient_check",
-    "iterative_coreset",
     "kcenter_greedy",
     "load_embeddings",
     "load_labels",

@@ -330,8 +330,7 @@ def _declare_sweep(p: argparse.ArgumentParser) -> None:
     _flag(p, "trials", "trials per cell", 20, type=int)
     _flag(p, "out", "output directory for results/summary CSVs")
     _selection_flags(p, "seed centers for fixed_feature", "base RNG seed; trial t uses seed+t")
-    _flag(p, "jobs", "worker threads; threads do not speed up the sweep on CPython, "
-                     "see README", 1, type=int)
+    _flag(p, "jobs", "accepted; trials always run in order", 1, type=int)
     _flag(p, "epochs", "proxy training epochs", TrainConfig.epochs, type=int)
     _flag(p, "batch-size", "proxy batch size", TrainConfig.batch_size, type=int)
     _flag(p, "learning-rate", "proxy learning rate", TrainConfig.learning_rate, type=float)

@@ -17,14 +17,13 @@ Every setting (methods, budgets, trials, jobs, seed count, seed, metric) is
 checked before the first cell runs, so a bad one fails the sweep before any
 row is written.
 
-Each trial is an independent job. ``jobs=1`` (the default, and the CLI's)
-runs them in order on the calling thread; ``jobs > 1`` runs them on a
-thread pool that wide. The work is Python-bound and holds the interpreter
-lock, so on CPython more threads do not make a sweep faster; the pool only
-keeps its results identical. Rows stream to ``results.csv`` as they finish
-so an interrupted sweep can resume by skipping completed cells, and the
-final files are rewritten in canonical (method, budget, trial) order so
-resumed, sequential, and threaded runs all produce byte-identical outputs.
+Trials run in order on the calling thread. ``jobs`` is accepted and
+checked (``>= 1``) but does not change the schedule: the work holds the
+interpreter lock, and a thread pool only made sweeps slower. Rows stream
+to ``results.csv`` as they finish so an interrupted sweep can resume by
+skipping completed cells, and the final files are rewritten in canonical
+(method, budget, trial) order so resumed and uninterrupted runs produce
+byte-identical outputs.
 The rewrite goes through a temporary file and a rename, so a failed
 rewrite leaves the streamed results in place. A rerun that asks for fewer
 methods or trials keeps the rows it does not ask for: they are seed-checked
@@ -44,8 +43,6 @@ import csv
 import io
 import json
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -301,7 +298,6 @@ def run_budget_sweep(
         if done:
             os.truncate(results_path, complete)
 
-    lock = threading.Lock()
     fresh: list[SweepRow] = []
     writer_fh = None
     if results_path is not None:
@@ -311,26 +307,17 @@ def run_budget_sweep(
             writer_fh.flush()
 
     def emit(row: SweepRow) -> None:
-        with lock:
-            fresh.append(row)
-            if writer_fh is not None:
-                csv.writer(writer_fh, lineterminator="\n").writerow(_format_row(row))
-                writer_fh.flush()
-
-    def run_trial(trial: int) -> None:
-        _trial_rows(
-            trial, train_data, test_data, schedule, methods,
-            sel_cfg=sel_cfg, train_cfg=train_cfg, skip=set(done), emit=emit,
-        )
+        fresh.append(row)
+        if writer_fh is not None:
+            csv.writer(writer_fh, lineterminator="\n").writerow(_format_row(row))
+            writer_fh.flush()
 
     try:
-        if jobs == 1:
-            for t in range(trials):
-                run_trial(t)
-        else:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                for f in [pool.submit(run_trial, t) for t in range(trials)]:
-                    f.result()
+        for trial in range(trials):
+            _trial_rows(
+                trial, train_data, test_data, schedule, methods,
+                sel_cfg=sel_cfg, train_cfg=train_cfg, skip=set(done), emit=emit,
+            )
     finally:
         if writer_fh is not None:
             writer_fh.close()

@@ -43,7 +43,6 @@ from .errors import (
     LabelOutOfRange,
 )
 from .rng import Rng
-from .selector import Trainer
 from .store import EmbeddingMatrix, LabelVector
 
 
@@ -279,17 +278,6 @@ def accuracy(
         preds = preds[idx]
         truth = truth[idx]
     return float((preds == truth).mean())
-
-
-def feature_trainer(cfg: TrainConfig) -> Trainer:
-    """Trainer for the iterative core-set baseline: trains a fresh proxy on
-    the labeled set and returns its hidden-layer features for all points."""
-
-    def _trainer(e: EmbeddingMatrix, labels: LabelVector, labeled: Sequence[int]):
-        model = train(e, labels, labeled, cfg)
-        return extract_features(model, e)
-
-    return _trainer
 
 
 # --- gradient auditing --------------------------------------------------------

@@ -31,7 +31,8 @@ from .rng import Rng
 from .store import EmbeddingMatrix, LabelVector, PathLike
 
 # A feature trainer maps (embeddings, labels, labeled indices) to a fresh
-# n x h feature matrix; see proxy.feature_trainer for the MLP-backed one.
+# n x h feature matrix; the sweep's hands back the hidden-layer features
+# (proxy.extract_features) of a proxy trained on the labeled list.
 Trainer = Callable[[EmbeddingMatrix, LabelVector, Sequence[int]], EmbeddingMatrix]
 
 
@@ -237,25 +238,6 @@ def iterative_rounds(
         yield list(labeled)
 
 
-def iterative_coreset(
-    e: EmbeddingMatrix,
-    labels: LabelVector,
-    rounds: int,
-    per_round: int,
-    trainer: Trainer,
-    rng_seed: int,
-    metric: Metric = DEFAULT_METRIC,
-) -> SelectionOrder:
-    """Iterative core-set baseline with uniform round size; the leading
-    per_round random picks play the seed role in the returned order."""
-    if rounds < 1:
-        raise BudgetExceedsPool(f"rounds must be >= 1, got {rounds}")
-    labeled: list[int] = []
-    for labeled in iterative_rounds(e, labels, [per_round] * rounds, trainer, rng_seed, metric):
-        pass
-    return SelectionOrder(np.asarray(labeled, dtype=np.int64), seed_count=per_round)
-
-
 # --- order files --------------------------------------------------------------
 
 def save_order(order: SelectionOrder, path: PathLike) -> None:
@@ -269,11 +251,18 @@ def save_order(order: SelectionOrder, path: PathLike) -> None:
 
 
 def load_order(path: PathLike) -> SelectionOrder:
+    """The order save_order wrote. Every error names the file, and the line
+    where one is at fault."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        raw = Path(path).read_bytes()
     except OSError as exc:
         raise IoFailure(f"cannot read order from {path}: {exc}") from exc
-    seed_count = 0
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise MalformedHeader(f"{path}: line {lineno}: not UTF-8 text") from None
+    seed_count, header_line = 0, 0
     indices: list[int] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         tok = line.strip()
@@ -282,10 +271,13 @@ def load_order(path: PathLike) -> SelectionOrder:
         if tok.startswith("#"):
             body = tok.lstrip("#").strip()
             if body.startswith("seed_count="):
+                header_line = lineno
                 try:
                     seed_count = int(body.split("=", 1)[1])
                 except ValueError:
-                    raise MalformedHeader(f"{path}: bad seed_count comment") from None
+                    raise MalformedHeader(
+                        f"{path}: line {lineno}: bad seed_count comment {tok!r}"
+                    ) from None
             continue
         try:
             index = int(tok)
@@ -293,7 +285,16 @@ def load_order(path: PathLike) -> SelectionOrder:
             raise MalformedHeader(f"{path}: line {lineno}: {tok!r} is not an index") from None
         if index < 0:
             raise IndexOutOfRange(f"{path}: line {lineno}: index {index} is negative")
+        if index >= 2**63:
+            raise IndexOutOfRange(f"{path}: line {lineno}: index {index} exceeds 2**63 - 1")
         indices.append(index)
     if not indices:
         raise MalformedHeader(f"{path}: no indices")
-    return SelectionOrder(np.asarray(indices, dtype=np.int64), seed_count)
+    if not 0 <= seed_count <= len(indices):
+        raise IndexOutOfRange(
+            f"{path}: line {header_line}: seed_count {seed_count} outside [0, {len(indices)}]"
+        )
+    try:
+        return SelectionOrder(np.asarray(indices, dtype=np.int64), seed_count)
+    except DuplicateSeed as exc:
+        raise DuplicateSeed(f"{path}: {exc}") from None

@@ -240,6 +240,25 @@ def test_order_file_with_negative_index_exits_2(tmp_path, capsys):
     assert not (tmp_path / "h.csv").exists()
 
 
+@pytest.mark.parametrize("raw,message", [
+    (b"# seed_count=1\n0\n\xff\n", "line 3: not UTF-8 text"),
+    (b"# seed_count=1\n0\n99999999999999999999999\n", "line 3: index 99999999999999999999999"),
+])
+def test_hostile_order_file_exits_2(tmp_path, capsys, raw, message):
+    order = tmp_path / "order.csv"
+    order.write_bytes(raw)
+    labels = tmp_path / "labels.csv"
+    labels.write_text("0\n1\n")
+    rc = main([
+        "histogram", "--order", str(order), "--labels", str(labels),
+        "--budget", "1", "--out", str(tmp_path / "h.csv"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{order}: {message}" in err and "internal" not in err
+    assert not (tmp_path / "h.csv").exists()
+
+
 def test_sweep_tiny_row_count(tmp_path, capsys):
     train_spec = synth_spec(tmp_path, "train.json", center_seed=42, rng_seed=1)
     test_spec = synth_spec(tmp_path, "test.json", center_seed=42, rng_seed=2)

@@ -25,7 +25,7 @@ from coarseset.harness import (
     format_summary,
     run_budget_sweep,
 )
-from coarseset.proxy import TrainConfig, accuracy, feature_trainer, train
+from coarseset.proxy import TrainConfig, accuracy, extract_features, train
 from coarseset.selector import (
     SelectionConfig,
     SelectionOrder,
@@ -316,7 +316,7 @@ def sweep_lines(out_dir, methods, **kwargs):
 
 def test_grouped_sweep_rows_equal_one_training_per_cell():
     # the per-cell definition of every row: its own proxy.train on the sorted
-    # subset, and iterative_rounds driven by proxy.feature_trainer
+    # subset, and iterative_rounds driven by a proxy trained per round
     train_data, test_data = tiny_suite(n_per_class=12)
     (emb, lab), base_seed = train_data, 9
     res = run_budget_sweep(train_data, test_data, GROUP_SCHEDULE, ALL_METHODS, trials=2,
@@ -332,7 +332,8 @@ def test_grouped_sweep_rows_equal_one_training_per_cell():
                 .order for b in GROUP_SCHEDULE.budgets
             ],
             "coreset_iterative": list(iterative_rounds(
-                emb, lab, GROUP_SCHEDULE.increments, feature_trainer(cfg), seed
+                emb, lab, GROUP_SCHEDULE.increments,
+                lambda e, lab, labeled: extract_features(train(e, lab, labeled, cfg), e), seed,
             )),
         }
         for method, per_budget in subsets.items():

@@ -17,7 +17,6 @@ from coarseset.proxy import (
     accuracy,
     cross_entropy,
     extract_features,
-    feature_trainer,
     gradient_check,
     make_probe,
     softmax,
@@ -177,8 +176,8 @@ def test_parameters_finite_after_training():
 
 def test_feature_trainer_contract():
     emb, lab = generate(MixtureSpec([20] * 2, d=3, separation=6.0, rng_seed=9))
-    trainer = feature_trainer(TrainConfig(epochs=10, rng_seed=0, hidden=5))
-    feats = trainer(emb, lab, list(range(10)))
+    cfg = TrainConfig(epochs=10, rng_seed=0, hidden=5)
+    feats = extract_features(train(emb, lab, list(range(10)), cfg), emb)
     assert isinstance(feats, EmbeddingMatrix)
     assert (feats.n, feats.d) == (emb.n, 5)
 
@@ -279,7 +278,7 @@ def test_train_is_bit_identical_to_reference_loop(per_class, subset, cfg):
 def test_feature_trainer_is_bit_identical_to_reference_loop(per_class, subset, cfg):
     emb, lab = generate(MixtureSpec([per_class] * 3, d=5, separation=4.0, rng_seed=12))
     subset = list(subset)
-    feats = feature_trainer(cfg)(emb, lab, subset)
+    feats = extract_features(train(emb, lab, subset, cfg), emb)
     want = reference_train(emb, lab, subset, cfg)
     x = emb.data.astype(np.float64)
     hidden = np.maximum(x @ want.w1.astype(np.float64).T + want.b1.astype(np.float64), 0.0)

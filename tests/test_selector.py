@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oracles import brute_force_greedy, min_dists, min_dists_scalar
 
 from coarseset.errors import (
     BudgetExceedsPool,
+    CoarsesetError,
     DuplicateSeed,
     IndexOutOfRange,
     MalformedHeader,
@@ -22,7 +24,7 @@ from coarseset.selector import (
     coverage_radius,
     full_ordering,
     greedy_steps,
-    iterative_coreset,
+    iterative_rounds,
     kcenter_greedy,
     load_order,
     random_order,
@@ -207,29 +209,79 @@ def test_order_file_rejects_garbage(tmp_path):
         load_order(p)
 
 
+@pytest.mark.parametrize("raw,error,message", [
+    (b"# seed_count=7\n0\n1\n", IndexOutOfRange, "bad.csv: line 1: seed_count 7 outside [0, 2]"),
+    (b"0\n# seed_count=-2\n1\n", IndexOutOfRange, "bad.csv: line 2: seed_count -2 outside [0, 2]"),
+    (b"0\n\n# seed_count=x\n", MalformedHeader, "bad.csv: line 3: bad seed_count comment"),
+    (b"0\n99999999999999999999999\n", IndexOutOfRange,
+     "bad.csv: line 2: index 99999999999999999999999 exceeds 2**63 - 1"),
+    (b"# seed_count=1\n0\n\xff1\n", MalformedHeader, "bad.csv: line 3: not UTF-8 text"),
+    (b"0\n2\n0\n", DuplicateSeed, "bad.csv: order entries must be distinct"),
+])
+def test_order_file_errors_name_file_and_line(tmp_path, raw, error, message):
+    p = tmp_path / "bad.csv"
+    p.write_bytes(raw)
+    with pytest.raises(error) as info:
+        load_order(p)
+    assert message in str(info.value)
+
+
+ORDER_LINES = st.one_of(
+    st.integers(-3, 6).map(str),
+    st.integers(-2**70, 2**70).map(str),
+    st.integers(-3, 2**70).map(lambda k: f"# seed_count={k}"),
+    st.text(max_size=6),
+)
+ORDER_BYTES = st.one_of(
+    st.binary(max_size=40),
+    st.tuples(st.lists(ORDER_LINES, max_size=8), st.binary(max_size=3)).map(
+        lambda t: "\n".join(t[0]).encode() + t[1]
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ORDER_BYTES)
+def test_load_order_fuzz_returns_order_or_names_the_file(tmp_path, raw):
+    p = tmp_path / "fuzz.csv"
+    p.write_bytes(raw)
+    try:
+        order = load_order(p)
+    except CoarsesetError as exc:
+        assert str(p) in str(exc)
+    else:
+        assert isinstance(order, SelectionOrder)
+
+
 # --- iterative core-set baseline ------------------------------------------------
 
 def identity_trainer(e, labels, labeled):
     return e
 
 
+def last_round(e, labels, rounds, per_round, trainer, rng_seed):
+    """The labeled list after `rounds` rounds of `per_round` points each."""
+    *_, labeled = iterative_rounds(e, labels, [per_round] * rounds, trainer, rng_seed)
+    return labeled
+
+
 def test_iterative_single_round_equals_random_prefix():
     rng = np.random.default_rng(40)
     e = random_matrix(rng, 30, 3)
     labels = LabelVector.from_labels(np.zeros(30, dtype=np.int64), num_classes=1)
-    got = iterative_coreset(e, labels, rounds=1, per_round=5, trainer=identity_trainer, rng_seed=9)
-    assert got.order.tolist() == random_order(30, 9).order.tolist()[:5]
-    assert got.seed_count == 5
+    got = last_round(e, labels, rounds=1, per_round=5, trainer=identity_trainer, rng_seed=9)
+    assert got == random_order(30, 9).order.tolist()[:5]
 
 
 def test_iterative_identity_trainer_reduces_to_fixed_greedy():
     rng = np.random.default_rng(41)
     e = random_matrix(rng, 40, 4)
     labels = LabelVector.from_labels(np.zeros(40, dtype=np.int64), num_classes=1)
-    got = iterative_coreset(e, labels, rounds=2, per_round=6, trainer=identity_trainer, rng_seed=3)
+    got = last_round(e, labels, rounds=2, per_round=6, trainer=identity_trainer, rng_seed=3)
     round1 = random_order(40, 3).order.tolist()[:6]
     expected = kcenter_greedy(e, round1, 6)
-    assert got.order.tolist() == expected.order.tolist()
+    assert got == expected.order.tolist()
 
 
 def test_iterative_trainer_failure_propagates():
@@ -240,22 +292,22 @@ def test_iterative_trainer_failure_propagates():
         raise RuntimeError("no features today")
 
     with pytest.raises(TrainerFailure, match="no features"):
-        iterative_coreset(e, labels, rounds=2, per_round=2, trainer=boom, rng_seed=0)
+        last_round(e, labels, rounds=2, per_round=2, trainer=boom, rng_seed=0)
 
     def wrong_shape(e, labels, labeled):
         return EmbeddingMatrix(np.ones((2, 2), dtype=np.float32))
 
     with pytest.raises(TrainerFailure, match="rows"):
-        iterative_coreset(e, labels, rounds=2, per_round=2, trainer=wrong_shape, rng_seed=0)
+        last_round(e, labels, rounds=2, per_round=2, trainer=wrong_shape, rng_seed=0)
 
 
 def test_iterative_budget_validation():
     e = EmbeddingMatrix(np.ones((4, 2), dtype=np.float32))
     labels = LabelVector.from_labels([0] * 4, num_classes=1)
     with pytest.raises(BudgetExceedsPool):
-        iterative_coreset(e, labels, rounds=3, per_round=2, trainer=identity_trainer, rng_seed=0)
+        last_round(e, labels, rounds=3, per_round=2, trainer=identity_trainer, rng_seed=0)
     with pytest.raises(BudgetExceedsPool):
-        iterative_coreset(e, labels, rounds=0, per_round=1, trainer=identity_trainer, rng_seed=0)
+        last_round(e, labels, rounds=0, per_round=1, trainer=identity_trainer, rng_seed=0)
 
 
 def test_full_ordering_seed_draw_matches_rng_sample(four_points):
@@ -272,15 +324,19 @@ def test_full_ordering_rejects_partial_budget(four_points):
 def test_iterative_mlp_covers_clusters_across_seeds():
     # Monte-Carlo over 100 seeds on a 3-cluster set; observed coverage 98/100,
     # frozen gate at 95
-    from coarseset.proxy import TrainConfig, feature_trainer
+    from coarseset.proxy import TrainConfig, extract_features, train
     from coarseset.synth import MixtureSpec, generate
 
     emb, lab = generate(
         MixtureSpec([40] * 3, d=4, separation=8.0, std=1.0, center_seed=303, rng_seed=304)
     )
-    trainer = feature_trainer(TrainConfig(rng_seed=1))
+    cfg = TrainConfig(rng_seed=1)
+
+    def trainer(e, labels, labeled):
+        return extract_features(train(e, labels, labeled, cfg), e)
+
     covered = 0
     for seed in range(100):
-        order = iterative_coreset(emb, lab, rounds=3, per_round=2, trainer=trainer, rng_seed=seed)
-        covered += int(len(set(lab.labels[order.order].tolist())) == 3)
+        labeled = last_round(emb, lab, rounds=3, per_round=2, trainer=trainer, rng_seed=seed)
+        covered += int(len(set(lab.labels[labeled].tolist())) == 3)
     assert covered >= 95

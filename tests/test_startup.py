@@ -108,6 +108,22 @@ def test_each_command_loads_only_its_engine(tmp_path):
     assert not select & {"coarseset.harness", "coarseset.proxy", "coarseset.synth"}
 
 
+def test_sweep_loads_no_thread_pool(tmp_path):
+    # trials run in order; concurrent.futures cost ~6 ms of import time
+    for name, seed in (("train", 1), ("test", 2)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(dict(SPEC, rng_seed=seed)))
+        run_cli(["gen-synth", "--spec", f"{name}.json", "--out-prefix", name], tmp_path)
+    argv = ["sweep", "--train-emb", "train.emb", "--train-lab", "train.lab",
+            "--test-emb", "test.emb", "--test-lab", "test.lab", "--budgets", "6,12",
+            "--trials", "2", "--epochs", "3", "--jobs", "2", "--out", "sweep"]
+    loaded = run_python(
+        f"import os, sys; os.chdir({str(tmp_path)!r}); from coarseset import cli; "
+        f"assert cli.main({argv!r}) == 0; print('concurrent.futures' in sys.modules)"
+    ).splitlines()[-1]  # after the sweep's summary table
+    assert loaded == "False"
+    assert len((tmp_path / "sweep" / "results.csv").read_text().splitlines()) == 13
+
+
 @pytest.mark.parametrize("sub", ["top", "order", "select", "sweep", "histogram", "gen-synth"])
 def test_help_text_is_unchanged(sub, tmp_path):
     argv = ["--help"] if sub == "top" else [sub, "--help"]
