@@ -27,7 +27,6 @@ from .errors import (
     NonFiniteValue,
     ScheduleExceedsPool,
     SizeMismatch,
-    TrainerFailure,
     ZeroVector,
 )
 
@@ -110,7 +109,6 @@ __all__ = [
     "SweepResult",
     "SweepRow",
     "TrainConfig",
-    "TrainerFailure",
     "ZeroVector",
     "accuracy",
     "class_histogram",

@@ -97,10 +97,6 @@ class EmptyEvalSet(CoarsesetError, ValueError):
     """Accuracy requested over an empty evaluation set."""
 
 
-class TrainerFailure(CoarsesetError):
-    """Feature trainer raised, or returned a malformed feature matrix."""
-
-
 # --- harness ----------------------------------------------------------------
 
 class ScheduleExceedsPool(CoarsesetError, ValueError):

@@ -3,8 +3,11 @@
 A sweep trains one fresh proxy model per (method, budget, trial) cell on
 that method's budget-b selection and records its test accuracy. The random
 and fixed-feature methods reuse a single per-trial ordering, truncated at
-each budget; the iterative core-set baseline grows its labeled set in
-rounds sized by the schedule increments so every budget is hit exactly.
+each budget. The iterative core-set baseline grows one labeled list per
+trial in rounds sized by the schedule increments, so every budget is hit
+exactly: the first round is a prefix of the trial's random ordering, and
+each later round runs ``selector.kcenter_greedy`` with the list so far as
+centers, in the hidden-layer features of a proxy trained on that list.
 
 Training is grouped. Within one trial every training at budget b has the
 same size and the same config (seed ``base_seed + trial``), so the cells
@@ -197,38 +200,33 @@ def _trial_rows(
         orders["random"] = selector.random_order(emb.n, trial_seed)
     if "fixed_feature" in pending_methods:
         orders["fixed_feature"] = selector.select_prefix(emb, sel_cfg, max(schedule.budgets))
-    # each coreset_iterative round after the first needs a feature model
-    # trained on the labeled list of the budget before it: that model trains
-    # in the earlier budget's group, and the trainer callback hands
-    # iterative_rounds its features
+    # coreset_iterative grows one labeled list: a random prefix, then per
+    # round k-center greedy, with the list as centers, in the features of a
+    # model trained on the round before's list, unsorted as picked; that
+    # model trains in the earlier budget's group
     coreset_last = max((b for m, b in pending if m == "coreset_iterative"), default=0)
-    features: dict[tuple[int, ...], EmbeddingMatrix] = {}
-    rounds = selector.iterative_rounds(
-        emb, labels, schedule.increments,
-        lambda e, lab, labeled: features.pop(tuple(labeled)),
-        trial_seed, sel_cfg.metric,
-    )
+    labeled = feats = None
 
-    for b in schedule.budgets:
+    for b, size in zip(schedule.budgets, schedule.increments):
         # evaluation subsets are sorted: a model depends on its subset as a
         # set, not on the sequence a method discovered it in
         cells = [
             (m, sorted(int(i) for i in orders[m].prefix(b)))
             for m in methods if m in orders and (m, b) in pending
         ]
-        feature_subset = None
         if b <= coreset_last:
-            labeled = next(rounds)
+            if feats is None:
+                labeled = selector.random_order(emb.n, trial_seed).prefix(size)
+            else:
+                labeled = selector.kcenter_greedy(feats, labeled, size, sel_cfg.metric).order
             if ("coreset_iterative", b) in pending:
-                cells.append(("coreset_iterative", sorted(labeled)))
-            if b < coreset_last:
-                feature_subset = labeled
-        subsets = [s for _, s in cells] + ([feature_subset] if feature_subset is not None else [])
+                cells.append(("coreset_iterative", sorted(int(i) for i in labeled)))
+        subsets = [s for _, s in cells] + ([labeled] if b < coreset_last else [])
         models = proxy.train_group(emb, labels, subsets, cfg)
         for (m, _), model in zip(cells, models):
             emit(SweepRow(m, b, trial, trial_seed, proxy.accuracy(model, *test_data)))
-        if feature_subset is not None:
-            features[tuple(feature_subset)] = proxy.extract_features(models[-1], emb)
+        if b < coreset_last:
+            feats = proxy.extract_features(models[-1], emb)
 
 
 def run_budget_sweep(

@@ -79,18 +79,16 @@ The exact step gathers the candidate rows in chunks with ``np.take(axis=0)``
 into a float32 ``(k, d)`` buffer (no allocation per chunk), copies them
 transposed into a C-ordered float64 ``(d, k)`` buffer, subtracts the center
 (for cosine: multiplies by it), squares, and reduces with
-``np.add.reduce(axis=0)``. When every point is a candidate (the first update
-of a run, or data that is not screened), the chunks are contiguous row
-ranges of the data, copied with no gather. On a C-ordered block that
-reduction adds row after row, which is exactly the contract's ascending
-per-feature float64 sum in :func:`coarseset.metrics.distance`; every stored
-distance is therefore bit-identical to it. Two layouts make numpy sum a
-column pairwise instead (an 8-way unrolled order that rounds differently
-once ``d >= 8``): an F-ordered block, such as the transposed rows
-themselves, and a single-column block, whose one remaining axis is the
-reduced one. So the reduction always runs on the preallocated C-ordered
-float64 buffer with at least two columns: a lone candidate is gathered
-twice, and a row range holds at least two rows. The farthest-point pick in
+``np.add.reduce(axis=0)``; the constructor sums the squared norms through
+the same gather. On a C-ordered block that reduction adds row after row,
+which is exactly the contract's ascending per-feature float64 sum in
+:func:`coarseset.metrics.distance`; every stored distance is therefore
+bit-identical to it. Two layouts make numpy sum a column pairwise instead
+(an 8-way unrolled order that rounds differently once ``d >= 8``): an
+F-ordered block, such as the transposed rows themselves, and a
+single-column block, whose one remaining axis is the reduced one. So the
+reduction always runs on the preallocated C-ordered float64 buffer with at
+least two columns: a last chunk of one point gathers it twice. The farthest-point pick in
 :func:`coarseset.selector.greedy_steps` keeps the first maximum, i.e. ties
 resolve to the lowest index.
 """
@@ -127,12 +125,12 @@ class DistanceKernel:
         self._blk = np.empty(d * self._chunk, dtype=np.float64)
         self._acc = np.empty(self._chunk, dtype=np.float64)
         sq = np.empty(n, dtype=np.float64)
-        for lo in range(0, n, self._chunk):
-            hi = min(lo + self._chunk, n)
-            blk = self._block(slice(lo, hi) if hi - lo > 1 else np.array([lo, lo]))
+        for cols in self._chunks(np.arange(n)):
+            blk = self._block(cols)
+            acc = self._acc[:cols.shape[0]]
             np.multiply(blk, blk, out=blk)
-            np.add.reduce(blk, axis=0, out=self._acc[:blk.shape[1]])
-            sq[lo:hi] = self._acc[:hi - lo]
+            np.add.reduce(blk, axis=0, out=acc)
+            sq[cols] = acc
 
         amax = max(float(self._x.max()), -float(self._x.min()))
         self._screen = d < 2 ** 20 and d * amax * amax <= 2.0 ** 126
@@ -152,16 +150,16 @@ class DistanceKernel:
 
     def update(self, center: int, min_dist: np.ndarray) -> None:
         """min_dist[i] = min(min_dist[i], distance(point i, point center))."""
-        n = min_dist.shape[0]
-        cols = self._candidates(center, min_dist) if self._screen else None
-        if cols is not None and cols.shape[0] < n:
-            for lo in range(0, cols.shape[0], self._chunk):
-                self._exact_block(cols[lo:lo + self._chunk], center, min_dist)
-            return
-        # every point is a candidate: contiguous row ranges need no gather
-        for lo in range(0, n, self._chunk):
-            hi = min(lo + self._chunk, n)
-            self._exact_block(slice(lo, hi) if hi - lo > 1 else np.array([lo]), center, min_dist)
+        cols = self._candidates(center, min_dist) if self._screen else np.arange(len(min_dist))
+        for part in self._chunks(cols):
+            self._exact_block(part, center, min_dist)
+
+    def _chunks(self, cols: np.ndarray):
+        """`cols` in ascending runs of at most one chunk and at least two
+        indices: a lone last index is repeated."""
+        for lo in range(0, cols.shape[0], self._chunk):
+            part = cols[lo:lo + self._chunk]
+            yield part if part.shape[0] > 1 else np.repeat(part, 2)
 
     def _candidates(self, center: int, min_dist: np.ndarray) -> np.ndarray:
         """Indices whose lower bound does not beat their min_dist."""
@@ -185,29 +183,22 @@ class DistanceKernel:
         np.logical_not(skip, out=skip)
         return np.flatnonzero(skip)
 
-    def _block(self, cols) -> np.ndarray:
-        """The points `cols` as a C-ordered float64 ``(d, k)`` view of the
-        preallocated buffer, feature j in row j. `cols` is a slice of the
-        data or an index array of at most one chunk, of at least two points
-        either way."""
+    def _block(self, cols: np.ndarray) -> np.ndarray:
+        """The points `cols`, one chunk of at least two indices, as a
+        C-ordered float64 ``(d, k)`` view of the preallocated buffer,
+        feature j in row j."""
         d = self._x.shape[1]
-        if isinstance(cols, slice):
-            src = self._x[cols]
-        else:
-            src = self._rows[:cols.shape[0] * d].reshape(cols.shape[0], d)
-            np.take(self._x, cols, axis=0, out=src, mode="clip")
+        src = self._rows[:cols.shape[0] * d].reshape(cols.shape[0], d)
+        np.take(self._x, cols, axis=0, out=src, mode="clip")
         blk = self._blk[:d * src.shape[0]].reshape(d, src.shape[0])
         # transpose and upcast in one copy: float32 -> float64 is exact, and
         # a float64 ufunc runs faster than one that casts on the fly
         np.copyto(blk, src.T)
         return blk
 
-    def _exact_block(self, cols, center: int, min_dist: np.ndarray) -> None:
-        """The contract's arithmetic on the points `cols`, folded into their
-        min_dist entries: a slice of at least two points, or an index array
-        of at most one chunk."""
-        if not isinstance(cols, slice) and cols.shape[0] == 1:
-            cols = np.repeat(cols, 2)
+    def _exact_block(self, cols: np.ndarray, center: int, min_dist: np.ndarray) -> None:
+        """The contract's arithmetic on the points `cols`, one chunk of at
+        least two indices, folded into their min_dist entries."""
         blk = self._block(cols)
         acc = self._acc[:blk.shape[1]]
         c = self._x[center, :, None].astype(np.float64)

@@ -1,4 +1,4 @@
-"""k-center greedy selection, whole-dataset orderings, and the baselines.
+"""k-center greedy selection, whole-dataset orderings, and the random baseline.
 
 The greedy loop keeps, for every point, its minimum distance to any chosen
 center and repeatedly promotes the farthest point to a new center (ties
@@ -6,13 +6,17 @@ break to the lowest index, compared on the exact stored distances). Because
 the loop is incremental, the ordering at a small budget is always a literal
 prefix of the ordering at a larger one, which is what makes a single full
 ordering serve every annotation budget.
+
+The iterative core-set baseline is built from these pieces in
+:mod:`coarseset.harness`: a ``random_order`` prefix, then one
+``kcenter_greedy`` run per round in the features of a freshly trained proxy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -24,17 +28,10 @@ from .errors import (
     IoFailure,
     MalformedHeader,
     NoCenters,
-    TrainerFailure,
 )
 from .metrics import DEFAULT_METRIC, Metric
 from .rng import Rng
-from .store import EmbeddingMatrix, LabelVector, PathLike
-
-# A feature trainer maps (embeddings, labels, labeled indices) to a fresh
-# n x h feature matrix; the sweep's hands back the hidden-layer features
-# (proxy.extract_features) of a proxy trained on the labeled list.
-Trainer = Callable[[EmbeddingMatrix, LabelVector, Sequence[int]], EmbeddingMatrix]
-
+from .store import EmbeddingMatrix, PathLike
 
 @dataclass(frozen=True)
 class SelectionOrder:
@@ -199,45 +196,6 @@ def random_order(n: int, rng_seed: int) -> SelectionOrder:
     return SelectionOrder(np.asarray(perm, dtype=np.int64), seed_count=0)
 
 
-def iterative_rounds(
-    e: EmbeddingMatrix,
-    labels: LabelVector,
-    round_sizes: Sequence[int],
-    trainer: Trainer,
-    rng_seed: int,
-    metric: Metric = DEFAULT_METRIC,
-) -> Iterator[list[int]]:
-    """Iterative core-set baseline loop, yielding the labeled list after each
-    round. Round 0 is uniformly random; every later round retrains the proxy
-    on the current labeled set and runs k-center greedy in its fresh feature
-    space with the labeled set as centers.
-    """
-    sizes = [int(s) for s in round_sizes]
-    if not sizes or any(s < 1 for s in sizes):
-        raise BudgetExceedsPool(f"round sizes must be positive, got {sizes}")
-    if sum(sizes) > e.n:
-        raise BudgetExceedsPool(f"rounds request {sum(sizes)} of {e.n} points")
-    if len(labels) != e.n:
-        raise IndexOutOfRange(
-            f"labels cover {len(labels)} points, embeddings have {e.n}"
-        )
-
-    labeled = [int(i) for i in random_order(e.n, rng_seed).prefix(sizes[0])]
-    yield list(labeled)
-    for size in sizes[1:]:
-        try:
-            feats = trainer(e, labels, list(labeled))
-        except Exception as exc:
-            raise TrainerFailure(f"feature trainer failed: {exc}") from exc
-        if not isinstance(feats, EmbeddingMatrix) or feats.n != e.n:
-            raise TrainerFailure(
-                f"trainer must return an EmbeddingMatrix with n={e.n} rows"
-            )
-        picked = kcenter_greedy(feats, labeled, size, metric)
-        labeled = [int(i) for i in picked.order]
-        yield list(labeled)
-
-
 # --- order files --------------------------------------------------------------
 
 def save_order(order: SelectionOrder, path: PathLike) -> None:
@@ -257,17 +215,9 @@ def load_order(path: PathLike) -> SelectionOrder:
         raw = Path(path).read_bytes()
     except OSError as exc:
         raise IoFailure(f"cannot read order from {path}: {exc}") from exc
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = raw.count(b"\n", 0, exc.start) + 1
-        raise MalformedHeader(f"{path}: line {lineno}: not UTF-8 text") from None
     seed_count, header_line = 0, 0
-    indices: list[int] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        tok = line.strip()
-        if not tok:
-            continue
+    lines: dict[int, int] = {}  # index -> its line, in file order
+    for lineno, tok in store.text_lines(raw, path, "not UTF-8 text"):
         if tok.startswith("#"):
             body = tok.lstrip("#").strip()
             if body.startswith("seed_count="):
@@ -287,14 +237,16 @@ def load_order(path: PathLike) -> SelectionOrder:
             raise IndexOutOfRange(f"{path}: line {lineno}: index {index} is negative")
         if index >= 2**63:
             raise IndexOutOfRange(f"{path}: line {lineno}: index {index} exceeds 2**63 - 1")
-        indices.append(index)
-    if not indices:
+        if index in lines:
+            raise DuplicateSeed(
+                f"{path}: order entries must be distinct: line {lineno} repeats "
+                f"index {index} of line {lines[index]}"
+            )
+        lines[index] = lineno
+    if not lines:
         raise MalformedHeader(f"{path}: no indices")
-    if not 0 <= seed_count <= len(indices):
+    if not 0 <= seed_count <= len(lines):
         raise IndexOutOfRange(
-            f"{path}: line {header_line}: seed_count {seed_count} outside [0, {len(indices)}]"
+            f"{path}: line {header_line}: seed_count {seed_count} outside [0, {len(lines)}]"
         )
-    try:
-        return SelectionOrder(np.asarray(indices, dtype=np.int64), seed_count)
-    except DuplicateSeed as exc:
-        raise DuplicateSeed(f"{path}: {exc}") from None
+    return SelectionOrder(np.asarray(list(lines), dtype=np.int64), seed_count)

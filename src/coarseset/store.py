@@ -28,7 +28,7 @@ import stat
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -133,6 +133,24 @@ class LabelVector:
         return int(self.labels.shape[0])
 
 
+def text_lines(raw: bytes, path: PathLike, not_text: str) -> Iterator[tuple[int, str]]:
+    """(line number, line stripped of surrounding whitespace) for every
+    non-blank line of a text file's bytes. Lines end at ``"\n"`` only, so
+    ``"\r\n"`` endings work, while a form feed, ``\x1c``-``\x1e`` or a
+    Unicode line separator stays inside its line (``str.splitlines`` would
+    break there and number every later line wrong). Bytes that are not
+    UTF-8 raise MalformedHeader with the file, their line and `not_text`."""
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise MalformedHeader(f"{path}: line {lineno}: {not_text}") from None
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if line:
+            yield lineno, line
+
+
 def write_atomically(path: PathLike, *parts) -> None:
     """Write `parts` (str as UTF-8, or bytes-like) to a temporary file beside
     `path`, then rename it over `path`, so a write that fails partway leaves
@@ -213,28 +231,21 @@ def _parse_emb1(raw: bytes, path: PathLike) -> EmbeddingMatrix:
 
 
 def _parse_embedding_csv(raw: bytes, path: PathLike) -> EmbeddingMatrix:
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError:
-        raise MalformedHeader(f"{path}: neither EMB1 binary nor UTF-8 CSV") from None
     rows: list[list[float]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
+    for lineno, line in text_lines(raw, path, "neither EMB1 binary nor UTF-8 CSV"):
         try:
-            rows.append([float(tok) for tok in line.split(",")])
+            row = [float(tok) for tok in line.split(",")]
         except ValueError:
             raise MalformedHeader(
                 f"{path}: line {lineno} is not comma-separated numbers"
             ) from None
+        if rows and len(row) != len(rows[0]):
+            raise SizeMismatch(
+                f"{path}: line {lineno} has {len(row)} values, expected {len(rows[0])}"
+            )
+        rows.append(row)
     if not rows:
         raise EmptyMatrix(f"{path}: no data rows")
-    width = len(rows[0])
-    for lineno, row in enumerate(rows, start=1):
-        if len(row) != width:
-            raise SizeMismatch(
-                f"{path}: row {lineno} has {len(row)} values, expected {width}"
-            )
     return EmbeddingMatrix(np.asarray(rows, dtype=np.float64).astype(np.float32))
 
 
@@ -305,15 +316,8 @@ def _parse_lab1(raw: bytes, path: PathLike) -> np.ndarray:
 
 
 def _parse_label_csv(raw: bytes, path: PathLike) -> np.ndarray:
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError:
-        raise MalformedHeader(f"{path}: neither LAB1 binary nor UTF-8 CSV") from None
     values: list[int] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        tok = line.strip()
-        if not tok:
-            continue
+    for lineno, tok in text_lines(raw, path, "neither LAB1 binary nor UTF-8 CSV"):
         try:
             label = int(tok)
         except ValueError:

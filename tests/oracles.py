@@ -15,7 +15,9 @@ import math
 
 import numpy as np
 
-from coarseset.metrics import Metric, distance
+from coarseset.metrics import DEFAULT_METRIC, Metric, distance
+from coarseset.proxy import extract_features, train
+from coarseset.selector import kcenter_greedy, random_order
 
 
 def pairwise_to_centers(x64: np.ndarray, centers: list[int], metric: Metric) -> np.ndarray:
@@ -109,6 +111,20 @@ def brute_force_greedy(
         order.append(pick)
         taken[pick] = True
     return order
+
+
+def coreset_rounds(emb, labels, round_sizes, cfg, rng_seed, metric=DEFAULT_METRIC):
+    """The iterative core-set baseline as a plain loop: a random prefix, then
+    per round train a proxy on the labeled list (`cfg`), take its features
+    and run k-center greedy there with the list as centers. The labeled list
+    after each round."""
+    labeled = random_order(emb.n, rng_seed).prefix(round_sizes[0]).tolist()
+    rounds = [labeled]
+    for size in round_sizes[1:]:
+        feats = extract_features(train(emb, labels, labeled, cfg), emb)
+        labeled = kcenter_greedy(feats, labeled, size, metric).order.tolist()
+        rounds.append(labeled)
+    return rounds
 
 
 def exhaustive_kcenter_radius(data: np.ndarray, k: int, metric: Metric) -> float:

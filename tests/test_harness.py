@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import hypergeometric_std
+from oracles import coreset_rounds, hypergeometric_std
 
 from coarseset import harness
 from coarseset.errors import (
@@ -25,12 +25,11 @@ from coarseset.harness import (
     format_summary,
     run_budget_sweep,
 )
-from coarseset.proxy import TrainConfig, accuracy, extract_features, train
+from coarseset.proxy import TrainConfig, accuracy, train
 from coarseset.selector import (
     SelectionConfig,
     SelectionOrder,
     full_ordering,
-    iterative_rounds,
     random_order,
     select_prefix,
 )
@@ -316,7 +315,7 @@ def sweep_lines(out_dir, methods, **kwargs):
 
 def test_grouped_sweep_rows_equal_one_training_per_cell():
     # the per-cell definition of every row: its own proxy.train on the sorted
-    # subset, and iterative_rounds driven by a proxy trained per round
+    # subset, and the core-set rounds of a plain loop training a proxy per round
     train_data, test_data = tiny_suite(n_per_class=12)
     (emb, lab), base_seed = train_data, 9
     res = run_budget_sweep(train_data, test_data, GROUP_SCHEDULE, ALL_METHODS, trials=2,
@@ -331,10 +330,7 @@ def test_grouped_sweep_rows_equal_one_training_per_cell():
                 select_prefix(emb, SelectionConfig(rng_seed=seed), b)
                 .order for b in GROUP_SCHEDULE.budgets
             ],
-            "coreset_iterative": list(iterative_rounds(
-                emb, lab, GROUP_SCHEDULE.increments,
-                lambda e, lab, labeled: extract_features(train(e, lab, labeled, cfg), e), seed,
-            )),
+            "coreset_iterative": coreset_rounds(emb, lab, GROUP_SCHEDULE.increments, cfg, seed),
         }
         for method, per_budget in subsets.items():
             for b, subset in zip(GROUP_SCHEDULE.budgets, per_budget):

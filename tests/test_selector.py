@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from oracles import brute_force_greedy, min_dists, min_dists_scalar
+from oracles import brute_force_greedy, coreset_rounds, min_dists, min_dists_scalar
 
 from coarseset.errors import (
     BudgetExceedsPool,
@@ -13,7 +14,6 @@ from coarseset.errors import (
     IndexOutOfRange,
     MalformedHeader,
     NoCenters,
-    TrainerFailure,
     ZeroVector,
 )
 from coarseset.metrics import Metric
@@ -24,14 +24,13 @@ from coarseset.selector import (
     coverage_radius,
     full_ordering,
     greedy_steps,
-    iterative_rounds,
     kcenter_greedy,
     load_order,
     random_order,
     save_order,
     select_prefix,
 )
-from coarseset.store import EmbeddingMatrix, LabelVector
+from coarseset.store import EmbeddingMatrix
 from conftest import random_matrix
 
 
@@ -194,6 +193,9 @@ def test_order_file_roundtrip(tmp_path):
     back = load_order(p)
     assert back.order.tolist() == [3, 0, 2]
     assert back.seed_count == 1
+    p.write_bytes(text.replace("\n", "\r\n").encode())
+    crlf = load_order(p)
+    assert (crlf.order.tolist(), crlf.seed_count) == ([3, 0, 2], 1)
 
 
 def test_order_file_rejects_garbage(tmp_path):
@@ -217,6 +219,13 @@ def test_order_file_rejects_garbage(tmp_path):
      "bad.csv: line 2: index 99999999999999999999999 exceeds 2**63 - 1"),
     (b"# seed_count=1\n0\n\xff1\n", MalformedHeader, "bad.csv: line 3: not UTF-8 text"),
     (b"0\n2\n0\n", DuplicateSeed, "bad.csv: order entries must be distinct"),
+    (b"4\n1\n\n# x\n1\n", DuplicateSeed,
+     "bad.csv: order entries must be distinct: line 5 repeats index 1 of line 2"),
+    (b"0\x0c-1\n", MalformedHeader, "bad.csv: line 1: '0\\x0c-1' is not an index"),
+    (b"0\x1c1\n2\n", MalformedHeader, "bad.csv: line 1: '0\\x1c1' is not an index"),
+    ("0\u2028\n1\n-1\n".encode(), IndexOutOfRange,
+     "bad.csv: line 3: index -1 is negative"),
+    (b"0\x0c\n\xff\n", MalformedHeader, "bad.csv: line 2: not UTF-8 text"),
 ])
 def test_order_file_errors_name_file_and_line(tmp_path, raw, error, message):
     p = tmp_path / "bad.csv"
@@ -256,58 +265,23 @@ def test_load_order_fuzz_returns_order_or_names_the_file(tmp_path, raw):
 
 # --- iterative core-set baseline ------------------------------------------------
 
-def identity_trainer(e, labels, labeled):
-    return e
-
-
-def last_round(e, labels, rounds, per_round, trainer, rng_seed):
-    """The labeled list after `rounds` rounds of `per_round` points each."""
-    *_, labeled = iterative_rounds(e, labels, [per_round] * rounds, trainer, rng_seed)
-    return labeled
-
-
 def test_iterative_single_round_equals_random_prefix():
-    rng = np.random.default_rng(40)
-    e = random_matrix(rng, 30, 3)
-    labels = LabelVector.from_labels(np.zeros(30, dtype=np.int64), num_classes=1)
-    got = last_round(e, labels, rounds=1, per_round=5, trainer=identity_trainer, rng_seed=9)
-    assert got == random_order(30, 9).order.tolist()[:5]
+    # the first core-set round is the trial's random prefix, so at the first
+    # budget both methods train on one subset in every trial
+    from coarseset.harness import BudgetSchedule, run_budget_sweep
+    from coarseset.proxy import TrainConfig
+    from coarseset.synth import MixtureSpec, generate
 
-
-def test_iterative_identity_trainer_reduces_to_fixed_greedy():
-    rng = np.random.default_rng(41)
-    e = random_matrix(rng, 40, 4)
-    labels = LabelVector.from_labels(np.zeros(40, dtype=np.int64), num_classes=1)
-    got = last_round(e, labels, rounds=2, per_round=6, trainer=identity_trainer, rng_seed=3)
-    round1 = random_order(40, 3).order.tolist()[:6]
-    expected = kcenter_greedy(e, round1, 6)
-    assert got == expected.order.tolist()
-
-
-def test_iterative_trainer_failure_propagates():
-    e = EmbeddingMatrix(np.ones((6, 2), dtype=np.float32))
-    labels = LabelVector.from_labels([0] * 6, num_classes=1)
-
-    def boom(e, labels, labeled):
-        raise RuntimeError("no features today")
-
-    with pytest.raises(TrainerFailure, match="no features"):
-        last_round(e, labels, rounds=2, per_round=2, trainer=boom, rng_seed=0)
-
-    def wrong_shape(e, labels, labeled):
-        return EmbeddingMatrix(np.ones((2, 2), dtype=np.float32))
-
-    with pytest.raises(TrainerFailure, match="rows"):
-        last_round(e, labels, rounds=2, per_round=2, trainer=wrong_shape, rng_seed=0)
-
-
-def test_iterative_budget_validation():
-    e = EmbeddingMatrix(np.ones((4, 2), dtype=np.float32))
-    labels = LabelVector.from_labels([0] * 4, num_classes=1)
-    with pytest.raises(BudgetExceedsPool):
-        last_round(e, labels, rounds=3, per_round=2, trainer=identity_trainer, rng_seed=0)
-    with pytest.raises(BudgetExceedsPool):
-        last_round(e, labels, rounds=0, per_round=1, trainer=identity_trainer, rng_seed=0)
+    spec = dict(per_class_counts=[15] * 3, d=3, separation=2.0, center_seed=40)
+    train_data = generate(MixtureSpec(**spec, rng_seed=41))
+    test_data = generate(MixtureSpec(**spec, rng_seed=42))
+    res = run_budget_sweep(
+        train_data, test_data, BudgetSchedule((5, 9)), ("coreset_iterative", "random"),
+        trials=4, base_seed=9, train_cfg=TrainConfig(epochs=10),
+    )
+    first = {(r.method, r.trial): r for r in res.rows if r.budget == 5}
+    for trial in range(4):
+        assert replace(first["coreset_iterative", trial], method="random") == first["random", trial]
 
 
 def test_full_ordering_seed_draw_matches_rng_sample(four_points):
@@ -324,19 +298,15 @@ def test_full_ordering_rejects_partial_budget(four_points):
 def test_iterative_mlp_covers_clusters_across_seeds():
     # Monte-Carlo over 100 seeds on a 3-cluster set; observed coverage 98/100,
     # frozen gate at 95
-    from coarseset.proxy import TrainConfig, extract_features, train
+    from coarseset.proxy import TrainConfig
     from coarseset.synth import MixtureSpec, generate
 
     emb, lab = generate(
         MixtureSpec([40] * 3, d=4, separation=8.0, std=1.0, center_seed=303, rng_seed=304)
     )
     cfg = TrainConfig(rng_seed=1)
-
-    def trainer(e, labels, labeled):
-        return extract_features(train(e, labels, labeled, cfg), e)
-
     covered = 0
     for seed in range(100):
-        labeled = last_round(emb, lab, rounds=3, per_round=2, trainer=trainer, rng_seed=seed)
+        labeled = coreset_rounds(emb, lab, [2, 2, 2], cfg, seed)[-1]
         covered += int(len(set(lab.labels[labeled].tolist())) == 3)
     assert covered >= 95

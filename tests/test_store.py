@@ -62,6 +62,8 @@ def test_csv_embeddings(tmp_path):
     m = load_embeddings(p)
     assert (m.n, m.d) == (2, 2)
     assert m.data.tolist() == [[0.5, 1.5], [2.5, 3.5]]
+    p.write_bytes(b"0.5,1.5\r\n\r\n2.5,3.5\r\n")
+    assert load_embeddings(p).data.tolist() == [[0.5, 1.5], [2.5, 3.5]]
 
 
 def test_csv_and_emb1_load_identically(tmp_path):
@@ -172,6 +174,28 @@ def test_csv_garbage_rejected(tmp_path):
         load_embeddings(p)
 
 
+@pytest.mark.parametrize("raw,load,error,message", [
+    (b"1,2\x0c3,4\n5,6\n", "embeddings", MalformedHeader,
+     "e.csv: line 1 is not comma-separated numbers"),
+    (b"1,2\n\n3\n", "embeddings", SizeMismatch, "e.csv: line 3 has 1 values, expected 2"),
+    ("1,2\u2029\n3,4\n5\n".encode(), "embeddings", SizeMismatch, "e.csv: line 3 has 1"),
+    (b"1,2\n3,\xff\n", "embeddings", MalformedHeader,
+     "e.csv: line 2: neither EMB1 binary nor UTF-8 CSV"),
+    (b"0\x1c1\n2\n", "labels", MalformedLabel, "e.csv: line 1: '0\\x1c1' is not an integer"),
+    ("0\x85\n-1\n".encode(), "labels", MalformedLabel, "e.csv: line 2: negative label -1"),
+    (b"0\n\x0b\n\xfe\n", "labels", MalformedHeader,
+     "e.csv: line 3: neither LAB1 binary nor UTF-8 CSV"),
+])
+def test_csv_lines_end_at_newline_only(tmp_path, raw, load, error, message):
+    # str.splitlines would also break at \x0b, \x0c, \x1c-\x1e, \x85,
+    # U+2028 and U+2029, so one line could load as several
+    p = tmp_path / "e.csv"
+    p.write_bytes(raw)
+    with pytest.raises(error) as info:
+        (load_embeddings if load == "embeddings" else load_labels)(p)
+    assert message in str(info.value)
+
+
 def test_csv_empty_rejected(tmp_path):
     p = tmp_path / "empty.csv"
     p.write_text("")
@@ -199,6 +223,8 @@ def test_label_csv(tmp_path):
     v = load_labels(p)
     assert v.labels.tolist() == [0, 1, 0]
     assert v.num_classes == 2
+    p.write_bytes(b"0\r\n1\r\n\r\n0\r\n")
+    assert load_labels(p).labels.tolist() == [0, 1, 0]
 
 
 def test_label_csv_negative(tmp_path):
