@@ -9,19 +9,26 @@ exactly: the first round is a prefix of the trial's random ordering, and
 each later round runs ``selector.kcenter_greedy`` with the list so far as
 centers, in the hidden-layer features of a proxy trained on that list.
 
-Training is grouped. Within one trial every training at budget b has the
-same size and the same config (seed ``base_seed + trial``), so the cells
-of all methods at b, plus the core-set feature model for the next round,
-train as one ``proxy.train_group`` call; their init and shuffles are drawn
-once. Each model is byte-identical to training it alone, so a cell's row
-does not depend on which other methods ran or which cells a resume skips.
+Training is grouped, and trials run in lock-step. The sweep takes the
+trials in stacks of consecutive whole trials, and each stack walks the
+budgets in order. Every training at budget b has the same size, so at b
+the cells of all methods, plus the core-set feature model for the next
+round, of all the stack's trials train in one ``proxy.train_group`` call,
+each member under its trial's seed (``base_seed + trial``); a trial's
+members share one init and one shuffle per epoch. A stack takes
+trials while their most trainings at any one budget fit
+``proxy.stack_limit``, which is derived from the batch, hidden and class
+sizes, and always at least one trial; so the per-trial state held at once
+(orderings, labeled lists, features) is one stack's. Each model is
+byte-identical to training it alone, so a cell's row does not depend on
+which other methods or trials ran or which cells a resume skips.
 
 Every setting (methods, budgets, trials, jobs, seed count, seed, metric) is
 checked before the first cell runs, so a bad one fails the sweep before any
 row is written.
 
-Trials run in order on the calling thread. ``jobs`` is accepted and
-checked (``>= 1``) but does not change the schedule: the work holds the
+The sweep runs on the calling thread. ``jobs`` is accepted and checked
+(``>= 1``) but does not change the schedule: the work holds the
 interpreter lock, and a thread pool only made sweeps slower. Rows stream
 to ``results.csv`` as they finish so an interrupted sweep can resume by
 skipping completed cells, and the final files are rewritten in canonical
@@ -46,7 +53,7 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -174,8 +181,54 @@ def _canonical(rows: Iterable[SweepRow]) -> tuple[SweepRow, ...]:
     return tuple(sorted(rows, key=lambda r: (r.method, r.budget, r.trial)))
 
 
-def _trial_rows(
-    trial: int,
+@dataclass
+class _Trial:
+    """One trial's state while the sweep walks the budgets."""
+
+    trial: int
+    seed: int
+    pending: set[tuple[str, int]]  # (method, budget) cells still to run
+    coreset_last: int  # the last budget with a pending coreset cell, or 0
+    orders: dict[str, selector.SelectionOrder] = field(default_factory=dict)
+    labeled: Optional[np.ndarray] = None
+    feats: Optional[EmbeddingMatrix] = None
+
+
+def _stacks(
+    trials: int,
+    schedule: BudgetSchedule,
+    methods: Sequence[str],
+    base_seed: int,
+    skip: set[tuple[str, int, int]],
+    limit: int,
+):
+    """The trials with cells to run, in order, as runs of consecutive trials
+    whose trainings at any one budget fit one group of `limit` members; a
+    trial that alone needs more forms a run by itself."""
+    stack: list[_Trial] = []
+    members = 0
+    for trial in range(trials):
+        pending = {(m, b) for m in methods for b in schedule.budgets if (m, b, trial) not in skip}
+        if not pending:
+            continue
+        coreset_last = max((b for m, b in pending if m == "coreset_iterative"), default=0)
+        # its most trainings at one budget: the pending cells, plus the
+        # core-set feature model while a round remains
+        peak = max(
+            sum((m, b) in pending for m in methods) + (b < coreset_last)
+            for b in schedule.budgets
+        )
+        if stack and members + peak > limit:
+            yield stack
+            stack, members = [], 0
+        stack.append(_Trial(trial, base_seed + trial, pending, coreset_last))
+        members += peak
+    if stack:
+        yield stack
+
+
+def _sweep_rows(
+    trials: int,
     train_data: tuple[EmbeddingMatrix, LabelVector],
     test_data: tuple[EmbeddingMatrix, LabelVector],
     schedule: BudgetSchedule,
@@ -186,47 +239,63 @@ def _trial_rows(
     skip: set[tuple[str, int, int]],
     emit,
 ) -> None:
-    """The cells of one trial not in `skip`, one training group per budget."""
+    """The cells not in `skip`, one stack of trials at a time: the stack
+    walks the budgets, and at each budget all its trainings run as one
+    ``proxy.train_group`` call."""
     emb, labels = train_data
-    trial_seed = sel_cfg.rng_seed + trial
-    sel_cfg = replace(sel_cfg, rng_seed=trial_seed)
-    cfg = replace(train_cfg, rng_seed=trial_seed)
-    pending = {(m, b) for m in methods for b in schedule.budgets if (m, b, trial) not in skip}
-    pending_methods = {m for m, _ in pending}
+    limit = proxy.stack_limit(train_cfg, labels.num_classes)
+    for stack in _stacks(trials, schedule, methods, sel_cfg.rng_seed, skip, limit):
+        for t in stack:
+            methods_left = {m for m, _ in t.pending}
+            # random and fixed_feature take prefixes of one ordering per
+            # trial; the core-set baseline's first round is a prefix of the
+            # random one
+            if methods_left & {"random", "coreset_iterative"}:
+                t.orders["random"] = selector.random_order(emb.n, t.seed)
+            if "fixed_feature" in methods_left:
+                t.orders["fixed_feature"] = selector.select_prefix(
+                    emb, replace(sel_cfg, rng_seed=t.seed), max(schedule.budgets)
+                )
 
-    # random and fixed_feature take prefixes of one ordering per trial
-    orders = {}
-    if "random" in pending_methods:
-        orders["random"] = selector.random_order(emb.n, trial_seed)
-    if "fixed_feature" in pending_methods:
-        orders["fixed_feature"] = selector.select_prefix(emb, sel_cfg, max(schedule.budgets))
-    # coreset_iterative grows one labeled list: a random prefix, then per
-    # round k-center greedy, with the list as centers, in the features of a
-    # model trained on the round before's list, unsorted as picked; that
-    # model trains in the earlier budget's group
-    coreset_last = max((b for m, b in pending if m == "coreset_iterative"), default=0)
-    labeled = feats = None
+        for b, size in zip(schedule.budgets, schedule.increments):
+            work = []  # (trial, its cells, its training subsets) at budget b
+            for t in stack:
+                # evaluation subsets are sorted: a model depends on its subset
+                # as a set, not on the sequence a method discovered it in
+                cells = [
+                    (m, sorted(int(i) for i in t.orders[m].prefix(b)))
+                    for m in methods if m in t.orders and (m, b) in t.pending
+                ]
+                # coreset_iterative grows one labeled list: a random prefix,
+                # then per round k-center greedy, with the list as centers,
+                # in the features of a model trained on the round before's
+                # list, unsorted as picked; that model trains in the earlier
+                # budget's group
+                if b <= t.coreset_last:
+                    if t.feats is None:
+                        t.labeled = t.orders["random"].prefix(size)
+                    else:
+                        t.labeled = selector.kcenter_greedy(
+                            t.feats, t.labeled, size, sel_cfg.metric
+                        ).order
+                    if ("coreset_iterative", b) in t.pending:
+                        cells.append(("coreset_iterative", sorted(int(i) for i in t.labeled)))
+                subsets = [s for _, s in cells] + ([t.labeled] if b < t.coreset_last else [])
+                if subsets:
+                    work.append((t, cells, subsets))
+            if not work:
+                continue
 
-    for b, size in zip(schedule.budgets, schedule.increments):
-        # evaluation subsets are sorted: a model depends on its subset as a
-        # set, not on the sequence a method discovered it in
-        cells = [
-            (m, sorted(int(i) for i in orders[m].prefix(b)))
-            for m in methods if m in orders and (m, b) in pending
-        ]
-        if b <= coreset_last:
-            if feats is None:
-                labeled = selector.random_order(emb.n, trial_seed).prefix(size)
-            else:
-                labeled = selector.kcenter_greedy(feats, labeled, size, sel_cfg.metric).order
-            if ("coreset_iterative", b) in pending:
-                cells.append(("coreset_iterative", sorted(int(i) for i in labeled)))
-        subsets = [s for _, s in cells] + ([labeled] if b < coreset_last else [])
-        models = proxy.train_group(emb, labels, subsets, cfg)
-        for (m, _), model in zip(cells, models):
-            emit(SweepRow(m, b, trial, trial_seed, proxy.accuracy(model, *test_data)))
-        if b < coreset_last:
-            feats = proxy.extract_features(models[-1], emb)
+            models = proxy.train_group(
+                emb, labels, [s for _, _, subsets in work for s in subsets], train_cfg,
+                [t.seed for t, _, subsets in work for _ in subsets],
+            )
+            for t, cells, subsets in work:
+                own, models = models[: len(subsets)], models[len(subsets):]
+                for (m, _), model in zip(cells, own):
+                    emit(SweepRow(m, b, t.trial, t.seed, proxy.accuracy(model, *test_data)))
+                if b < t.coreset_last:
+                    t.feats = proxy.extract_features(own[-1], emb)
 
 
 def run_budget_sweep(
@@ -311,11 +380,10 @@ def run_budget_sweep(
             writer_fh.flush()
 
     try:
-        for trial in range(trials):
-            _trial_rows(
-                trial, train_data, test_data, schedule, methods,
-                sel_cfg=sel_cfg, train_cfg=train_cfg, skip=set(done), emit=emit,
-            )
+        _sweep_rows(
+            trials, train_data, test_data, schedule, methods,
+            sel_cfg=sel_cfg, train_cfg=train_cfg, skip=set(done), emit=emit,
+        )
     finally:
         if writer_fh is not None:
             writer_fh.close()

@@ -12,11 +12,15 @@ W2 row-major, b2, each uniform in +-1/sqrt(fan_in), then one Fisher-Yates
 shuffle of the subset positions per epoch).
 
 Training is grouped: ``train_group`` trains one model per subset for B
-subsets of one length under one config. Their init and per-epoch
-permutations are then identical, so it draws them once and runs each SGD
-step as stacked ``(B, k, .)`` matmuls and reductions over the B members.
-No member's arithmetic reads another's, so every model is byte-identical
-to training its subset alone; ``train`` is the group of one.
+subsets of one length under one config, member i under its own seed. The
+members that share a seed share one Rng: their init and per-epoch
+permutations are identical, so they are drawn once per seed, and each
+epoch gathers every member's rows through its seed's permutation. Each SGD
+step then runs as stacked ``(B, k, .)`` matmuls and reductions over the B
+members. No member's arithmetic reads another's, so every model is
+byte-identical to training its subset alone under its seed; ``train`` is
+the group of one. ``stack_limit`` says how many members one group should
+hold for its step's intermediates to stay cheap.
 
 The training loop computes gradients only (the loss is not needed for the
 update) through ``_grads``, the one backward pass, which
@@ -141,7 +145,14 @@ def _grads(params64: Sequence[np.ndarray], x: np.ndarray, target: np.ndarray):
     dw2 = dlogits.swapaxes(-1, -2) @ hidden
     db2 = dlogits.sum(axis=-2)
     dhidden = dlogits @ params64[2]
-    dz1 = np.where(z1 > 0.0, dhidden, 0.0)
+    # The ReLU mask as a cast and a multiply: np.where's select costs several
+    # times more on stacked batches. A masked entry is 0.0 * dhidden, -0.0
+    # for a negative gradient, and adding 0.0 makes it the +0.0 np.where
+    # writes (an unmasked -0.0 turns +0.0 too). The sums and matmuls below
+    # start from +0.0, so neither sign reaches the gradients.
+    dz1 = (z1 > 0.0).astype(np.float64)
+    dz1 *= dhidden
+    dz1 += 0.0
     dw1 = dz1.swapaxes(-1, -2) @ x
     db1 = dz1.sum(axis=-2)
     return logits, [dw1, db1, dw2, db2]
@@ -178,13 +189,35 @@ def train(
     return train_group(e, labels, [subset], cfg)[0]
 
 
+# One SGD step of a group allocates several (members, batch, width) float64
+# intermediates in ``_grads``, width = max(hidden, classes). A larger stack
+# spreads numpy's fixed cost per call over more members until, past some
+# size, the cost per member rises again (the cause is not traced): at batch
+# 32, hidden 32 and 10 classes one step took 24 us per member at 4 members,
+# 15-17 us at 16 and 29 us at 80. On the 20-trial acceptance sweep, stacks
+# of 16 members (4 trials, exactly 128 KiB) took a median 3.33 s against
+# 3.59 s for 3-trial stacks (10 pairs), and 3.14 s where one stack of all
+# 20 trials took 4.01 s (6 rounds). So a group's intermediates stay within
+# this size, counted at the full batch.
+STACK_BYTES = 128 * 1024
+
+
+def stack_limit(cfg: TrainConfig, num_classes: int) -> int:
+    """The most members one ``train_group`` step should stack under `cfg`:
+    each stacked intermediate stays within ``STACK_BYTES``; at least 1."""
+    return max(1, STACK_BYTES // (cfg.batch_size * max(cfg.hidden, num_classes) * 8))
+
+
 def train_group(
     e: EmbeddingMatrix,
     labels: LabelVector,
     subsets: Sequence[Sequence[int]],
     cfg: TrainConfig = TrainConfig(),
+    seeds: Optional[Sequence[int]] = None,
 ) -> list[MlpModel]:
-    """One model per subset, each byte-identical to ``train`` on it alone.
+    """One model per subset, each byte-identical to ``train`` on it alone
+    with ``rng_seed=seeds[i]`` (every member takes ``cfg.rng_seed`` when
+    `seeds` is None).
 
     The subsets must share one length; see the module docstring."""
     idx = [[int(i) for i in s] for s in subsets]
@@ -201,6 +234,11 @@ def train_group(
         raise DimensionMismatch(
             f"grouped subsets must share one length, got {sorted({len(s) for s in idx})}"
         )
+    seeds = [cfg.rng_seed] * len(idx) if seeds is None else [int(s) for s in seeds]
+    if len(seeds) != len(idx):
+        raise DimensionMismatch(f"{len(seeds)} seeds for {len(idx)} subsets")
+    if min(seeds) < 0:
+        raise ValueError(f"rng_seed must be non-negative, got {min(seeds)}")
     if len(labels) != e.n:
         raise DimensionMismatch(
             f"labels cover {len(labels)} points, embeddings have {e.n}"
@@ -212,19 +250,26 @@ def train_group(
 
     x_pool = e.data[idx].astype(np.float64)
     target_pool = _one_hot(y_pool, labels.num_classes)
-    rng = Rng(cfg.rng_seed)
-    init = _init_params(rng, e.d, cfg.hidden, labels.num_classes, np.float32)
-    params = [np.repeat(p[None], len(idx), axis=0) for p in init]
+    # one stream per distinct seed, in first-use order; member b draws from
+    # stream[b]: its init, then one shuffle per epoch
+    distinct = list(dict.fromkeys(seeds))
+    stream = np.asarray([distinct.index(s) for s in seeds])
+    rngs = [Rng(s) for s in distinct]
+    inits = [_init_params(rng, e.d, cfg.hidden, labels.num_classes, np.float32) for rng in rngs]
+    params = [np.stack(p)[stream] for p in zip(*inits)]
     # the float64 copy the arithmetic reads; refreshed from every float32
     # rounding, so it is always exactly the stored params
     params64 = [p.astype(np.float64) for p in params]
 
     lr = cfg.learning_rate
-    positions = list(range(m))
+    positions = [list(range(m)) for _ in rngs]
+    members = np.arange(len(idx))[:, None]
     for _ in range(cfg.epochs):
-        rng.shuffle(positions)
-        x_epoch = x_pool[:, positions]
-        target_epoch = target_pool[:, positions]
+        for rng, pos in zip(rngs, positions):
+            rng.shuffle(pos)
+        perm = np.asarray(positions)[stream]
+        x_epoch = x_pool[members, perm]
+        target_epoch = target_pool[members, perm]
         for start in range(0, m, cfg.batch_size):
             stop = start + cfg.batch_size
             _, grads = _grads(params64, x_epoch[:, start:stop], target_epoch[:, start:stop])

@@ -127,6 +127,29 @@ def coreset_rounds(emb, labels, round_sizes, cfg, rng_seed, metric=DEFAULT_METRI
     return rounds
 
 
+def relu_backward_grads(params64, x, target):
+    """The proxy's backward pass written out with the ReLU mask as
+    ``np.where`` (+0.0 at every masked position), for any leading stack
+    dimensions: [dW1, db1, dW2, db2] of the mean softmax cross-entropy from
+    float64 params and one-hot targets."""
+    w1, b1, w2, b2 = params64
+    z1 = x @ np.swapaxes(w1, -1, -2) + b1[..., None, :]
+    hidden = np.maximum(z1, 0.0)
+    logits = hidden @ np.swapaxes(w2, -1, -2) + b2[..., None, :]
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    exp = np.exp(shifted)
+    dlogits = exp / exp.sum(axis=-1, keepdims=True)
+    dlogits -= target
+    dlogits /= x.shape[-2]
+    dz1 = np.where(z1 > 0.0, dlogits @ w2, 0.0)
+    return [
+        np.swapaxes(dz1, -1, -2) @ x,
+        dz1.sum(axis=-2),
+        np.swapaxes(dlogits, -1, -2) @ hidden,
+        dlogits.sum(axis=-2),
+    ]
+
+
 def exhaustive_kcenter_radius(data: np.ndarray, k: int, metric: Metric) -> float:
     """Optimal k-center objective by trying every size-k center subset."""
     x64 = np.asarray(data, dtype=np.float64)

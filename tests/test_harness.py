@@ -377,26 +377,76 @@ def test_resume_from_a_cut_inside_a_budget_group(tmp_path, monkeypatch):
 
 
 def test_done_cells_drop_out_of_their_group(tmp_path, monkeypatch):
-    sizes = []
+    stacks = []
     real = harness.proxy.train_group
 
-    def recording(e, labels, subsets, cfg):
-        sizes.append(len(subsets))
-        return real(e, labels, subsets, cfg)
+    def recording(e, labels, subsets, cfg, seeds):
+        stacks.append(list(seeds))
+        return real(e, labels, subsets, cfg, seeds)
 
     monkeypatch.setattr(harness.proxy, "train_group", recording)
-    full = sweep_lines(tmp_path / "full", ALL_METHODS, trials=1)
-    # three cells per budget, plus the feature model while a round remains
-    assert sizes == [4, 4, 3]
-    sizes.clear()
+    full = sweep_lines(tmp_path / "full", ALL_METHODS, trials=2)
+    # both trials in one stack per budget, each with its three cells, plus
+    # its feature model while a round remains, under its own seed
+    assert stacks == [[9] * 4 + [10] * 4, [9] * 4 + [10] * 4, [9] * 3 + [10] * 3]
+    stacks.clear()
     out = tmp_path / "resume"
     out.mkdir()
     (out / "run.json").write_bytes((tmp_path / "full" / "run.json").read_bytes())
-    kept = [line for line in full[1:] if line.startswith(("coreset_iterative,12,", "random,4,"))]
+    kept = [
+        line for line in full[1:]
+        if line.startswith(("coreset_iterative,12,0,", "random,4,0,"))
+    ]
     (out / "results.csv").write_text("\n".join([full[0]] + kept) + "\n")
-    assert sweep_lines(out, ALL_METHODS, trials=1) == full
-    # budget 8 is the last coreset cell left, so it trains no feature model
-    assert sizes == [3, 3, 2]
+    assert sweep_lines(out, ALL_METHODS, trials=2) == full
+    # in trial 0, budget 8 is the last coreset cell left, so it trains no
+    # feature model; trial 1 runs in full
+    assert stacks == [[9] * 3 + [10] * 4, [9] * 3 + [10] * 4, [9] * 2 + [10] * 3]
+
+
+def test_trials_in_a_stack_equal_each_trial_run_alone(monkeypatch):
+    # 5 trials of up to 4 trainings per budget fill one 16-member stack of
+    # 4 trials and start another, so trials meet in a stack and in
+    # different stacks
+    train_data, test_data = tiny_suite(n_per_class=12)
+    stacks = []
+    real = harness.proxy.train_group
+
+    def recording(e, labels, subsets, cfg, seeds):
+        stacks.append(len(seeds))
+        return real(e, labels, subsets, cfg, seeds)
+
+    monkeypatch.setattr(harness.proxy, "train_group", recording)
+    args = (train_data, test_data, GROUP_SCHEDULE, ALL_METHODS)
+    together = run_budget_sweep(*args, trials=5, base_seed=9, train_cfg=FAST_CFG)
+    assert harness.proxy.stack_limit(FAST_CFG, 3) == 16
+    # per stack, one group per budget; 3 trainings per trial at the last
+    assert stacks[:6] == [16, 16, 12, 4, 4, 3]
+    want = {
+        (r.method, r.budget, r.seed): r.accuracy
+        for t in range(5)
+        for r in run_budget_sweep(*args, trials=1, base_seed=9 + t, train_cfg=FAST_CFG).rows
+    }
+    assert len(together.rows) == len(want) == 5 * 9
+    assert {(r.method, r.budget, r.seed): r.accuracy for r in together.rows} == want
+    assert all(r.seed == 9 + r.trial for r in together.rows)
+
+
+def test_each_trial_draws_its_random_order_once(monkeypatch):
+    calls = []
+    real = harness.selector.random_order
+
+    def counting(n, seed):
+        calls.append(seed)
+        return real(n, seed)
+
+    monkeypatch.setattr(harness.selector, "random_order", counting)
+    train_data, test_data = tiny_suite(n_per_class=12)
+    for methods in (ALL_METHODS, ("coreset_iterative",), ("random",)):
+        calls.clear()
+        run_budget_sweep(train_data, test_data, GROUP_SCHEDULE, methods, trials=2,
+                         base_seed=9, train_cfg=FAST_CFG)
+        assert calls == [9, 10], methods
 
 
 @pytest.mark.parametrize("field,change", [

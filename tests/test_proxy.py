@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+
+from oracles import relu_backward_grads
 
 from coarseset.errors import (
     DimensionMismatch,
@@ -12,7 +16,9 @@ from coarseset.proxy import (
     TrainConfig,
     _apply_update,
     _forward,
+    _grads,
     _init_params,
+    _one_hot,
     _loss_and_grads,
     accuracy,
     cross_entropy,
@@ -300,6 +306,10 @@ GROUP_CASES = [
     (40, 100, 3, TrainConfig(epochs=5, batch_size=32, rng_seed=25, hidden=32)),
 ]
 
+# per-member seed offsets from cfg.rng_seed, by B: 2 or 3 seeds, in an
+# order that does not group the members by seed
+SEED_OFFSETS = {1: (3,), 3: (1, 0, 1), 4: (2, 0, 1, 0)}
+
 
 @pytest.mark.parametrize("per_class,m,members,cfg", GROUP_CASES)
 def test_train_group_is_bit_identical_to_reference_loop(per_class, m, members, cfg):
@@ -310,15 +320,19 @@ def test_train_group_is_bit_identical_to_reference_loop(per_class, m, members, c
     subsets = [sorted(s) if b % 2 == 0 else s for b, s in enumerate(drawn)]
     if members > 1:
         subsets[-1] = reversed_every_other(sorted(subsets[0]))
-    models = train_group(emb, lab, subsets, cfg)
-    assert len(models) == members
-    for subset, got in zip(subsets, models):
-        want = reference_train(emb, lab, subset, cfg)
-        for name in ("w1", "b1", "w2", "b2"):
-            g, w = getattr(got, name), getattr(want, name)
-            assert g.dtype == w.dtype == np.float32
-            assert g.shape == w.shape
-            assert g.tobytes() == w.tobytes(), name
+    seeds = [cfg.rng_seed + k for k in SEED_OFFSETS[members]]
+    for member_seeds, models in (
+        ([cfg.rng_seed] * members, train_group(emb, lab, subsets, cfg)),
+        (seeds, train_group(emb, lab, subsets, cfg, seeds)),
+    ):
+        assert len(models) == members
+        for subset, seed, got in zip(subsets, member_seeds, models):
+            want = reference_train(emb, lab, subset, replace(cfg, rng_seed=seed))
+            for name in ("w1", "b1", "w2", "b2"):
+                g, w = getattr(got, name), getattr(want, name)
+                assert g.dtype == w.dtype == np.float32
+                assert g.shape == w.shape
+                assert g.tobytes() == w.tobytes(), (seed, name)
 
 
 def test_train_group_validation():
@@ -331,3 +345,44 @@ def test_train_group_validation():
         train_group(emb, lab, [[0, 1], []], cfg)
     with pytest.raises(IndexOutOfRange):
         train_group(emb, lab, [[0, 1], [2, emb.n]], cfg)
+    with pytest.raises(DimensionMismatch, match="1 seeds for 2 subsets"):
+        train_group(emb, lab, [[0, 1], [2, 3]], cfg, [4])
+    with pytest.raises(ValueError, match="non-negative"):
+        train_group(emb, lab, [[0, 1], [2, 3]], cfg, [4, -1])
+
+
+@pytest.mark.parametrize("stack", [(), (3,)])
+def test_grads_mask_matches_the_where_reference_bitwise(stack):
+    # hidden units that are off (z1 <= 0, some exactly 0) while their
+    # upstream gradient is negative, where 0.0 times the gradient is -0.0
+    # and np.where writes +0.0. Unit 0 is off on every row with a negative
+    # gradient on every row, so its dW1 row and db1 entry are sums of masked
+    # entries only and must come out +0.0, as in the reference.
+    rng = np.random.default_rng(5)
+    d, h, c, batch = 4, 6, 3, 5
+    x = rng.normal(size=stack + (batch, d))
+    x[..., 0, :] = 0.0  # z1 == b1 on the first row
+    w1 = rng.normal(size=stack + (h, d))
+    w1[..., 0, :] = 0.0
+    b1 = rng.normal(size=stack + (h,))
+    b1[..., 0] = -1.0
+    b1[..., 1:3] = 0.0
+    w2 = rng.normal(size=stack + (c, h))
+    w2[..., :, 0] = 0.0
+    w2[..., 0, 0] = 1.0  # unit 0's upstream gradient is p0 - 1 < 0 for label 0
+    b2 = rng.normal(size=stack + (c,))
+    params64 = [w1, b1, w2, b2]
+    target = _one_hot(np.zeros(stack + (batch,), dtype=np.int64), c)
+
+    z1 = x @ np.swapaxes(w1, -1, -2) + b1[..., None, :]
+    probs = softmax(z1.clip(0.0) @ np.swapaxes(w2, -1, -2) + b2[..., None, :])
+    dhidden = (probs - target) / batch @ w2
+    assert ((z1[..., 0] < 0.0) & (dhidden[..., 0] < 0.0)).all()
+    assert (z1 == 0.0).any()
+
+    _, got = _grads(params64, x, target)
+    want = relu_backward_grads(params64, x, target)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+    assert not np.signbit(got[0][..., 0, :]).any() and not np.signbit(got[1][..., 0]).any()
