@@ -16,10 +16,11 @@ the cells of all methods, plus the core-set feature model for the next
 round, of all the stack's trials train in one ``proxy.train_group`` call,
 each member under its trial's seed (``base_seed + trial``); a trial's
 members share one init and one shuffle per epoch. A stack takes
-trials while their most trainings at any one budget fit
-``proxy.stack_limit``, which is derived from the batch, hidden and class
-sizes, and always at least one trial; so the per-trial state held at once
-(orderings, labeled lists, features) is one stack's. Each model is
+trials while their most trainings at any one budget fit ``STACK_MEMBERS``,
+and always at least one trial; so the per-trial state held at once
+(orderings, labeled lists, feature models) is one stack's. A feature model
+waits for its round as a model, and its n x hidden features are computed
+only for that round's k-center pass. Each model is
 byte-identical to training it alone, so a cell's row does not depend on
 which other methods or trials ran or which cells a resume skips.
 
@@ -181,6 +182,18 @@ def _canonical(rows: Iterable[SweepRow]) -> tuple[SweepRow, ...]:
     return tuple(sorted(rows, key=lambda r: (r.method, r.budget, r.trial)))
 
 
+# The most trainings one ``proxy.train_group`` call stacks. A wider stack
+# spreads numpy's fixed cost per SGD step over more members, until past
+# some width the cost per member rises again (the cause is not traced).
+# 16 members is 4 trials of the full protocol. Measured only at the default
+# shape (batch 32, hidden 32, 10 classes, d 8), on the 20-trial acceptance
+# sweep, in two sets of 10 alternating rounds on a 2-vCPU VM. Medians at 8,
+# 12, 16, 20 and 24 members: 4.15, 3.81, 3.61, 3.50, 3.80 s, then 4.13,
+# 3.85, 3.56, 3.62, 3.92 s. 16 and 20 were not told apart, and 16 holds one
+# trial less at a time.
+STACK_MEMBERS = 16
+
+
 @dataclass
 class _Trial:
     """One trial's state while the sweep walks the budgets."""
@@ -191,7 +204,9 @@ class _Trial:
     coreset_last: int  # the last budget with a pending coreset cell, or 0
     orders: dict[str, selector.SelectionOrder] = field(default_factory=dict)
     labeled: Optional[np.ndarray] = None
-    feats: Optional[EmbeddingMatrix] = None
+    # trained on `labeled` for the next core-set round; the model, not its
+    # n x hidden features, waits between budgets
+    feature_model: Optional[proxy.MlpModel] = None
 
 
 def _stacks(
@@ -200,10 +215,9 @@ def _stacks(
     methods: Sequence[str],
     base_seed: int,
     skip: set[tuple[str, int, int]],
-    limit: int,
 ):
     """The trials with cells to run, in order, as runs of consecutive trials
-    whose trainings at any one budget fit one group of `limit` members; a
+    whose trainings at any one budget fit one group of ``STACK_MEMBERS``; a
     trial that alone needs more forms a run by itself."""
     stack: list[_Trial] = []
     members = 0
@@ -218,7 +232,7 @@ def _stacks(
             sum((m, b) in pending for m in methods) + (b < coreset_last)
             for b in schedule.budgets
         )
-        if stack and members + peak > limit:
+        if stack and members + peak > STACK_MEMBERS:
             yield stack
             stack, members = [], 0
         stack.append(_Trial(trial, base_seed + trial, pending, coreset_last))
@@ -243,8 +257,7 @@ def _sweep_rows(
     walks the budgets, and at each budget all its trainings run as one
     ``proxy.train_group`` call."""
     emb, labels = train_data
-    limit = proxy.stack_limit(train_cfg, labels.num_classes)
-    for stack in _stacks(trials, schedule, methods, sel_cfg.rng_seed, skip, limit):
+    for stack in _stacks(trials, schedule, methods, sel_cfg.rng_seed, skip):
         for t in stack:
             methods_left = {m for m, _ in t.pending}
             # random and fixed_feature take prefixes of one ordering per
@@ -263,7 +276,7 @@ def _sweep_rows(
                 # evaluation subsets are sorted: a model depends on its subset
                 # as a set, not on the sequence a method discovered it in
                 cells = [
-                    (m, sorted(int(i) for i in t.orders[m].prefix(b)))
+                    (m, np.sort(t.orders[m].prefix(b)))
                     for m in methods if m in t.orders and (m, b) in t.pending
                 ]
                 # coreset_iterative grows one labeled list: a random prefix,
@@ -272,14 +285,15 @@ def _sweep_rows(
                 # list, unsorted as picked; that model trains in the earlier
                 # budget's group
                 if b <= t.coreset_last:
-                    if t.feats is None:
+                    if t.feature_model is None:
                         t.labeled = t.orders["random"].prefix(size)
                     else:
+                        feats = proxy.extract_features(t.feature_model, emb)
                         t.labeled = selector.kcenter_greedy(
-                            t.feats, t.labeled, size, sel_cfg.metric
+                            feats, t.labeled, size, sel_cfg.metric
                         ).order
                     if ("coreset_iterative", b) in t.pending:
-                        cells.append(("coreset_iterative", sorted(int(i) for i in t.labeled)))
+                        cells.append(("coreset_iterative", np.sort(t.labeled)))
                 subsets = [s for _, s in cells] + ([t.labeled] if b < t.coreset_last else [])
                 if subsets:
                     work.append((t, cells, subsets))
@@ -295,7 +309,7 @@ def _sweep_rows(
                 for (m, _), model in zip(cells, own):
                     emit(SweepRow(m, b, t.trial, t.seed, proxy.accuracy(model, *test_data)))
                 if b < t.coreset_last:
-                    t.feats = proxy.extract_features(own[-1], emb)
+                    t.feature_model = own[-1]
 
 
 def run_budget_sweep(

@@ -15,12 +15,11 @@ Training is grouped: ``train_group`` trains one model per subset for B
 subsets of one length under one config, member i under its own seed. The
 members that share a seed share one Rng: their init and per-epoch
 permutations are identical, so they are drawn once per seed, and each
-epoch gathers every member's rows through its seed's permutation. Each SGD
+epoch orders every member's subset through its seed's permutation. Each SGD
 step then runs as stacked ``(B, k, .)`` matmuls and reductions over the B
 members. No member's arithmetic reads another's, so every model is
 byte-identical to training its subset alone under its seed; ``train`` is
-the group of one. ``stack_limit`` says how many members one group should
-hold for its step's intermediates to stay cheap.
+the group of one.
 
 The training loop computes gradients only (the loss is not needed for the
 update) through ``_grads``, the one backward pass, which
@@ -28,8 +27,10 @@ update) through ``_grads``, the one backward pass, which
 leading stack dimensions. Training keeps one float64 mirror of the float32
 params, refreshed from each float32 rounding of the update, so every step
 reads exactly the stored values without re-casting them. Each epoch
-gathers the shuffled subsets and their one-hot targets once and takes
-contiguous batch slices of them.
+orders the members' subset indices and labels, and each step gathers its
+batch's embedding rows and one-hot targets, so a group holds its subsets
+as indices only: a wider group adds members x subset length x 16 bytes,
+not copies of the rows.
 """
 
 from __future__ import annotations
@@ -189,25 +190,6 @@ def train(
     return train_group(e, labels, [subset], cfg)[0]
 
 
-# One SGD step of a group allocates several (members, batch, width) float64
-# intermediates in ``_grads``, width = max(hidden, classes). A larger stack
-# spreads numpy's fixed cost per call over more members until, past some
-# size, the cost per member rises again (the cause is not traced): at batch
-# 32, hidden 32 and 10 classes one step took 24 us per member at 4 members,
-# 15-17 us at 16 and 29 us at 80. On the 20-trial acceptance sweep, stacks
-# of 16 members (4 trials, exactly 128 KiB) took a median 3.33 s against
-# 3.59 s for 3-trial stacks (10 pairs), and 3.14 s where one stack of all
-# 20 trials took 4.01 s (6 rounds). So a group's intermediates stay within
-# this size, counted at the full batch.
-STACK_BYTES = 128 * 1024
-
-
-def stack_limit(cfg: TrainConfig, num_classes: int) -> int:
-    """The most members one ``train_group`` step should stack under `cfg`:
-    each stacked intermediate stays within ``STACK_BYTES``; at least 1."""
-    return max(1, STACK_BYTES // (cfg.batch_size * max(cfg.hidden, num_classes) * 8))
-
-
 def train_group(
     e: EmbeddingMatrix,
     labels: LabelVector,
@@ -220,15 +202,15 @@ def train_group(
     `seeds` is None).
 
     The subsets must share one length; see the module docstring."""
-    idx = [[int(i) for i in s] for s in subsets]
+    idx = [np.asarray(s, dtype=np.int64) for s in subsets]
     if not idx:
         return []
     for s in idx:
-        if not s:
+        if not s.size:
             raise EmptySubset("training subset is empty")
-        for i in s:
-            if not 0 <= i < e.n:
-                raise IndexOutOfRange(f"subset index {i} outside [0, {e.n})")
+        outside = s[(s < 0) | (s >= e.n)]
+        if outside.size:
+            raise IndexOutOfRange(f"subset index {int(outside[0])} outside [0, {e.n})")
     m = len(idx[0])
     if any(len(s) != m for s in idx):
         raise DimensionMismatch(
@@ -243,13 +225,12 @@ def train_group(
         raise DimensionMismatch(
             f"labels cover {len(labels)} points, embeddings have {e.n}"
         )
-    idx = np.asarray(idx, dtype=np.int64)
+    idx = np.stack(idx)
     y_pool = labels.labels[idx]
     if int(y_pool.max()) >= labels.num_classes:
         raise LabelOutOfRange("label id not below num_classes")
 
-    x_pool = e.data[idx].astype(np.float64)
-    target_pool = _one_hot(y_pool, labels.num_classes)
+    one_hot = np.eye(labels.num_classes)
     # one stream per distinct seed, in first-use order; member b draws from
     # stream[b]: its init, then one shuffle per epoch
     distinct = list(dict.fromkeys(seeds))
@@ -267,12 +248,15 @@ def train_group(
     for _ in range(cfg.epochs):
         for rng, pos in zip(rngs, positions):
             rng.shuffle(pos)
-        perm = np.asarray(positions)[stream]
-        x_epoch = x_pool[members, perm]
-        target_epoch = target_pool[members, perm]
+        # each step gathers its own rows and targets, so no member holds a
+        # copy of its subset's rows
+        rows = idx[members, np.asarray(positions)[stream]]
+        y_rows = labels.labels[rows]
         for start in range(0, m, cfg.batch_size):
             stop = start + cfg.batch_size
-            _, grads = _grads(params64, x_epoch[:, start:stop], target_epoch[:, start:stop])
+            x = np.take(e.data, rows[:, start:stop], axis=0).astype(np.float64)
+            target = np.take(one_hot, y_rows[:, start:stop], axis=0)
+            _, grads = _grads(params64, x, target)
             for k, g in enumerate(grads):
                 params[k] = (params64[k] - lr * g).astype(np.float32)
                 params64[k] = params[k].astype(np.float64)

