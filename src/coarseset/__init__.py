@@ -14,7 +14,6 @@ from .errors import (
     CoarsesetError,
     DimensionMismatch,
     DuplicateSeed,
-    EmptyEvalSet,
     EmptyFile,
     EmptyMatrix,
     EmptySubset,
@@ -85,7 +84,6 @@ __all__ = [
     "DimensionMismatch",
     "DuplicateSeed",
     "EmbeddingMatrix",
-    "EmptyEvalSet",
     "EmptyFile",
     "EmptyMatrix",
     "EmptySubset",

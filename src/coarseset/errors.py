@@ -93,10 +93,6 @@ class LabelOutOfRange(CoarsesetError, ValueError):
     """Label id not below the model's class count."""
 
 
-class EmptyEvalSet(CoarsesetError, ValueError):
-    """Accuracy requested over an empty evaluation set."""
-
-
 # --- harness ----------------------------------------------------------------
 
 class ScheduleExceedsPool(CoarsesetError, ValueError):

@@ -45,7 +45,9 @@ that determines a cell (budgets, seed, seed count, metric, training config)
 and the SHA-256 of the four inputs in their EMB1/LAB1 encoding, which for
 binary input files is the files' own digest. A resume into a directory
 whose rows were produced under a different record, or under none, is
-refused before anything is written.
+refused before anything is written, and so is one with a row whose method,
+trial, seed, budget or accuracy no sweep under that record writes; the
+error names the file and, where a row is at fault, its line.
 """
 
 from __future__ import annotations
@@ -366,15 +368,25 @@ def run_budget_sweep(
         )
         rows, complete = _read_results(results_path) if results_path.exists() else ([], 0)
         # every row is kept, also those of methods or trials this run does
-        # not request: they stay in the file and in the final rewrite
-        for row in rows:
+        # not request: they stay in the file and in the final rewrite. Row k
+        # of `rows` is line k + 2 of the file.
+        for lineno, row in enumerate(rows, start=2):
             if row.seed != base_seed + row.trial:
                 raise CoarsesetError(
-                    f"{results_path} was produced with different seeds; use a fresh out dir"
+                    f"{results_path}: line {lineno}: seed {row.seed} is not base seed "
+                    f"{base_seed} + trial {row.trial}: the rows were produced with "
+                    "different seeds; use a fresh out dir"
                 )
             done[(row.method, row.budget, row.trial)] = row
         if rows:
             _check_run_record(out / RUN_FILE, record, results_path)
+        # run.json now holds this run's schedule
+        for lineno, row in enumerate(rows, start=2):
+            if row.budget not in schedule.budgets:
+                raise CoarsesetError(
+                    f"{results_path}: line {lineno}: budget {row.budget} is not in the "
+                    f"schedule {list(schedule.budgets)} recorded in {RUN_FILE}"
+                )
         store.write_atomically(out / RUN_FILE, json.dumps(record, indent=2) + "\n")
         if done:
             os.truncate(results_path, complete)
@@ -418,7 +430,9 @@ def _read_results(path: Path) -> tuple[list[SweepRow], int]:
     """Rows of an existing results.csv, and the byte length of its complete
     lines. Rows are appended one line at a time, so a final line without its
     newline is an append cut short by a crash: it is not a row, and the
-    caller truncates it off so its cell is recomputed."""
+    caller truncates it off so its cell is recomputed. A row must name a
+    known method, a non-negative trial and an accuracy in [0, 1]; the
+    caller checks its seed and budget against the run's settings."""
     try:
         raw = path.read_bytes()
     except OSError as exc:
@@ -436,11 +450,19 @@ def _read_results(path: Path) -> tuple[list[SweepRow], int]:
     for lineno, line in enumerate(lines[1:], start=2):
         try:
             m, b, t, s, a = line.split(",")
-            rows.append(SweepRow(m, int(b), int(t), int(s), float(a)))
+            row = SweepRow(m, int(b), int(t), int(s), float(a))
         except ValueError:
             raise CoarsesetError(
                 f"{path}: line {lineno}: expected {','.join(RESULTS_HEADER)}, got {line!r}"
             ) from None
+        where = f"{path}: line {lineno}"
+        if row.method not in METHODS:
+            raise CoarsesetError(f"{where}: unknown method {row.method!r}")
+        if row.trial < 0:
+            raise CoarsesetError(f"{where}: negative trial {row.trial}")
+        if not 0.0 <= row.accuracy <= 1.0:  # NaN fails this too
+            raise CoarsesetError(f"{where}: accuracy {a!r} outside [0, 1]")
+        rows.append(row)
     return rows, complete
 
 

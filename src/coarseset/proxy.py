@@ -5,14 +5,14 @@ activations, which stand in for the pre-final-layer features the iterative
 core-set baseline retrains on. Everything is hand-written numpy so the
 backward pass can be audited against finite differences (gradient_check).
 
-Parameters are stored float32 with all arithmetic in float64; training is
-plain mini-batch SGD and fully deterministic given TrainConfig.rng_seed
-(init and per-epoch shuffles come from one Rng stream: W1 row-major, b1,
-W2 row-major, b2, each uniform in +-1/sqrt(fan_in), then one Fisher-Yates
+A model stores float32 weights; all arithmetic is float64. Training is
+plain mini-batch SGD and fully deterministic given its seed (init and
+per-epoch shuffles come from one Rng stream: W1 row-major, b1, W2
+row-major, b2, each uniform in +-1/sqrt(fan_in), then one Fisher-Yates
 shuffle of the subset positions per epoch).
 
 Training is grouped: ``train_group`` trains one model per subset for B
-subsets of one length under one config, member i under its own seed. The
+subsets of one length under one config, member i under seeds[i]. The
 members that share a seed share one Rng: their init and per-epoch
 permutations are identical, so they are drawn once per seed, and each
 epoch orders every member's subset through its seed's permutation. Each SGD
@@ -21,12 +21,11 @@ members. No member's arithmetic reads another's, so every model is
 byte-identical to training its subset alone under its seed; ``train`` is
 the group of one.
 
-The training loop computes gradients only (the loss is not needed for the
-update) through ``_grads``, the one backward pass, which
-``_loss_and_grads`` and ``gradient_check`` share; it takes any number of
-leading stack dimensions. Training keeps one float64 mirror of the float32
-params, refreshed from each float32 rounding of the update, so every step
-reads exactly the stored values without re-casting them. Each epoch
+``_forward`` and ``_grads`` (the one backward pass, shared by training and
+``gradient_check``) take float64 params and any number of leading stack
+dimensions. Training holds one float64 list of params and rounds it
+through float32 after every step, so every step reads exactly the values a
+model stores, and the model is cast to float32 once at the end. Each epoch
 orders the members' subset indices and labels, and each step gathers its
 batch's embedding rows and one-hot targets, so a group holds its subsets
 as indices only: a wider group adds members x subset length x 16 bytes,
@@ -36,13 +35,12 @@ not copies of the rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    EmptyEvalSet,
     EmptySubset,
     IndexOutOfRange,
     LabelOutOfRange,
@@ -81,14 +79,6 @@ class MlpModel:
     def input_dim(self) -> int:
         return self.w1.shape[1]
 
-    @property
-    def hidden_dim(self) -> int:
-        return self.w1.shape[0]
-
-    @property
-    def num_classes(self) -> int:
-        return self.w2.shape[0]
-
 
 def _init_params(rng: Rng, d: int, h: int, c: int, dtype) -> list[np.ndarray]:
     """Uniform +-1/sqrt(fan_in) init, drawn in a fixed order."""
@@ -105,7 +95,7 @@ def _init_params(rng: Rng, d: int, h: int, c: int, dtype) -> list[np.ndarray]:
     return [w1, b1, w2, b2]
 
 
-def _forward64(params64: Sequence[np.ndarray], x: np.ndarray):
+def _forward(params64: Sequence[np.ndarray], x: np.ndarray):
     """Returns (hidden pre-activation, hidden, logits) from float64 params.
 
     Leading dimensions of `x` and the params beyond one matrix are a stack
@@ -115,11 +105,6 @@ def _forward64(params64: Sequence[np.ndarray], x: np.ndarray):
     hidden = np.maximum(z1, 0.0)
     logits = hidden @ w2.swapaxes(-1, -2) + b2[..., None, :]
     return z1, hidden, logits
-
-
-def _forward(params: Sequence[np.ndarray], x: np.ndarray):
-    """Returns (hidden pre-activation, hidden, logits); float64 throughout."""
-    return _forward64([p.astype(np.float64) for p in params], x)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -138,8 +123,8 @@ def cross_entropy(logits: np.ndarray, y: np.ndarray) -> float:
 def _grads(params64: Sequence[np.ndarray], x: np.ndarray, target: np.ndarray):
     """The one backward pass: (logits, [dW1, db1, dW2, db2]) of the mean
     softmax cross-entropy, from float64 params; `target` holds the labels'
-    one-hot rows. Stacked like `_forward64`."""
-    z1, hidden, logits = _forward64(params64, x)
+    one-hot rows. Stacked like `_forward`."""
+    z1, hidden, logits = _forward(params64, x)
     dlogits = softmax(logits)
     dlogits -= target  # p - 1 at the label; p - 0.0 == p exactly elsewhere
     dlogits /= x.shape[-2]
@@ -159,25 +144,9 @@ def _grads(params64: Sequence[np.ndarray], x: np.ndarray, target: np.ndarray):
     return logits, [dw1, db1, dw2, db2]
 
 
-def _one_hot(y: np.ndarray, num_classes: int) -> np.ndarray:
-    return (y[..., None] == np.arange(num_classes)).astype(np.float64)
-
-
-def _loss_and_grads(params: Sequence[np.ndarray], x: np.ndarray, y: np.ndarray):
-    num_classes = params[3].shape[-1]
-    logits, grads = _grads([p.astype(np.float64) for p in params], x, _one_hot(y, num_classes))
+def _loss_and_grads(params64: Sequence[np.ndarray], x: np.ndarray, y: np.ndarray):
+    logits, grads = _grads(params64, x, np.eye(params64[3].shape[-1])[y])
     return cross_entropy(logits, y), grads
-
-
-def _apply_update(params: Sequence[np.ndarray], grads: Sequence[np.ndarray], lr: float):
-    """SGD step in float64, results cast back to the storage dtype.
-
-    `train_group` takes this step on its float64 mirror of the params instead of
-    re-casting them; the tests keep this form as its reference."""
-    return [
-        (p.astype(np.float64) - lr * g).astype(p.dtype)
-        for p, g in zip(params, grads)
-    ]
 
 
 def train(
@@ -187,19 +156,18 @@ def train(
     cfg: TrainConfig = TrainConfig(),
 ) -> MlpModel:
     """Mini-batch SGD on softmax cross-entropy over the given subset."""
-    return train_group(e, labels, [subset], cfg)[0]
+    return train_group(e, labels, [subset], cfg, [cfg.rng_seed])[0]
 
 
 def train_group(
     e: EmbeddingMatrix,
     labels: LabelVector,
     subsets: Sequence[Sequence[int]],
-    cfg: TrainConfig = TrainConfig(),
-    seeds: Optional[Sequence[int]] = None,
+    cfg: TrainConfig,
+    seeds: Sequence[int],
 ) -> list[MlpModel]:
     """One model per subset, each byte-identical to ``train`` on it alone
-    with ``rng_seed=seeds[i]`` (every member takes ``cfg.rng_seed`` when
-    `seeds` is None).
+    with ``rng_seed=seeds[i]``; `cfg.rng_seed` is not read.
 
     The subsets must share one length; see the module docstring."""
     idx = [np.asarray(s, dtype=np.int64) for s in subsets]
@@ -216,7 +184,7 @@ def train_group(
         raise DimensionMismatch(
             f"grouped subsets must share one length, got {sorted({len(s) for s in idx})}"
         )
-    seeds = [cfg.rng_seed] * len(idx) if seeds is None else [int(s) for s in seeds]
+    seeds = [int(s) for s in seeds]
     if len(seeds) != len(idx):
         raise DimensionMismatch(f"{len(seeds)} seeds for {len(idx)} subsets")
     if min(seeds) < 0:
@@ -237,10 +205,9 @@ def train_group(
     stream = np.asarray([distinct.index(s) for s in seeds])
     rngs = [Rng(s) for s in distinct]
     inits = [_init_params(rng, e.d, cfg.hidden, labels.num_classes, np.float32) for rng in rngs]
-    params = [np.stack(p)[stream] for p in zip(*inits)]
-    # the float64 copy the arithmetic reads; refreshed from every float32
-    # rounding, so it is always exactly the stored params
-    params64 = [p.astype(np.float64) for p in params]
+    # float64 holding float32 values: every step rounds its update through
+    # float32, so the arithmetic reads exactly what a model stores
+    params = [np.stack(p)[stream].astype(np.float64) for p in zip(*inits)]
 
     lr = cfg.learning_rate
     positions = [list(range(m)) for _ in rngs]
@@ -256,57 +223,43 @@ def train_group(
             stop = start + cfg.batch_size
             x = np.take(e.data, rows[:, start:stop], axis=0).astype(np.float64)
             target = np.take(one_hot, y_rows[:, start:stop], axis=0)
-            _, grads = _grads(params64, x, target)
+            _, grads = _grads(params, x, target)
             for k, g in enumerate(grads):
-                params[k] = (params64[k] - lr * g).astype(np.float32)
-                params64[k] = params[k].astype(np.float64)
+                params[k] = (params[k] - lr * g).astype(np.float32).astype(np.float64)
 
+    params = [p.astype(np.float32) for p in params]
     for p in params:
         if not np.isfinite(p).all():
             raise ArithmeticError("training produced non-finite parameters")
     return [MlpModel(*(p[b] for p in params)) for b in range(len(idx))]
 
 
-def extract_features(m: MlpModel, e: EmbeddingMatrix) -> EmbeddingMatrix:
-    """Hidden activations ReLU(W1 x + b1) as an n x h feature matrix."""
+def _evaluate(m: MlpModel, e: EmbeddingMatrix):
+    """(hidden, logits) of the model on every point, in float64."""
     if e.d != m.input_dim:
         raise DimensionMismatch(
             f"model expects d={m.input_dim}, embeddings have d={e.d}"
         )
-    _, hidden, _ = _forward([m.w1, m.b1, m.w2, m.b2], e.data.astype(np.float64))
+    params64 = [p.astype(np.float64) for p in (m.w1, m.b1, m.w2, m.b2)]
+    _, hidden, logits = _forward(params64, e.data.astype(np.float64))
+    return hidden, logits
+
+
+def extract_features(m: MlpModel, e: EmbeddingMatrix) -> EmbeddingMatrix:
+    """Hidden activations ReLU(W1 x + b1) as an n x h feature matrix."""
+    hidden, _ = _evaluate(m, e)
     return EmbeddingMatrix(hidden.astype(np.float32))
 
 
-def predict(m: MlpModel, e: EmbeddingMatrix) -> np.ndarray:
-    """Argmax class per point; ties resolve to the lowest class id."""
-    if e.d != m.input_dim:
-        raise DimensionMismatch(
-            f"model expects d={m.input_dim}, embeddings have d={e.d}"
-        )
-    _, _, logits = _forward([m.w1, m.b1, m.w2, m.b2], e.data.astype(np.float64))
-    return np.argmax(logits, axis=1)
-
-
-def accuracy(
-    m: MlpModel,
-    e: EmbeddingMatrix,
-    labels: LabelVector,
-    subset: Optional[Sequence[int]] = None,
-) -> float:
-    """Fraction of points whose predicted class equals the label."""
+def accuracy(m: MlpModel, e: EmbeddingMatrix, labels: LabelVector) -> float:
+    """Fraction of points whose predicted class, the argmax of the logits
+    (ties resolve to the lowest class id), equals the label."""
     if len(labels) != e.n:
         raise DimensionMismatch(
             f"labels cover {len(labels)} points, embeddings have {e.n}"
         )
-    preds = predict(m, e)
-    truth = labels.labels
-    if subset is not None:
-        idx = [int(i) for i in subset]
-        if not idx:
-            raise EmptyEvalSet("accuracy over an empty evaluation set")
-        preds = preds[idx]
-        truth = truth[idx]
-    return float((preds == truth).mean())
+    _, logits = _evaluate(m, e)
+    return float((np.argmax(logits, axis=1) == labels.labels).mean())
 
 
 # --- gradient auditing --------------------------------------------------------

@@ -62,6 +62,8 @@ class SelectionOrder:
 
     def prefix(self, budget: int) -> np.ndarray:
         """First `budget` selected indices (seeds count toward the budget)."""
+        if budget < 0:
+            raise BudgetExceedsPool(f"prefix {budget} is negative")
         if budget > len(self):
             raise BudgetExceedsPool(f"prefix {budget} exceeds order length {len(self)}")
         return self.order[:budget]

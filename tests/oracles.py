@@ -127,6 +127,15 @@ def coreset_rounds(emb, labels, round_sizes, cfg, rng_seed, metric=DEFAULT_METRI
     return rounds
 
 
+def apply_update(params, grads, lr):
+    """The proxy's SGD step in its plain form: each param cast to float64,
+    the update taken there, the result cast back to the param's dtype."""
+    return [
+        (p.astype(np.float64) - lr * g).astype(p.dtype)
+        for p, g in zip(params, grads)
+    ]
+
+
 def relu_backward_grads(params64, x, target):
     """The proxy's backward pass written out with the ReLU mask as
     ``np.where`` (+0.0 at every masked position), for any leading stack

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oracles import coreset_rounds, hypergeometric_std
 
@@ -502,3 +503,91 @@ def test_subset_rerun_seed_checks_the_rows_it_does_not_request(tmp_path):
     (out / "results.csv").write_text("\n".join(lines) + "\n")
     with pytest.raises(CoarsesetError, match="different seeds"):
         sweep_lines(out, ("fixed_feature",), trials=1)
+
+
+# --- validating resumed rows -----------------------------------------------------
+
+RESUME_SCHEDULE = BudgetSchedule((4, 8))
+
+
+def resumable_sweep(out_dir, train_cfg=FAST_CFG):
+    """A finished one-trial random sweep at base seed 9 in `out_dir`."""
+    train_data, test_data = tiny_suite(n_per_class=12)
+    args = (train_data, test_data, RESUME_SCHEDULE, ("random",))
+    kwargs = dict(trials=1, base_seed=9, train_cfg=train_cfg, out_dir=out_dir)
+    run_budget_sweep(*args, **kwargs)
+    return lambda: run_budget_sweep(*args, **kwargs)
+
+
+@pytest.mark.parametrize("line,message", [
+    ("bogus,7,-3,6,2.5", "unknown method 'bogus'"),
+    ("random,4,-1,8,0.5", "negative trial -1"),
+    ("random,4,1,9,0.5", r"seed 9 is not base seed 9 \+ trial 1"),
+    ("random,7,0,9,0.5", r"budget 7 is not in the schedule \[4, 8\] recorded in run.json"),
+    ("random,4,0,9,nan", r"accuracy 'nan' outside \[0, 1\]"),
+    ("random,4,0,9,1.5", r"accuracy '1.5' outside \[0, 1\]"),
+    ("random,4,0,9,-0.0625", r"accuracy '-0.0625' outside \[0, 1\]"),
+    ("random,4,0,9,inf", r"accuracy 'inf' outside \[0, 1\]"),
+])
+def test_resume_refuses_a_row_no_sweep_writes(tmp_path, line, message):
+    resume = resumable_sweep(tmp_path)
+    results = tmp_path / "results.csv"
+    with results.open("a") as fh:
+        fh.write(line + "\n")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    with pytest.raises(CoarsesetError, match=f"results.csv: line 4: {message}"):
+        resume()
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+# method, budget, trial, the seed's offset from base seed 9 + trial, accuracy
+VALID_ROW = st.tuples(
+    st.sampled_from(harness.METHODS), st.sampled_from(RESUME_SCHEDULE.budgets),
+    st.integers(0, 3), st.just(0), st.floats(0.0, 1.0),
+)
+ANY_ROW = st.tuples(
+    st.sampled_from(harness.METHODS + ("bogus", "")), st.sampled_from((-1, 0, 4, 7, 8)),
+    st.integers(-3, 3), st.sampled_from((0, 1)), st.floats(),
+)
+RESULT_LINES = st.one_of(
+    st.one_of(VALID_ROW, ANY_ROW).map(
+        lambda f: f"{f[0]},{f[1]},{f[2]},{9 + f[2] + f[3]},{f[4]!r}"
+    ),
+    st.text(max_size=12),
+)
+RESULT_BYTES = st.one_of(
+    st.binary(max_size=60),
+    st.tuples(
+        st.booleans(),
+        st.lists(RESULT_LINES, max_size=6),
+        st.one_of(st.just(b"\n"), st.binary(max_size=3)),
+    ).map(
+        lambda t: "\n".join([",".join(harness.RESULTS_HEADER)] * t[0] + t[1]).encode() + t[2]
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(RESULT_BYTES)
+def test_resume_fuzz_returns_valid_rows_or_names_the_file(tmp_path, raw):
+    cfg = TrainConfig(epochs=1, rng_seed=0)
+    # every refusal comes before run.json is written, and a resume writes the
+    # same record, so the first example's run.json stays valid
+    if not (tmp_path / "run.json").exists():
+        resumable_sweep(tmp_path, cfg)
+    results = tmp_path / "results.csv"
+    results.write_bytes(raw)
+    train_data, test_data = tiny_suite(n_per_class=12)
+    try:
+        result = run_budget_sweep(
+            train_data, test_data, RESUME_SCHEDULE, ("random",),
+            trials=1, base_seed=9, train_cfg=cfg, out_dir=tmp_path,
+        )
+    except CoarsesetError as exc:
+        assert str(results) in str(exc)
+    else:
+        for row in result.rows:
+            assert row.method in harness.METHODS and row.trial >= 0
+            assert row.budget in RESUME_SCHEDULE.budgets and row.seed == 9 + row.trial
+            assert 0.0 <= row.accuracy <= 1.0

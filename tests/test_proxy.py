@@ -3,22 +3,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import relu_backward_grads
+from oracles import apply_update, relu_backward_grads
 
 from coarseset.errors import (
     DimensionMismatch,
-    EmptyEvalSet,
     EmptySubset,
     IndexOutOfRange,
 )
 from coarseset.proxy import (
     MlpModel,
     TrainConfig,
-    _apply_update,
     _forward,
     _grads,
     _init_params,
-    _one_hot,
     _loss_and_grads,
     accuracy,
     cross_entropy,
@@ -32,6 +29,10 @@ from coarseset.proxy import (
 from coarseset.rng import Rng
 from coarseset.store import EmbeddingMatrix, LabelVector
 from coarseset.synth import MixtureSpec, generate
+
+
+def as64(params):
+    return [p.astype(np.float64) for p in params]
 
 
 def two_point_problem():
@@ -63,9 +64,9 @@ def test_loss_decreases_on_separable_toy():
     params = _init_params(Rng(cfg.rng_seed), e.d, cfg.hidden, 2, np.float32)
     x = e.data.astype(np.float64)
     y = labels.labels
-    initial, _ = _loss_and_grads(params, x, y)
+    initial, _ = _loss_and_grads(as64(params), x, y)
     model = train(e, labels, [0, 1], cfg)
-    final, _ = _loss_and_grads([model.w1, model.b1, model.w2, model.b2], x, y)
+    final, _ = _loss_and_grads(as64([model.w1, model.b1, model.w2, model.b2]), x, y)
     assert np.isfinite(final)
     assert final < initial
 
@@ -103,8 +104,8 @@ def test_zero_learning_rate_step_is_identity():
     params = _init_params(Rng(2), 3, 4, 2, np.float32)
     x = np.random.default_rng(1).normal(size=(6, 3))
     y = np.array([0, 1, 0, 1, 1, 0])
-    _, grads = _loss_and_grads(params, x, y)
-    updated = _apply_update(params, grads, 0.0)
+    _, grads = _loss_and_grads(as64(params), x, y)
+    updated = apply_update(params, grads, 0.0)
     for p, u in zip(params, updated):
         assert p.tobytes() == u.tobytes()
 
@@ -166,13 +167,6 @@ def test_uniform_logits_tie_break_to_class_zero():
     assert accuracy(uniform, e, labels) == 1.0
 
 
-def test_accuracy_empty_eval_set():
-    e, labels = two_point_problem()
-    model = train(e, labels, [0, 1], TrainConfig(epochs=1))
-    with pytest.raises(EmptyEvalSet):
-        accuracy(model, e, labels, subset=[])
-
-
 def test_parameters_finite_after_training():
     emb, lab = generate(MixtureSpec([30] * 2, d=3, separation=5.0, rng_seed=8))
     model = train(emb, lab, list(range(20)), TrainConfig(rng_seed=2))
@@ -201,7 +195,7 @@ def test_forward_hidden_matches_extract_features():
     e, labels = two_point_problem()
     model = train(e, labels, [0, 1], TrainConfig(epochs=3, rng_seed=4))
     _, hidden, _ = _forward(
-        [model.w1, model.b1, model.w2, model.b2], e.data.astype(np.float64)
+        as64([model.w1, model.b1, model.w2, model.b2]), e.data.astype(np.float64)
     )
     assert np.array_equal(
         extract_features(model, e).data, hidden.astype(np.float32)
@@ -214,7 +208,7 @@ def reference_train(e, labels, subset, cfg):
     """The straightforward SGD loop `train` is an optimisation of: casts every
     param to float64 in the forward pass, computes and discards the loss on
     every step, gathers each batch by list indexing, and rounds the update
-    back to float32 through `_apply_update`. Same init and shuffle stream."""
+    back to float32 through `apply_update`. Same init and shuffle stream."""
     idx = [int(i) for i in subset]
     x_pool = e.data[idx].astype(np.float64)
     y_pool = labels.labels[idx]
@@ -253,7 +247,7 @@ def reference_train(e, labels, subset, cfg):
             db2 = dlogits.sum(axis=0)
             dz1 = np.where(z1 > 0.0, dlogits @ w2, 0.0)
             grads = [dz1.T @ x, dz1.sum(axis=0), dw2, db2]
-            params = _apply_update(params, grads, cfg.learning_rate)
+            params = apply_update(params, grads, cfg.learning_rate)
     return MlpModel(*params)
 
 
@@ -321,10 +315,8 @@ def test_train_group_is_bit_identical_to_reference_loop(per_class, m, members, c
     if members > 1:
         subsets[-1] = reversed_every_other(sorted(subsets[0]))
     seeds = [cfg.rng_seed + k for k in SEED_OFFSETS[members]]
-    for member_seeds, models in (
-        ([cfg.rng_seed] * members, train_group(emb, lab, subsets, cfg)),
-        (seeds, train_group(emb, lab, subsets, cfg, seeds)),
-    ):
+    for member_seeds in ([cfg.rng_seed] * members, seeds):
+        models = train_group(emb, lab, subsets, cfg, member_seeds)
         assert len(models) == members
         for subset, seed, got in zip(subsets, member_seeds, models):
             want = reference_train(emb, lab, subset, replace(cfg, rng_seed=seed))
@@ -338,15 +330,15 @@ def test_train_group_is_bit_identical_to_reference_loop(per_class, m, members, c
 def test_train_group_validation():
     emb, lab = generate(MixtureSpec([10] * 2, d=3, separation=4.0, rng_seed=3))
     cfg = TrainConfig(epochs=1)
-    assert train_group(emb, lab, [], cfg) == []
+    assert train_group(emb, lab, [], cfg, []) == []
     with pytest.raises(DimensionMismatch, match="one length"):
-        train_group(emb, lab, [[0, 1, 2], [3, 4]], cfg)
+        train_group(emb, lab, [[0, 1, 2], [3, 4]], cfg, [0, 0])
     with pytest.raises(EmptySubset):
-        train_group(emb, lab, [[0, 1], []], cfg)
+        train_group(emb, lab, [[0, 1], []], cfg, [0, 0])
     with pytest.raises(IndexOutOfRange):
-        train_group(emb, lab, [[0, 1], [2, emb.n]], cfg)
+        train_group(emb, lab, [[0, 1], [2, emb.n]], cfg, [0, 0])
     with pytest.raises(IndexOutOfRange, match="subset index -1 outside"):
-        train_group(emb, lab, [np.array([0, 1]), np.array([2, -1])], cfg)
+        train_group(emb, lab, [np.array([0, 1]), np.array([2, -1])], cfg, [0, 0])
     with pytest.raises(DimensionMismatch, match="1 seeds for 2 subsets"):
         train_group(emb, lab, [[0, 1], [2, 3]], cfg, [4])
     with pytest.raises(ValueError, match="non-negative"):
@@ -374,7 +366,7 @@ def test_grads_mask_matches_the_where_reference_bitwise(stack):
     w2[..., 0, 0] = 1.0  # unit 0's upstream gradient is p0 - 1 < 0 for label 0
     b2 = rng.normal(size=stack + (c,))
     params64 = [w1, b1, w2, b2]
-    target = _one_hot(np.zeros(stack + (batch,), dtype=np.int64), c)
+    target = np.eye(c)[np.zeros(stack + (batch,), dtype=np.int64)]
 
     z1 = x @ np.swapaxes(w1, -1, -2) + b1[..., None, :]
     probs = softmax(z1.clip(0.0) @ np.swapaxes(w2, -1, -2) + b2[..., None, :])

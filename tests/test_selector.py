@@ -184,6 +184,17 @@ def test_selection_order_validation():
         SelectionOrder(np.array([0, -1]), 0)
 
 
+def test_prefix_refuses_budgets_outside_the_order():
+    order = SelectionOrder(np.arange(5), 1)
+    assert order.prefix(0).tolist() == []
+    assert order.prefix(5).tolist() == [0, 1, 2, 3, 4]
+    # a negative slice bound would drop the tail: [:-2] is [0 1 2]
+    with pytest.raises(BudgetExceedsPool, match="prefix -2 is negative"):
+        order.prefix(-2)
+    with pytest.raises(BudgetExceedsPool, match="prefix 6 exceeds"):
+        order.prefix(6)
+
+
 def test_order_file_roundtrip(tmp_path):
     order = SelectionOrder(np.array([3, 0, 2], dtype=np.int64), seed_count=1)
     p = tmp_path / "order.csv"
