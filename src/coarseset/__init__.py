@@ -74,57 +74,9 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BudgetExceedsOrder",
-    "BudgetExceedsPool",
-    "BudgetSchedule",
-    "ClassHistogram",
-    "CoarsesetError",
-    "DEFAULT_METRIC",
-    "DimensionMismatch",
-    "DuplicateSeed",
-    "EmbeddingMatrix",
-    "EmptyFile",
-    "EmptyMatrix",
-    "EmptySubset",
-    "IndexOutOfRange",
-    "IoFailure",
-    "LabelOutOfRange",
-    "LabelVector",
-    "MalformedHeader",
-    "MalformedLabel",
-    "Metric",
-    "MixtureSpec",
-    "MlpModel",
-    "NoCenters",
-    "NonFiniteValue",
-    "Rng",
-    "ScheduleExceedsPool",
-    "SelectionConfig",
-    "SelectionOrder",
-    "SelectionState",
-    "SizeMismatch",
-    "SweepResult",
-    "SweepRow",
-    "TrainConfig",
-    "ZeroVector",
-    "accuracy",
-    "class_histogram",
-    "coverage_radius",
-    "default_schedule",
-    "distance",
-    "emit_report",
-    "extract_features",
-    "full_ordering",
-    "generate",
-    "gradient_check",
-    "kcenter_greedy",
-    "load_embeddings",
-    "load_labels",
-    "random_order",
-    "run_budget_sweep",
-    "save_embeddings",
-    "save_labels",
-    "train",
-    "train_group",
-]
+# the error classes imported above, and every lazily resolved name
+__all__ = sorted(
+    [name for name, value in globals().items()
+     if isinstance(value, type) and issubclass(value, CoarsesetError)]
+    + list(_HOME)
+)

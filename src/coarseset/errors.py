@@ -1,5 +1,5 @@
-"""Exception types raised by the coarseset engine, and the integer check
-shared by its settings.
+"""Exception types raised by the coarseset engine, and the integer and
+number checks shared by its settings.
 
 Everything derives from CoarsesetError so callers (and the CLI) can treat
 "bad input" uniformly; most subclasses also inherit ValueError or OSError
@@ -15,6 +15,14 @@ def check_int(field: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise TypeError(f"{field} must be an integer, got {value!r}")
     return int(value)
+
+
+def check_real(field: str, value) -> float:
+    """`value` as a float if it is a real number (a Python or numpy int or
+    float, not a bool); otherwise TypeError naming `field`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{field} must be a number, got {value!r}")
+    return float(value)
 
 
 class CoarsesetError(Exception):

@@ -1,28 +1,31 @@
 """Evaluation protocol: budget sweeps across methods, plus class histograms.
 
 A sweep trains one fresh proxy model per (method, budget, trial) cell on
-that method's budget-b selection and records its test accuracy. The random
-and fixed-feature methods reuse a single per-trial ordering, truncated at
-each budget. The iterative core-set baseline grows one labeled list per
-trial in rounds sized by the schedule increments, so every budget is hit
-exactly: the first round is a prefix of the trial's random ordering, and
-each later round runs ``selector.kcenter_greedy`` with the list so far as
-centers, in the hidden-layer features of a proxy trained on that list.
+that method's budget-b selection and records its test accuracy. Each trial
+holds one index array per method, and the budget-b cell trains on its first
+b entries. The random and fixed-feature arrays are whole orderings, drawn
+once per trial. The iterative core-set array grows by one round per budget,
+sized by the schedule increments, so every budget is hit exactly: the first
+round is a prefix of the trial's random ordering, and each later round runs
+``selector.kcenter_greedy`` with the array so far as centers, in the
+hidden-layer features of a proxy trained on that array.
 
 Training is grouped, and trials run in lock-step. The sweep takes the
-trials in stacks of consecutive whole trials, and each stack walks the
-budgets in order. Every training at budget b has the same size, so at b
-the cells of all methods, plus the core-set feature model for the next
-round, of all the stack's trials train in one ``proxy.train_group`` call,
-each member under its trial's seed (``base_seed + trial``); a trial's
-members share one init and one shuffle per epoch. A stack takes
-trials while their most trainings at any one budget fit ``STACK_MEMBERS``,
-and always at least one trial; so the per-trial state held at once
-(orderings, labeled lists, feature models) is one stack's. A feature model
-waits for its round as a model, and its n x hidden features are computed
-only for that round's k-center pass. Each model is
-byte-identical to training it alone, so a cell's row does not depend on
-which other methods or trials ran or which cells a resume skips.
+trials with cells to run in stacks of consecutive whole trials, and each
+stack walks the budgets in order. Every training at budget b has the same
+size, so at b the cells of all methods, plus the core-set feature model for
+the next round, of all the stack's trials train in one
+``proxy.train_group`` call, each member under its trial's seed
+(``base_seed + trial``); a trial's members share one init and one shuffle
+per epoch. A trial trains at most one cell per pending method at a budget,
+plus the feature model while a core-set cell is pending, so a stack is
+``STACK_MEMBERS // (k + 1)`` trials, or ``// k`` without pending core-set
+cells, and at least one, where k counts the methods with a pending cell in
+any trial. The per-trial state held at once (index arrays, feature models)
+is one stack's. A feature model waits for its round as a model, and its
+n x hidden features are computed only for that round's k-center pass. Each
+model is byte-identical to training it alone, so a cell's row does not
+depend on which other methods or trials ran or which cells a resume skips.
 
 Every setting (methods, budgets, trials, jobs, seed count, seed, metric) is
 checked before the first cell runs, so a bad one fails the sweep before any
@@ -32,9 +35,10 @@ The sweep runs on the calling thread. ``jobs`` is accepted and checked
 (``>= 1``) but does not change the schedule: the work holds the
 interpreter lock, and a thread pool only made sweeps slower. Rows stream
 to ``results.csv`` as they finish so an interrupted sweep can resume by
-skipping completed cells, and the final files are rewritten in canonical
-(method, budget, trial) order so resumed and uninterrupted runs produce
-byte-identical outputs.
+skipping completed cells: a resume rewrites the rows it keeps, which drops
+a last line torn by a crash, and appends after them. The final files are
+rewritten in canonical (method, budget, trial) order so resumed and
+uninterrupted runs produce byte-identical outputs.
 The rewrite goes through a temporary file and a rename, so a failed
 rewrite leaves the streamed results in place. A rerun that asks for fewer
 methods or trials keeps the rows it does not ask for: they are seed-checked
@@ -45,9 +49,10 @@ that determines a cell (budgets, seed, seed count, metric, training config)
 and the SHA-256 of the four inputs in their EMB1/LAB1 encoding, which for
 binary input files is the files' own digest. A resume into a directory
 whose rows were produced under a different record, or under none, is
-refused before anything is written, and so is one with a row whose method,
-trial, seed, budget or accuracy no sweep under that record writes; the
-error names the file and, where a row is at fault, its line.
+refused before anything is written, and so is one with a row that no sweep
+under that record writes: an unknown method, trial, seed, budget or
+accuracy, a line not spelled as the sweep writes it, or a second line for
+one cell. The error names the file and, where a row is at fault, its line.
 """
 
 from __future__ import annotations
@@ -55,7 +60,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -195,6 +199,8 @@ def _canonical(rows: Iterable[SweepRow]) -> tuple[SweepRow, ...]:
 # trial less at a time.
 STACK_MEMBERS = 16
 
+CORESET = "coreset_iterative"
+
 
 @dataclass
 class _Trial:
@@ -203,44 +209,16 @@ class _Trial:
     trial: int
     seed: int
     pending: set[tuple[str, int]]  # (method, budget) cells still to run
-    coreset_last: int  # the last budget with a pending coreset cell, or 0
-    orders: dict[str, selector.SelectionOrder] = field(default_factory=dict)
-    labeled: Optional[np.ndarray] = None
-    # trained on `labeled` for the next core-set round; the model, not its
+    # one index array per method; the core-set one grows by a round per budget
+    orders: dict[str, np.ndarray] = field(default_factory=dict)
+    # trained on the core-set array for its next round; the model, not its
     # n x hidden features, waits between budgets
     feature_model: Optional[proxy.MlpModel] = None
 
-
-def _stacks(
-    trials: int,
-    schedule: BudgetSchedule,
-    methods: Sequence[str],
-    base_seed: int,
-    skip: set[tuple[str, int, int]],
-):
-    """The trials with cells to run, in order, as runs of consecutive trials
-    whose trainings at any one budget fit one group of ``STACK_MEMBERS``; a
-    trial that alone needs more forms a run by itself."""
-    stack: list[_Trial] = []
-    members = 0
-    for trial in range(trials):
-        pending = {(m, b) for m in methods for b in schedule.budgets if (m, b, trial) not in skip}
-        if not pending:
-            continue
-        coreset_last = max((b for m, b in pending if m == "coreset_iterative"), default=0)
-        # its most trainings at one budget: the pending cells, plus the
-        # core-set feature model while a round remains
-        peak = max(
-            sum((m, b) in pending for m in methods) + (b < coreset_last)
-            for b in schedule.budgets
-        )
-        if stack and members + peak > STACK_MEMBERS:
-            yield stack
-            stack, members = [], 0
-        stack.append(_Trial(trial, base_seed + trial, pending, coreset_last))
-        members += peak
-    if stack:
-        yield stack
+    @property
+    def coreset_last(self) -> int:
+        """The last budget with a pending core-set cell, or 0."""
+        return max((b for m, b in self.pending if m == CORESET), default=0)
 
 
 def _sweep_rows(
@@ -259,59 +237,68 @@ def _sweep_rows(
     walks the budgets, and at each budget all its trainings run as one
     ``proxy.train_group`` call."""
     emb, labels = train_data
-    for stack in _stacks(trials, schedule, methods, sel_cfg.rng_seed, skip):
+    todo = [
+        (trial, pending) for trial in range(trials)
+        if (pending := {(m, b) for m in methods for b in schedule.budgets
+                        if (m, b, trial) not in skip})
+    ]
+    if not todo:
+        return
+    # a trial trains at most one cell per pending method at a budget, plus
+    # the core-set feature model
+    left = {m for _, pending in todo for m, _ in pending}
+    width = max(1, STACK_MEMBERS // (len(left) + (CORESET in left)))
+    for start in range(0, len(todo), width):
+        stack = [
+            _Trial(trial, sel_cfg.rng_seed + trial, pending)
+            for trial, pending in todo[start : start + width]
+        ]
         for t in stack:
-            methods_left = {m for m, _ in t.pending}
+            wanted = {m for m, _ in t.pending}
             # random and fixed_feature take prefixes of one ordering per
             # trial; the core-set baseline's first round is a prefix of the
             # random one
-            if methods_left & {"random", "coreset_iterative"}:
-                t.orders["random"] = selector.random_order(emb.n, t.seed)
-            if "fixed_feature" in methods_left:
+            if wanted & {"random", CORESET}:
+                t.orders["random"] = selector.random_order(emb.n, t.seed).order
+            if "fixed_feature" in wanted:
                 t.orders["fixed_feature"] = selector.select_prefix(
                     emb, replace(sel_cfg, rng_seed=t.seed), max(schedule.budgets)
-                )
+                ).order
 
         for b, size in zip(schedule.budgets, schedule.increments):
-            work = []  # (trial, its cells, its training subsets) at budget b
+            members = []  # (trial, method, or None for the core-set feature model)
             for t in stack:
-                # evaluation subsets are sorted: a model depends on its subset
-                # as a set, not on the sequence a method discovered it in
-                cells = [
-                    (m, np.sort(t.orders[m].prefix(b)))
-                    for m in methods if m in t.orders and (m, b) in t.pending
-                ]
-                # coreset_iterative grows one labeled list: a random prefix,
-                # then per round k-center greedy, with the list as centers,
-                # in the features of a model trained on the round before's
-                # list, unsorted as picked; that model trains in the earlier
-                # budget's group
+                # the core-set array grows by one round: a prefix of the
+                # random ordering, then k-center greedy, with the array as
+                # centers, in the features of a model trained on it in the
+                # budget before's group
                 if b <= t.coreset_last:
                     if t.feature_model is None:
-                        t.labeled = t.orders["random"].prefix(size)
+                        t.orders[CORESET] = t.orders["random"][:size]
                     else:
                         feats = proxy.extract_features(t.feature_model, emb)
-                        t.labeled = selector.kcenter_greedy(
-                            feats, t.labeled, size, sel_cfg.metric
+                        t.orders[CORESET] = selector.kcenter_greedy(
+                            feats, t.orders[CORESET], size, sel_cfg.metric
                         ).order
-                    if ("coreset_iterative", b) in t.pending:
-                        cells.append(("coreset_iterative", np.sort(t.labeled)))
-                subsets = [s for _, s in cells] + ([t.labeled] if b < t.coreset_last else [])
-                if subsets:
-                    work.append((t, cells, subsets))
-            if not work:
+                members += [(t, m) for m in methods if (m, b) in t.pending]
+                if b < t.coreset_last:
+                    members.append((t, None))
+            if not members:
                 continue
 
+            # evaluation subsets are sorted: a model depends on its subset as
+            # a set, not on the sequence a method discovered it in; the
+            # feature model trains on the core-set array as picked
             models = proxy.train_group(
-                emb, labels, [s for _, _, subsets in work for s in subsets], train_cfg,
-                [t.seed for t, _, subsets in work for _ in subsets],
+                emb, labels,
+                [np.sort(t.orders[m][:b]) if m else t.orders[CORESET] for t, m in members],
+                train_cfg, [t.seed for t, _ in members],
             )
-            for t, cells, subsets in work:
-                own, models = models[: len(subsets)], models[len(subsets):]
-                for (m, _), model in zip(cells, own):
+            for (t, m), model in zip(members, models):
+                if m is None:
+                    t.feature_model = model
+                else:
                     emit(SweepRow(m, b, t.trial, t.seed, proxy.accuracy(model, *test_data)))
-                if b < t.coreset_last:
-                    t.feature_model = own[-1]
 
 
 def run_budget_sweep(
@@ -339,6 +326,8 @@ def run_budget_sweep(
         raise ScheduleExceedsPool(
             f"budget {max(schedule.budgets)} exceeds the {emb.n}-point pool"
         )
+    if not methods:
+        raise CoarsesetError(f"no method given; valid methods: {', '.join(METHODS)}")
     for m in methods:
         if m not in METHODS:
             raise CoarsesetError(
@@ -366,38 +355,27 @@ def run_budget_sweep(
             train_data, test_data, schedule, base_seed=base_seed, seed_count=seed_count,
             metric=metric, train_cfg=train_cfg,
         )
-        rows, complete = _read_results(results_path) if results_path.exists() else ([], 0)
         # every row is kept, also those of methods or trials this run does
-        # not request: they stay in the file and in the final rewrite. Row k
-        # of `rows` is line k + 2 of the file.
-        for lineno, row in enumerate(rows, start=2):
-            if row.seed != base_seed + row.trial:
-                raise CoarsesetError(
-                    f"{results_path}: line {lineno}: seed {row.seed} is not base seed "
-                    f"{base_seed} + trial {row.trial}: the rows were produced with "
-                    "different seeds; use a fresh out dir"
-                )
-            done[(row.method, row.budget, row.trial)] = row
-        if rows:
+        # not request: they stay in the file and in the final rewrite
+        if results_path.exists():
+            done = _read_results(results_path, base_seed)
+        if done:
             _check_run_record(out / RUN_FILE, record, results_path)
-        # run.json now holds this run's schedule
-        for lineno, row in enumerate(rows, start=2):
+        # run.json now holds this run's schedule; row k is line k + 2
+        for lineno, row in enumerate(done.values(), start=2):
             if row.budget not in schedule.budgets:
                 raise CoarsesetError(
                     f"{results_path}: line {lineno}: budget {row.budget} is not in the "
                     f"schedule {list(schedule.budgets)} recorded in {RUN_FILE}"
                 )
         store.write_atomically(out / RUN_FILE, json.dumps(record, indent=2) + "\n")
-        if done:
-            os.truncate(results_path, complete)
+        # the kept rows as they were written, without a torn last line
+        _write_csv(results_path, RESULTS_HEADER, map(_format_row, done.values()))
 
     fresh: list[SweepRow] = []
     writer_fh = None
     if results_path is not None:
-        writer_fh = open(results_path, "a" if done else "w", encoding="utf-8", newline="")
-        if not done:
-            csv.writer(writer_fh, lineterminator="\n").writerow(RESULTS_HEADER)
-            writer_fh.flush()
+        writer_fh = open(results_path, "a", encoding="utf-8", newline="")
 
     def emit(row: SweepRow) -> None:
         fresh.append(row)
@@ -426,30 +404,31 @@ def _format_row(row: SweepRow) -> list[str]:
     return [row.method, str(row.budget), str(row.trial), str(row.seed), repr(row.accuracy)]
 
 
-def _read_results(path: Path) -> tuple[list[SweepRow], int]:
-    """Rows of an existing results.csv, and the byte length of its complete
-    lines. Rows are appended one line at a time, so a final line without its
-    newline is an append cut short by a crash: it is not a row, and the
-    caller truncates it off so its cell is recomputed. A row must name a
-    known method, a non-negative trial and an accuracy in [0, 1]; the
-    caller checks its seed and budget against the run's settings."""
+def _read_results(path: Path, base_seed: int) -> dict[tuple[str, int, int], SweepRow]:
+    """The rows of an existing results.csv by (method, budget, trial), in
+    file order. Rows are appended one line at a time, so a final line
+    without its newline is an append cut short by a crash: it is not a row,
+    and its cell is recomputed. A row must be spelled as ``_format_row``
+    writes it, once per cell, and name a known method, a non-negative trial,
+    base_seed + trial as its seed and an accuracy in [0, 1]; the caller
+    checks its budget against the run's schedule."""
     try:
         raw = path.read_bytes()
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-    complete = raw.rfind(b"\n") + 1
     try:
-        lines = raw[:complete].decode("utf-8").split("\n")[:-1]
+        lines = raw[: raw.rfind(b"\n") + 1].decode("utf-8").split("\n")[:-1]
     except UnicodeDecodeError as exc:
         raise CoarsesetError(f"{path}: not UTF-8 text: {exc}") from None
     if not lines:  # cut before the header was complete
-        return [], complete
+        return {}
     if lines[0].split(",") != RESULTS_HEADER:
         raise CoarsesetError(f"{path}: unexpected results header {lines[0]!r}")
-    rows = []
+    rows: dict[tuple[str, int, int], SweepRow] = {}
     for lineno, line in enumerate(lines[1:], start=2):
+        fields = line.split(",")
         try:
-            m, b, t, s, a = line.split(",")
+            m, b, t, s, a = fields
             row = SweepRow(m, int(b), int(t), int(s), float(a))
         except ValueError:
             raise CoarsesetError(
@@ -462,8 +441,25 @@ def _read_results(path: Path) -> tuple[list[SweepRow], int]:
             raise CoarsesetError(f"{where}: negative trial {row.trial}")
         if not 0.0 <= row.accuracy <= 1.0:  # NaN fails this too
             raise CoarsesetError(f"{where}: accuracy {a!r} outside [0, 1]")
-        rows.append(row)
-    return rows, complete
+        if fields != _format_row(row):
+            raise CoarsesetError(
+                f"{where}: a sweep writes this row as {','.join(_format_row(row))!r}, "
+                f"not {line!r}"
+            )
+        if row.seed != base_seed + row.trial:
+            raise CoarsesetError(
+                f"{where}: seed {row.seed} is not base seed {base_seed} + trial "
+                f"{row.trial}: the rows were produced with different seeds; use a "
+                "fresh out dir"
+            )
+        cell = (m, row.budget, row.trial)
+        if cell in rows:  # rows hold one line each, so the k-th is line k + 2
+            raise CoarsesetError(
+                f"{where}: repeats the cell ({m}, {row.budget}, {row.trial}) "
+                f"of line {list(rows).index(cell) + 2}"
+            )
+        rows[cell] = row
+    return rows
 
 
 def _run_record(

@@ -223,6 +223,11 @@ def load_order(path: PathLike) -> SelectionOrder:
         if tok.startswith("#"):
             body = tok.lstrip("#").strip()
             if body.startswith("seed_count="):
+                if header_line:
+                    raise MalformedHeader(
+                        f"{path}: line {lineno}: repeats the seed_count comment of "
+                        f"line {header_line}"
+                    )
                 header_line = lineno
                 try:
                     seed_count = int(body.split("=", 1)[1])

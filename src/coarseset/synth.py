@@ -28,7 +28,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import check_int
+from .errors import check_int, check_real
 from .rng import Rng
 from .store import EmbeddingMatrix, LabelVector
 
@@ -52,6 +52,7 @@ class MixtureSpec:
             raise ValueError(f"per_class_counts must be positive, got {counts}")
         check_int("d", self.d)
         check_int("rng_seed", self.rng_seed)
+        check_real("separation", self.separation)
         if self.center_seed is not None:
             check_int("center_seed", self.center_seed)
         if self.d < 1:
@@ -86,9 +87,10 @@ class MixtureSpec:
 
     @property
     def class_stds(self) -> list[float]:
-        if isinstance(self.std, (int, float)):
-            return [float(self.std)] * len(self.per_class_counts)
-        return [float(s) for s in self.std]
+        stds = self.std
+        if not isinstance(stds, (list, tuple, np.ndarray)):
+            stds = [stds] * len(self.per_class_counts)
+        return [check_real("std", s) for s in stds]
 
 
 def _auto_centers(spec: MixtureSpec, rng: Rng) -> np.ndarray:

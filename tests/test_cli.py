@@ -174,6 +174,10 @@ def test_gen_synth_invalid_spec_exits_2(tmp_path, capsys):
     ("rng_seed", 1.5),
     ("center_seed", 2.5),
     ("per_class_counts", [1.5, 3]),
+    ("std", True),
+    ("std", "1"),
+    ("std", [1.0, "2", 1.0]),
+    ("separation", True),
 ])
 def test_gen_synth_non_integer_field_exits_2(tmp_path, capsys, field, value):
     spec = synth_spec(tmp_path, **{field: value})
@@ -182,7 +186,7 @@ def test_gen_synth_non_integer_field_exits_2(tmp_path, capsys, field, value):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("coarseset: error:") and err.count("\n") == 1
-    assert str(spec) in err and field in err
+    assert str(spec) in err and f"{field} must be a" in err
     assert not (tmp_path / "x.emb").exists()
 
 
@@ -243,6 +247,8 @@ def test_order_file_with_negative_index_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("raw,message", [
     (b"# seed_count=1\n0\n\xff\n", "line 3: not UTF-8 text"),
     (b"# seed_count=1\n0\n99999999999999999999999\n", "line 3: index 99999999999999999999999"),
+    (b"# seed_count=1\n# seed_count=3\n0\n1\n2\n",
+     "line 2: repeats the seed_count comment of line 1"),
 ])
 def test_hostile_order_file_exits_2(tmp_path, capsys, raw, message):
     order = tmp_path / "order.csv"
@@ -402,6 +408,7 @@ def test_sweep_rejects_jobs_below_one(tmp_path, capsys, jobs):
     ("budgets", [6, 12.5], "--budgets"),
     ("seed_count", 0, "seed_count must be >= 1"),
     ("seed_count", 20, "budget 12 cannot cover 20 seeds"),
+    ("methods", ",", "method"),
 ])
 def test_sweep_bad_config_value_exits_2(tmp_path, capsys, key, value, needle):
     # every method and two budgets: a setting checked only inside one

@@ -290,6 +290,8 @@ def test_sweep_validation():
         run_budget_sweep(train_data, test_data, BudgetSchedule((4,)), ("entropy",), 1)
     with pytest.raises(CoarsesetError, match="duplicate"):
         run_budget_sweep(train_data, test_data, BudgetSchedule((4,)), ("random", "random"), 1)
+    with pytest.raises(CoarsesetError, match="no method given"):
+        run_budget_sweep(train_data, test_data, BudgetSchedule((4,)), (), 1)
 
 
 def test_coreset_budget_matches_schedule_points():
@@ -433,6 +435,42 @@ def test_trials_in_a_stack_equal_each_trial_run_alone(monkeypatch):
     assert all(r.seed == 9 + r.trial for r in together.rows)
 
 
+def test_stack_width_counts_the_methods_still_pending(tmp_path, monkeypatch):
+    sizes = []
+    real = harness.proxy.train_group
+
+    def recording(e, labels, subsets, cfg, seeds):
+        sizes.append(len(seeds))
+        return real(e, labels, subsets, cfg, seeds)
+
+    def group_sizes(out, methods, trials):
+        sizes.clear()
+        sweep_lines(out, methods, trials=trials)
+        return list(sizes)
+
+    monkeypatch.setattr(harness.proxy, "train_group", recording)
+    # three methods and the feature model: 4 trials a stack
+    full = group_sizes(tmp_path / "all", ALL_METHODS, 9)
+    assert full == [16, 16, 12, 16, 16, 12, 4, 4, 3]
+    # one method: 16 trials a stack
+    assert group_sizes(tmp_path / "random", ("random",), 20) == [16, 16, 16, 4, 4, 4]
+    # only the added core-set cells are pending: 8 trials a stack, not 4
+    group_sizes(tmp_path / "add", ("fixed_feature", "random"), 9)
+    assert group_sizes(tmp_path / "add", ALL_METHODS, 9) == [16, 16, 8, 2, 2, 1]
+    # more trials: only the new ones have work
+    group_sizes(tmp_path / "more", ALL_METHODS, 2)
+    assert group_sizes(tmp_path / "more", ALL_METHODS, 6) == [16, 16, 12]
+    # trial 0 done, trial 1 with its budget-4 random cell done, trial 2 fresh
+    lines = (tmp_path / "all" / "results.csv").read_text().splitlines()
+    kept = [line for line in lines[1:] if line.split(",")[2] == "0" or
+            line.startswith("random,4,1,")]
+    part = tmp_path / "part"
+    part.mkdir()
+    (part / "run.json").write_bytes((tmp_path / "all" / "run.json").read_bytes())
+    (part / "results.csv").write_text("\n".join([lines[0]] + kept) + "\n")
+    assert group_sizes(part, ALL_METHODS, 3) == [7, 8, 6]
+
+
 def test_each_trial_draws_its_random_order_once(monkeypatch):
     calls = []
     real = harness.selector.random_order
@@ -528,6 +566,12 @@ def resumable_sweep(out_dir, train_cfg=FAST_CFG):
     ("random,4,0,9,1.5", r"accuracy '1.5' outside \[0, 1\]"),
     ("random,4,0,9,-0.0625", r"accuracy '-0.0625' outside \[0, 1\]"),
     ("random,4,0,9,inf", r"accuracy 'inf' outside \[0, 1\]"),
+    ("random,4,0,9,0.125", r"repeats the cell \(random, 4, 0\) of line 2"),
+    ("random,+8,0,9,0.5", r"a sweep writes this row as 'random,8,0,9,0.5', not 'random,\+8,"),
+    ("random, 4,0,9,0.5", "a sweep writes this row as 'random,4,0,9,0.5', not 'random, 4,"),
+    ("random,8_0,0,9,0.5", "a sweep writes this row as 'random,80,0,9,0.5', not 'random,8_0,"),
+    ("random,4,0,9,1", "a sweep writes this row as 'random,4,0,9,1.0', not 'random,4,0,9,1'"),
+    ("random,4,0,9,0.50", "a sweep writes this row as 'random,4,0,9,0.5', not 'random,4,0,9,0.50'"),
 ])
 def test_resume_refuses_a_row_no_sweep_writes(tmp_path, line, message):
     resume = resumable_sweep(tmp_path)
@@ -587,6 +631,7 @@ def test_resume_fuzz_returns_valid_rows_or_names_the_file(tmp_path, raw):
     except CoarsesetError as exc:
         assert str(results) in str(exc)
     else:
+        assert len({(r.method, r.budget, r.trial) for r in result.rows}) == len(result.rows)
         for row in result.rows:
             assert row.method in harness.METHODS and row.trial >= 0
             assert row.budget in RESUME_SCHEDULE.budgets and row.seed == 9 + row.trial

@@ -145,6 +145,19 @@ def test_star_import_binds_every_public_name():
     assert names == []
 
 
+def test_all_lists_every_error_class_and_export():
+    from coarseset import errors
+
+    error_classes = {
+        name for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, errors.CoarsesetError)
+    }
+    exports = {name for names in coarseset._EXPORTS.values() for name in names}
+    assert "ScheduleExceedsPool" in error_classes and "run_budget_sweep" in exports
+    assert set(coarseset.__all__) == error_classes | exports
+    assert coarseset.__all__ == sorted(coarseset.__all__)
+
+
 def test_outputs_do_not_depend_on_blas_threads(tmp_path):
     (tmp_path / "train.json").write_text(json.dumps(dict(SPEC, rng_seed=1)))
     (tmp_path / "test.json").write_text(json.dumps(dict(SPEC, rng_seed=2)))
