@@ -5,25 +5,27 @@ truncated to a budget), ``sweep`` (accuracy vs budget for the selection
 methods), ``histogram`` (per-class counts of an order prefix), and
 ``gen-synth`` (synthetic embedding/label files).
 
-Every flag can also be supplied via ``--config file.json`` (keys are the
-flag names with underscores); explicit flags win over the file. Each flag is
-declared once, by ``_flag``, together with its default, which ``--help``
-shows. The defaults of engine settings are read from the engine
-(``TrainConfig``, ``SelectionConfig``, ``DEFAULT_METRIC``,
-``harness.METHODS``), not restated here. A command imports only the engine
-it runs: ``main`` declares the flags of the chosen subcommand alone, and
-each subcommand imports its engine modules when its flags are declared or
-its handler runs, so ``order``/``select`` never load the sweep's harness
-and proxy, nor ``gen-synth`` the selector. The default RNG seed comes from the
-COARSESET_RNG_SEED environment variable when set. Integer settings must be
-integers: a float or a bool in a config file is a usage error, never
-truncated. BLAS runs single-threaded unless the caller sets
-OPENBLAS_NUM_THREADS.
+A config file is more flags: in ``--config file.json``, key k with value v
+acts as ``--k=v`` (underscores read as dashes) before the command line's
+flags, which therefore win. A string is used as is, a number or bool as its
+repr (``5.9`` or ``true`` fails an integer flag, never truncated), a list
+as its entries joined by commas, and null leaves the setting unset; an
+unknown key or an object value is a usage error. So argparse converts and
+checks every setting in one pass, by the type each flag declares once, in
+``_flag``, with its default, which ``--help`` shows. Engine defaults are
+read from the engine (``TrainConfig``, ``SelectionConfig``,
+``DEFAULT_METRIC``, ``harness.METHODS``), not restated here. A command
+imports only the engine it runs: ``main`` declares the flags of the chosen
+subcommand alone, and each subcommand imports its engine modules when its
+flags are declared or its handler runs, so ``order``/``select`` never load
+the sweep's harness and proxy, nor ``gen-synth`` the selector. The default
+RNG seed comes from $COARSESET_RNG_SEED when set. BLAS runs single-threaded
+unless the caller sets OPENBLAS_NUM_THREADS.
 
-Exit codes: 0 success, 2 usage or input error (one-line diagnostic on
-stderr), 1 internal failure. User-input errors raised as ``ValueError``
-(config values, training settings, metric names) are converted to
-``UsageError`` where the CLI reads them; any other ``ValueError`` is an
+Exit codes: 0 success, 2 usage or input error, 1 internal failure. Every
+usage or input error, a bad flag or config value included, is one line on
+stderr: ``coarseset: error: ...``. A training setting the engine refuses
+with ``ValueError`` becomes a ``UsageError``; any other ``ValueError`` is an
 internal failure.
 """
 
@@ -53,14 +55,11 @@ class UsageError(CoarsesetError):
     """Bad flags or config; reported with exit code 2."""
 
 
-def _env_seed() -> int:
-    raw = os.environ.get(ENV_SEED)
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"{ENV_SEED}={raw!r} is not an integer") from None
+class _Parser(argparse.ArgumentParser):
+    """Raises every parse error as a UsageError: one line, exit 2."""
+
+    def error(self, message: str):
+        raise UsageError(message)
 
 
 def _read_object(path: str, what: str, known) -> dict:
@@ -82,130 +81,96 @@ def _read_object(path: str, what: str, known) -> dict:
     return obj
 
 
-def _merge(args: argparse.Namespace) -> dict:
-    """Flags override config values override defaults."""
-    defaults = args.settings
-    cfg = {} if args.config is None else _read_object(args.config, "config", defaults)
-    merged = {}
-    for key, fallback in defaults.items():
-        flag = getattr(args, key)
-        if flag is not None:
-            merged[key] = flag
-        elif key in cfg:
-            merged[key] = cfg[key]
-        else:
-            merged[key] = fallback
-    return merged
+def _config_flags(args: argparse.Namespace) -> list[str]:
+    """The flags that the config file `args.config` stands for."""
+    flags = []
+    for key, value in _read_object(args.config, "config", args.settings).items():
+        flag = args.settings[key]
+        if value is None or flag is None:  # unset, or a key accepted and ignored
+            continue
+        if isinstance(value, dict):
+            raise UsageError(f"config {args.config}: {key} must not be a JSON object")
+        entries = value if isinstance(value, list) else [value]
+        flags.append(f"{flag}=" + ",".join(v if isinstance(v, str) else repr(v) for v in entries))
+    return flags
 
 
-def _require(merged: dict, *keys: str) -> None:
+def _require(args: argparse.Namespace, *keys: str) -> None:
     for key in keys:
-        if merged[key] is None:
+        if getattr(args, key) is None:
             raise UsageError(f"--{key.replace('_', '-')} is required")
 
 
-def _as_int(value) -> int:
-    """An int or an integer string as an int. Anything else, a bool or a
-    float included, raises: int() would truncate it silently."""
-    return int(value) if isinstance(value, str) else check_int("value", value)
-
-
-def _int_list(value, flag: str) -> list[int]:
+def _int_list(value: str) -> list[int]:
     try:
-        if isinstance(value, (list, tuple)):
-            return [_as_int(v) for v in value]
-        return [int(tok) for tok in str(value).split(",") if tok.strip()]
-    except (TypeError, ValueError):
-        raise UsageError(f"{flag} expects comma-separated integers, got {value!r}") from None
+        return [int(tok) for tok in value.split(",") if tok.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not comma-separated integers: {value!r}") from None
 
 
-def _int(opts: dict, key: str) -> int:
-    """A config or flag value as an int; a value that is not one is a usage error."""
-    try:
-        return _as_int(opts[key])
-    except (TypeError, ValueError):
-        raise UsageError(f"--{key.replace('_', '-')} expects an integer, got {opts[key]!r}") from None
+def _str_list(value: str) -> list[str]:
+    return [tok.strip() for tok in value.split(",") if tok.strip()]
 
 
-def _float(opts: dict, key: str) -> float:
-    """A config or flag value as a float; a bool is a usage error, not 0 or 1."""
-    value = opts[key]
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        return float(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"--{key.replace('_', '-')} expects a number, got {value!r}") from None
-
-
-def _seed(opts: dict) -> int:
-    seed = _int(opts, "rng_seed") if opts["rng_seed"] is not None else _env_seed()
+def _seed(args: argparse.Namespace) -> int:
+    """--rng-seed, else $COARSESET_RNG_SEED, else 0."""
+    seed = args.rng_seed
+    if seed is None:
+        raw = os.environ.get(ENV_SEED, "0")
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise UsageError(f"{ENV_SEED}={raw!r} is not an integer") from None
     if seed < 0:
         raise UsageError(f"--rng-seed (or ${ENV_SEED}) must be non-negative, got {seed}")
     return seed
-
-
-def _metric(opts: dict):
-    from .metrics import Metric
-
-    try:
-        return Metric.from_name(str(opts["metric"]))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
-def _str_list(value) -> list[str]:
-    if isinstance(value, (list, tuple)):
-        return [str(v) for v in value]
-    return [tok.strip() for tok in str(value).split(",") if tok.strip()]
 
 
 # --- subcommand handlers ---------------------------------------------------------
 
 def cmd_order(args: argparse.Namespace) -> int:
     from . import selector
+    from .metrics import Metric
 
-    opts = _merge(args)
-    _require(opts, "embeddings", "out")
-    seed = _seed(opts)
-    emb = load_embeddings(opts["embeddings"])
+    _require(args, "embeddings", "out")
+    seed = _seed(args)
+    emb = load_embeddings(args.embeddings)
     cfg = selector.SelectionConfig(
-        seed_count=_int(opts, "seed_count"),
+        seed_count=args.seed_count,
         rng_seed=seed,
-        metric=_metric(opts),
+        metric=Metric(args.metric),
     )
     if args.subcommand == "select":
-        _require(opts, "budget")
-        order = selector.select_prefix(emb, cfg, _int(opts, "budget"))
+        _require(args, "budget")
+        order = selector.select_prefix(emb, cfg, args.budget)
     else:
         order = selector.full_ordering(emb, cfg)
-    selector.save_order(order, opts["out"])
+    selector.save_order(order, args.out)
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     from . import harness
+    from .metrics import Metric
     from .proxy import TrainConfig
 
-    opts = _merge(args)
-    _require(opts, "train_emb", "train_lab", "test_emb", "test_lab", "out")
-    train_data = (load_embeddings(opts["train_emb"]), load_labels(opts["train_lab"]))
-    test_data = (load_embeddings(opts["test_emb"]), load_labels(opts["test_lab"]))
+    _require(args, "train_emb", "train_lab", "test_emb", "test_lab", "out")
+    train_data = (load_embeddings(args.train_emb), load_labels(args.train_lab))
+    test_data = (load_embeddings(args.test_emb), load_labels(args.test_lab))
 
-    if opts["budgets"] is None:
+    if args.budgets is None:
         schedule = harness.default_schedule(train_data[0].n)
     else:
-        schedule = harness.BudgetSchedule(tuple(_int_list(opts["budgets"], "--budgets")))
-    seed = _seed(opts)
-    jobs = _int(opts, "jobs")
-    if jobs < 1:
-        raise UsageError(f"--jobs must be >= 1, got {jobs}")
+        schedule = harness.BudgetSchedule(tuple(args.budgets))
+    seed = _seed(args)
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     try:
         train_cfg = TrainConfig(
-            epochs=_int(opts, "epochs"),
-            batch_size=_int(opts, "batch_size"),
-            learning_rate=_float(opts, "learning_rate"),
-            hidden=_int(opts, "hidden"),
+            epochs=args.epochs,
+            batch_size=args.batch_size,
+            learning_rate=args.learning_rate,
+            hidden=args.hidden,
         )
     except ValueError as exc:
         raise UsageError(f"invalid training config: {exc}") from None
@@ -213,14 +178,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         train_data,
         test_data,
         schedule,
-        _str_list(opts["methods"]),
-        _int(opts, "trials"),
+        args.methods,
+        args.trials,
         base_seed=seed,
-        metric=_metric(opts),
-        seed_count=_int(opts, "seed_count"),
+        metric=Metric(args.metric),
+        seed_count=args.seed_count,
         train_cfg=train_cfg,
-        out_dir=opts["out"],
-        jobs=jobs,
+        out_dir=args.out,
+        jobs=args.jobs,
     )
     print(harness.format_summary(result))
     return 0
@@ -229,13 +194,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_histogram(args: argparse.Namespace) -> int:
     from . import harness, selector
 
-    opts = _merge(args)
-    _require(opts, "order", "labels", "budget", "out")
-    order = selector.load_order(opts["order"])
-    num_classes = _int(opts, "num_classes") if opts["num_classes"] is not None else None
-    labels = load_labels(opts["labels"], num_classes)
-    hist = harness.class_histogram(order, labels, _int(opts, "budget"))
-    harness.save_histogram(hist, opts["out"])
+    _require(args, "order", "labels", "budget", "out")
+    order = selector.load_order(args.order)
+    labels = load_labels(args.labels, args.num_classes)
+    hist = harness.class_histogram(order, labels, args.budget)
+    harness.save_histogram(hist, args.out)
     return 0
 
 
@@ -243,45 +206,40 @@ def cmd_gen_synth(args: argparse.Namespace) -> int:
     from . import synth
     from .store import save_embeddings, save_labels
 
-    opts = _merge(args)
-    _require(opts, "spec", "out_prefix")
+    _require(args, "spec", "out_prefix")
     # keys of a gen-synth spec: the MixtureSpec fields, plus a class count
     # that must agree with per_class_counts
     keys = {f.name for f in dataclasses.fields(synth.MixtureSpec)} | {"num_classes"}
-    raw = _read_object(opts["spec"], "spec", keys)
+    raw = _read_object(args.spec, "spec", keys)
     if "per_class_counts" not in raw or "d" not in raw:
         raise UsageError("mixture spec needs per_class_counts and d")
     declared = raw.pop("num_classes", None)
     try:
         spec = synth.MixtureSpec(**raw)
         declared = check_int("num_classes", declared) if declared is not None else None
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"invalid mixture spec {opts['spec']}: {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(f"invalid mixture spec {args.spec}: {exc}") from exc
     if declared is not None and declared != spec.num_classes:
         raise UsageError(
             f"num_classes={declared} but per_class_counts lists {spec.num_classes} classes"
         )
 
     emb, labels = synth.generate(spec)
-    prefix = str(opts["out_prefix"])
-    save_embeddings(emb, prefix + ".emb")
-    save_labels(labels, prefix + ".lab")
+    save_embeddings(emb, args.out_prefix + ".emb")
+    save_labels(labels, args.out_prefix + ".lab")
     return 0
 
 
 # --- parser --------------------------------------------------------------------
 
 def _flag(p: argparse.ArgumentParser, name: str, help: str, default=None, **kwargs) -> None:
-    """Declare ``--name`` and record `default` as its fallback in `_merge`.
-
-    argparse itself keeps None as the flag's default, so a flag the user
-    gave is told apart from one left out, and wins over a config value.
-    """
+    """Declare ``--name`` with its default, which --help shows, and accept
+    its config key, the name with underscores."""
     key = name.replace("-", "_")
-    p.get_default("settings")[key] = default
+    p.get_default("settings")[key] = f"--{name}"
     if default is not None:
         help = f"{help} (default {default})"
-    p.add_argument(f"--{name}", dest=key, help=help, **kwargs)
+    p.add_argument(f"--{name}", dest=key, default=default, help=help, **kwargs)
 
 
 def _config_flag(p: argparse.ArgumentParser) -> None:
@@ -307,7 +265,6 @@ def _order_flags(p: argparse.ArgumentParser) -> None:
 def _declare_order(p: argparse.ArgumentParser) -> None:
     # an order config may hold `budget`, so one file serves order and select;
     # the key is accepted and ignored, with no flag of its own
-    p.set_defaults(budget=None)
     p.get_default("settings")["budget"] = None
     _order_flags(p)
 
@@ -325,8 +282,8 @@ def _declare_sweep(p: argparse.ArgumentParser) -> None:
     _flag(p, "train-lab", "training labels")
     _flag(p, "test-emb", "test embeddings")
     _flag(p, "test-lab", "test labels")
-    _flag(p, "budgets", "comma-separated label budgets (default 2%%..40%% of n)")
-    _flag(p, "methods", "comma-separated subset of the methods", ",".join(METHODS))
+    _flag(p, "budgets", "comma-separated label budgets (default 2%%..40%% of n)", type=_int_list)
+    _flag(p, "methods", "comma-separated subset of the methods", ",".join(METHODS), type=_str_list)
     _flag(p, "trials", "trials per cell", 20, type=int)
     _flag(p, "out", "output directory for results/summary CSVs")
     _selection_flags(p, "seed centers for fixed_feature", "base RNG seed; trial t uses seed+t")
@@ -367,7 +324,7 @@ def build_parser(commands: Iterable[str] = tuple(_SUBCOMMANDS)) -> argparse.Argu
     """The parser of every subcommand, with flags declared for those named in
     `commands`. Declaring a subcommand's flags imports the engine modules
     that supply their defaults."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coarseset",
         description="Budget-constrained annotation ordering over precomputed embeddings.",
     )
@@ -381,19 +338,26 @@ def build_parser(commands: Iterable[str] = tuple(_SUBCOMMANDS)) -> argparse.Argu
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+def parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """`argv`, with a --config file's flags placed right after the subcommand."""
+    argv = list(argv)
     # the only top-level option is --help, so the first argument that is not
     # an option names the subcommand; only its flags (and engine) are loaded
     chosen = next((arg for arg in argv if not arg.startswith("-")), None)
     parser = build_parser([chosen])
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    at = argv.index(chosen) + 1
+    return parser.parse_args(argv[:at] + _config_flags(args) + argv[at:])
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse already printed usage/help
-        code = exc.code if exc.code is not None else 0
-        return code if isinstance(code, int) else 2
-    try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         return args.func(args)
+    except SystemExit:  # only --help exits; _Parser raises its errors
+        return 0
     except (CoarsesetError, OSError) as exc:
         print(f"coarseset: error: {exc}", file=sys.stderr)
         return 2

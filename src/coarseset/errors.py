@@ -6,6 +6,7 @@ Everything derives from CoarsesetError so callers (and the CLI) can treat
 for interoperability with generic handling.
 """
 
+import math
 import numbers
 
 
@@ -18,11 +19,18 @@ def check_int(field: str, value) -> int:
 
 
 def check_real(field: str, value) -> float:
-    """`value` as a float if it is a real number (a Python or numpy int or
-    float, not a bool); otherwise TypeError naming `field`."""
+    """`value` as a float if it is a finite real number (a Python or numpy
+    int or float, not a bool); otherwise TypeError or ValueError naming
+    `field`."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"{field} must be a number, got {value!r}")
-    return float(value)
+    try:
+        real = float(value)
+    except OverflowError:  # an int beyond the float range
+        real = math.inf
+    if not math.isfinite(real):
+        raise ValueError(f"{field} must be a finite number, got {value!r}")
+    return real
 
 
 class CoarsesetError(Exception):

@@ -34,6 +34,7 @@ not copies of the rows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -60,8 +61,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.hidden < 1:
             raise ValueError("epochs, batch_size and hidden must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:  # NaN fails every comparison
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
 

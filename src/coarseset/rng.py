@@ -254,14 +254,11 @@ class Rng:
         return [lo + span * ((x >> 11) * _TWO53_INV) for x in self._raw(count)]
 
     def below(self, bound: int) -> int:
-        """Unbiased integer in [0, bound) by rejection sampling."""
+        """Unbiased integer in [0, bound) by rejection sampling: the first
+        draw of a Fisher-Yates walk over `bound` items."""
         if bound <= 0:
             raise ValueError(f"bound must be positive, got {bound}")
-        limit = (1 << 64) - ((1 << 64) % bound)
-        while True:
-            x = self.next_uint64()
-            if x < limit:
-                return x % bound
+        return self._fisher_yates_offsets(bound, 1)[0]
 
     def normals(self, count: int) -> list[float]:
         """`count` standard normals via Box-Muller (see module docstring)."""
@@ -311,11 +308,15 @@ class Rng:
                 bound -= 1
         return offsets
 
-    def shuffle(self, items: list) -> None:
-        """In-place ascending Fisher-Yates."""
-        for i, r in enumerate(self._fisher_yates_offsets(len(items), len(items) - 1)):
+    def _walk(self, items: list, steps: int) -> None:
+        """The first `steps` ascending Fisher-Yates swaps of `items`, in place."""
+        for i, r in enumerate(self._fisher_yates_offsets(len(items), steps)):
             j = i + r
             items[i], items[j] = items[j], items[i]
+
+    def shuffle(self, items: list) -> None:
+        """In-place ascending Fisher-Yates."""
+        self._walk(items, len(items) - 1)
 
     def permutation(self, n: int) -> list[int]:
         items = list(range(n))
@@ -327,7 +328,5 @@ class Rng:
         if not 0 <= k <= n:
             raise ValueError(f"cannot sample {k} of {n}")
         items = list(range(n))
-        for i, r in enumerate(self._fisher_yates_offsets(n, k)):
-            j = i + r
-            items[i], items[j] = items[j], items[i]
+        self._walk(items, k)
         return items[:k]

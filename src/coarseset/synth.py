@@ -71,11 +71,13 @@ class MixtureSpec:
         if self.center_seed is not None and self.center_seed < 0:
             raise ValueError(f"center_seed must be non-negative, got {self.center_seed}")
         if self.centers is not None:
-            arr = np.asarray(self.centers, dtype=np.float64)
+            arr = np.asarray(self.centers, dtype=object)
             if arr.shape != (len(counts), self.d):
                 raise ValueError(
                     f"centers shape {arr.shape} != ({len(counts)}, {self.d})"
                 )
+            for value in arr.flat:
+                check_real("centers", value)
 
     @property
     def num_classes(self) -> int:

@@ -1,11 +1,12 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
 from coarseset import harness
-from coarseset.cli import _merge, build_parser, main
+from coarseset.cli import _int_list, _str_list, build_parser, main, parse_args
 from coarseset.metrics import DEFAULT_METRIC
 from coarseset.proxy import TrainConfig
 from coarseset.store import EmbeddingMatrix, load_embeddings, load_labels, save_embeddings
@@ -178,6 +179,14 @@ def test_gen_synth_invalid_spec_exits_2(tmp_path, capsys):
     ("std", "1"),
     ("std", [1.0, "2", 1.0]),
     ("separation", True),
+    # the JSON reader accepts NaN and Infinity
+    ("std", math.nan),
+    ("std", [1.0, math.inf, 1.0]),
+    pytest.param("std", 10**400, id="std-huge-int"),
+    ("separation", math.inf),
+    ("centers", [[0, 0, 0], [0, math.nan, 0], [1, 1, 1]]),
+    ("centers", [[0, 0, 0], [0, True, 0], [1, 1, 1]]),
+    ("centers", [[0, 0, 0], [0, "1", 0], [1, 1, 1]]),
 ])
 def test_gen_synth_non_integer_field_exits_2(tmp_path, capsys, field, value):
     spec = synth_spec(tmp_path, **{field: value})
@@ -409,6 +418,7 @@ def test_sweep_rejects_jobs_below_one(tmp_path, capsys, jobs):
     ("seed_count", 0, "seed_count must be >= 1"),
     ("seed_count", 20, "budget 12 cannot cover 20 seeds"),
     ("methods", ",", "method"),
+    ("out", {"dir": "s"}, "out must not be a JSON object"),
 ])
 def test_sweep_bad_config_value_exits_2(tmp_path, capsys, key, value, needle):
     # every method and two budgets: a setting checked only inside one
@@ -458,27 +468,46 @@ def test_sweep_jobs_defaults_to_one(tmp_path, monkeypatch):
     }
 
 
-def test_every_flag_reads_from_config_and_help_shows_defaults(tmp_path, capsys):
+# a flag's type -> (a JSON config value, the same setting on the command line)
+FLAG_VALUES = {
+    int: (3, "3"),
+    float: (0.5, "0.5"),
+    _int_list: ([4, 5], "4,5"),
+    _str_list: (["random", "fixed_feature"], "random,fixed_feature"),
+    None: ("from-config", "from-config"),
+}
+
+
+def without_config(args):
+    return {key: value for key, value in vars(args).items() if key != "config"}
+
+
+def test_every_flag_reads_from_config_and_help_shows_defaults(tmp_path):
     parser = build_parser()
     subparsers = next(a for a in parser._actions if a.dest == "subcommand").choices
+    path = tmp_path / "cfg.json"
     for sub in SUBCOMMANDS:
-        keys = [
-            opt[2:].replace("-", "_")
-            for action in subparsers[sub]._actions
-            for opt in action.option_strings
-            if opt.startswith("--") and opt not in ("--help", "--config")
+        actions = [
+            action for action in subparsers[sub]._actions
+            if action.option_strings and action.dest not in ("help", "config")
         ]
-        if sub == "order":  # one config file serves both order and select
-            keys.append("budget")
-        cfg = {key: f"from-config-{key}" for key in keys}
-        path = tmp_path / f"{sub}.json"
-        path.write_text(json.dumps(cfg))
-        assert _merge(parser.parse_args([sub, "--config", str(path)])) == cfg
-
         help_text = " ".join(subparsers[sub].format_help().split())
-        for key, default in _merge(parser.parse_args([sub])).items():
-            if default is not None:
-                assert f"(default {default})" in help_text, (sub, key)
+        for action in actions:
+            if action.choices:
+                config_value = flag_value = list(action.choices)[-1]
+            else:
+                config_value, flag_value = FLAG_VALUES[action.type]
+            path.write_text(json.dumps({action.dest: config_value}))
+            from_config = parse_args([sub, "--config", str(path)])
+            from_flag = parse_args([sub, action.option_strings[0], flag_value])
+            assert without_config(from_config) == without_config(from_flag), (sub, action.dest)
+            assert getattr(from_flag, action.dest) != action.default, (sub, action.dest)
+            if action.default is not None:
+                assert f"(default {action.default})" in help_text, (sub, action.dest)
+    # one config file serves order and select: order accepts `budget` and ignores it
+    path.write_text(json.dumps({"budget": 5}))
+    from_config = parse_args(["order", "--config", str(path)])
+    assert without_config(from_config) == without_config(parse_args(["order"]))
 
 
 def test_sweep_run_json_records_the_settings_and_input_digests(tmp_path, monkeypatch):
@@ -549,3 +578,65 @@ def test_sweep_more_trials_extend_a_finished_run(tmp_path):
     assert main(["sweep", "--config", str(cfg), "--trials", "2", "--out", str(tmp_path / "f")]) == 0
     for name in ("results.csv", "summary.csv", "run.json"):
         assert (tmp_path / "s" / name).read_bytes() == (tmp_path / "f" / name).read_bytes()
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (["sweep", "--trials", "x"], "argument --trials: invalid int value: 'x'"),
+    (["select", "--budget", "5.9"], "argument --budget: invalid int value: '5.9'"),
+    (["sweep", "--budgets", "6,x"], "argument --budgets: not comma-separated integers"),
+    (["order", "--metric", "manhattan"], "argument --metric: invalid choice: 'manhattan'"),
+    (["order", "--budget", "5"], "unrecognized arguments: --budget 5"),
+    (["histogram", "--frobnicate"], "unrecognized arguments: --frobnicate"),
+    (["frobnicate"], "invalid choice: 'frobnicate'"),
+])
+def test_bad_flag_is_one_error_line(capsys, argv, needle):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("coarseset: error:") and captured.err.count("\n") == 1
+    assert needle in captured.err
+
+
+@pytest.mark.parametrize("sub,config,needle", [
+    ("gen-synth", {"spec": 0, "out_prefix": "x"}, "cannot read spec 0"),
+    ("order", {"embeddings": 7, "out": "o.csv"}, "cannot read embeddings from 7:"),
+])
+def test_config_number_as_input_path_names_a_file(tmp_path, capsys, monkeypatch, sub, config,
+                                                  needle):
+    # the number is the file name --spec=0 or --embeddings=7 gives, not a
+    # file descriptor; there is no such file here
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    capsys.readouterr()
+    assert main([sub, "--config", "cfg.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("coarseset: error:") and needle in err and "internal" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_sweep_config_out_number_names_a_directory(tmp_path, monkeypatch):
+    cfg = sweep_config(tmp_path, out=7)
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert main(["sweep", "--config", str(cfg), "--out", "s"]) == 0
+    for name in ("results.csv", "summary.csv", "run.json"):
+        assert (tmp_path / "7" / name).read_bytes() == (tmp_path / "s" / name).read_bytes()
+
+
+def test_config_null_leaves_a_setting_at_its_default(tmp_path):
+    path = tmp_path / "cfg.json"
+    for sub in SUBCOMMANDS:
+        unset = parse_args([sub])
+        path.write_text(json.dumps(dict.fromkeys(unset.settings)))
+        assert without_config(parse_args([sub, "--config", str(path)])) == without_config(unset)
+
+
+@pytest.mark.parametrize("learning_rate", ["nan", "inf"])
+def test_sweep_non_finite_learning_rate_exits_2(tmp_path, capsys, learning_rate):
+    cfg = sweep_config(tmp_path)
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(cfg), "--learning-rate", learning_rate]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("coarseset: error:") and err.count("\n") == 1
+    assert f"learning_rate must be finite and > 0, got {learning_rate}" in err
+    assert not (tmp_path / "s").exists()

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -185,8 +186,9 @@ def test_feature_trainer_contract():
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
-    with pytest.raises(ValueError):
-        TrainConfig(learning_rate=0.0)
+    for learning_rate in (0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=learning_rate)
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
 

@@ -213,6 +213,19 @@ def test_fisher_yates_walk_rejection_keeps_the_stream():
     assert rejected > 500
 
 
+def test_below_is_the_documented_rejection_rule():
+    # bound 2**63 + 41 rejects about half the draws, bound 7 almost none
+    rejected = 0
+    for seed in range(20):
+        fast, ref = Rng(seed), Rng(seed)
+        for bound in (2**63 + 41, 7, 2**63 + 41, 1):
+            value, draws = ref_below(ref, bound)
+            assert fast.below(bound) == value
+            rejected += draws - 1
+        assert fast.next_uint64() == ref.next_uint64()
+    assert rejected > 10
+
+
 # --- the lane route against the scalar loop ------------------------------------
 
 LANE_SEEDS = (0, 1, 12345, 2**64 - 1)
