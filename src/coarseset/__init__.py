@@ -19,7 +19,6 @@ from .errors import (
     EmptySubset,
     IndexOutOfRange,
     IoFailure,
-    LabelOutOfRange,
     MalformedHeader,
     MalformedLabel,
     NoCenters,

@@ -48,7 +48,7 @@ class SizeMismatch(CoarsesetError, ValueError):
 
 
 class NonFiniteValue(CoarsesetError, ValueError):
-    """NaN or infinity found in embedding data."""
+    """NaN or infinity found in embedding data, or produced by training."""
 
 
 class EmptyMatrix(CoarsesetError, ValueError):
@@ -103,10 +103,6 @@ class BudgetExceedsOrder(CoarsesetError, ValueError):
 
 class EmptySubset(CoarsesetError, ValueError):
     """Training subset is empty."""
-
-
-class LabelOutOfRange(CoarsesetError, ValueError):
-    """Label id not below the model's class count."""
 
 
 # --- harness ----------------------------------------------------------------

@@ -33,16 +33,16 @@ row is written.
 
 The sweep runs on the calling thread. ``jobs`` is accepted and checked
 (``>= 1``) but does not change the schedule: the work holds the
-interpreter lock, and a thread pool only made sweeps slower. Rows stream
-to ``results.csv`` as they finish so an interrupted sweep can resume by
-skipping completed cells: a resume rewrites the rows it keeps, which drops
-a last line torn by a crash, and appends after them. The final files are
-rewritten in canonical (method, budget, trial) order so resumed and
-uninterrupted runs produce byte-identical outputs.
-The rewrite goes through a temporary file and a rename, so a failed
-rewrite leaves the streamed results in place. A rerun that asks for fewer
-methods or trials keeps the rows it does not ask for: they are seed-checked
-like the others and stay in both files, and in the returned result.
+interpreter lock, and a thread pool only made sweeps slower. After each
+``train_group`` call ``results.csv`` is rewritten whole, the kept and the
+fresh rows in canonical (method, budget, trial) order, and ``summary.csv``
+follows at the end. So an interrupted sweep can resume by skipping
+completed cells, and resumed and uninterrupted runs produce
+byte-identical outputs. Every write goes through a temporary file and a
+rename, so a kill or a failed write leaves the previous file whole, and a
+group's rows reach the file together. A rerun that asks for fewer methods
+or trials keeps the rows it does not ask for: they are seed-checked like
+the others and stay in both files, and in the returned result.
 
 Before the first cell, ``run.json`` beside the CSVs records every setting
 that determines a cell (budgets, seed, seed count, metric, training config)
@@ -57,8 +57,6 @@ one cell. The error names the file and, where a row is at fault, its line.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -72,7 +70,6 @@ from .errors import (
     BudgetExceedsPool,
     CoarsesetError,
     IndexOutOfRange,
-    IoFailure,
     ScheduleExceedsPool,
 )
 from .metrics import DEFAULT_METRIC, Metric
@@ -235,7 +232,7 @@ def _sweep_rows(
 ) -> None:
     """The cells not in `skip`, one stack of trials at a time: the stack
     walks the budgets, and at each budget all its trainings run as one
-    ``proxy.train_group`` call."""
+    ``proxy.train_group`` call, whose rows go to `emit` together."""
     emb, labels = train_data
     todo = [
         (trial, pending) for trial in range(trials)
@@ -294,11 +291,14 @@ def _sweep_rows(
                 [np.sort(t.orders[m][:b]) if m else t.orders[CORESET] for t, m in members],
                 train_cfg, [t.seed for t, _ in members],
             )
+            group = []
             for (t, m), model in zip(members, models):
                 if m is None:
                     t.feature_model = model
                 else:
-                    emit(SweepRow(m, b, t.trial, t.seed, proxy.accuracy(model, *test_data)))
+                    acc = proxy.accuracy(model, *test_data)
+                    group.append(SweepRow(m, b, t.trial, t.seed, acc))
+            emit(group)
 
 
 def run_budget_sweep(
@@ -345,7 +345,7 @@ def run_budget_sweep(
             f"budget {max(schedule.budgets)} cannot cover {seed_count} seeds"
         )
 
-    done: dict[tuple[str, int, int], SweepRow] = {}
+    rows: dict[tuple[str, int, int], SweepRow] = {}  # kept and fresh
     results_path = None
     if out_dir is not None:
         out = Path(out_dir)
@@ -358,41 +358,28 @@ def run_budget_sweep(
         # every row is kept, also those of methods or trials this run does
         # not request: they stay in the file and in the final rewrite
         if results_path.exists():
-            done = _read_results(results_path, base_seed)
-        if done:
+            rows = _read_results(results_path, base_seed)
+        if rows:
             _check_run_record(out / RUN_FILE, record, results_path)
         # run.json now holds this run's schedule; row k is line k + 2
-        for lineno, row in enumerate(done.values(), start=2):
+        for lineno, row in enumerate(rows.values(), start=2):
             if row.budget not in schedule.budgets:
                 raise CoarsesetError(
                     f"{results_path}: line {lineno}: budget {row.budget} is not in the "
                     f"schedule {list(schedule.budgets)} recorded in {RUN_FILE}"
                 )
         store.write_atomically(out / RUN_FILE, json.dumps(record, indent=2) + "\n")
-        # the kept rows as they were written, without a torn last line
-        _write_csv(results_path, RESULTS_HEADER, map(_format_row, done.values()))
 
-    fresh: list[SweepRow] = []
-    writer_fh = None
-    if results_path is not None:
-        writer_fh = open(results_path, "a", encoding="utf-8", newline="")
+    def emit(group: list[SweepRow]) -> None:
+        rows.update(((r.method, r.budget, r.trial), r) for r in group)
+        if results_path is not None:
+            _write_csv(results_path, RESULTS_HEADER, map(_format_row, _canonical(rows.values())))
 
-    def emit(row: SweepRow) -> None:
-        fresh.append(row)
-        if writer_fh is not None:
-            csv.writer(writer_fh, lineterminator="\n").writerow(_format_row(row))
-            writer_fh.flush()
-
-    try:
-        _sweep_rows(
-            trials, train_data, test_data, schedule, methods,
-            sel_cfg=sel_cfg, train_cfg=train_cfg, skip=set(done), emit=emit,
-        )
-    finally:
-        if writer_fh is not None:
-            writer_fh.close()
-
-    result = SweepResult(_canonical(list(done.values()) + fresh))
+    _sweep_rows(
+        trials, train_data, test_data, schedule, methods,
+        sel_cfg=sel_cfg, train_cfg=train_cfg, skip=set(rows), emit=emit,
+    )
+    result = SweepResult(_canonical(rows.values()))
     if out_dir is not None:
         emit_report(result, out_dir)
     return result
@@ -406,16 +393,14 @@ def _format_row(row: SweepRow) -> list[str]:
 
 def _read_results(path: Path, base_seed: int) -> dict[tuple[str, int, int], SweepRow]:
     """The rows of an existing results.csv by (method, budget, trial), in
-    file order. Rows are appended one line at a time, so a final line
-    without its newline is an append cut short by a crash: it is not a row,
-    and its cell is recomputed. A row must be spelled as ``_format_row``
-    writes it, once per cell, and name a known method, a non-negative trial,
-    base_seed + trial as its seed and an accuracy in [0, 1]; the caller
-    checks its budget against the run's schedule."""
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    file order. The sweep only ever writes the file whole, through a rename,
+    so a final line without its newline comes from a file cut outside the
+    program, such as a copy cut short: it is not a row, and its cell is
+    recomputed. A row must be spelled as ``_format_row`` writes it, once per
+    cell, and name a known method, a non-negative trial, base_seed + trial
+    as its seed and an accuracy in [0, 1]; the caller checks its budget
+    against the run's schedule."""
+    raw = store.read_file(path, "results")
     try:
         lines = raw[: raw.rfind(b"\n") + 1].decode("utf-8").split("\n")[:-1]
     except UnicodeDecodeError as exc:
@@ -492,14 +477,14 @@ def _run_record(
 def _check_run_record(path: Path, record: dict, results_path: Path) -> None:
     """Refuse to add to rows produced under other settings, or under
     settings nobody recorded."""
-    try:
-        old = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
+    if not path.exists():
         raise CoarsesetError(
             f"{results_path} holds rows but {path.name} is missing, so their settings "
             "are unknown; use a fresh out dir"
-        ) from None
-    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, not JSON
+        )
+    try:
+        old = json.loads(store.read_file(path, "the run record").decode("utf-8"))
+    except ValueError as exc:  # not UTF-8, not JSON
         raise CoarsesetError(f"cannot read {path}: {exc}") from None
     if not isinstance(old, dict):
         raise CoarsesetError(f"{path} does not hold a JSON object")
@@ -512,26 +497,21 @@ def _check_run_record(path: Path, record: dict, results_path: Path) -> None:
 
 
 def _write_csv(path: PathLike, header: list[str], rows: Iterable[list[str]]) -> None:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    store.write_atomically(path, buf.getvalue())
+    """The whole file, one line of comma-joined fields per row. No field
+    needs quoting: each is a method name, an int or a float ``repr``."""
+    store.write_atomically(path, "".join(",".join(r) + "\n" for r in [header, *rows]))
 
 
 def emit_report(result: SweepResult, out_dir: PathLike) -> None:
     """Write results.csv (canonical row order) and summary.csv (mean/std)."""
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        rows = _canonical(result.rows)
-        _write_csv(out / "results.csv", RESULTS_HEADER, (_format_row(r) for r in rows))
-        _write_csv(out / "summary.csv", SUMMARY_HEADER, (
-            [method, str(budget), repr(float(np.mean(accs))), repr(float(np.std(accs)))]
-            for method, budget, accs in _summary_cells(rows)
-        ))
-    except OSError as exc:
-        raise IoFailure(f"cannot write report to {out}: {exc}") from exc
+    out.mkdir(parents=True, exist_ok=True)
+    rows = _canonical(result.rows)
+    _write_csv(out / "results.csv", RESULTS_HEADER, (_format_row(r) for r in rows))
+    _write_csv(out / "summary.csv", SUMMARY_HEADER, (
+        [method, str(budget), repr(float(np.mean(accs))), repr(float(np.std(accs)))]
+        for method, budget, accs in _summary_cells(rows)
+    ))
 
 
 def _summary_cells(rows: Sequence[SweepRow]):
@@ -554,9 +534,6 @@ def format_summary(result: SweepResult) -> str:
 
 def save_histogram(hist: ClassHistogram, path: PathLike) -> None:
     """CSV with one `class,count` row per class."""
-    try:
-        _write_csv(path, HISTOGRAM_HEADER, (
-            [str(cls), str(int(count))] for cls, count in enumerate(hist.counts)
-        ))
-    except OSError as exc:
-        raise IoFailure(f"cannot write histogram to {path}: {exc}") from exc
+    _write_csv(path, HISTOGRAM_HEADER, (
+        [str(cls), str(int(count))] for cls, count in enumerate(hist.counts)
+    ))

@@ -32,14 +32,6 @@ class Metric(enum.Enum):
     EUCLIDEAN = "euclidean"
     COSINE = "cosine"
 
-    @classmethod
-    def from_name(cls, name: str) -> "Metric":
-        try:
-            return cls(name.lower())
-        except ValueError:
-            valid = ", ".join(m.value for m in cls)
-            raise ValueError(f"unknown metric {name!r}; choose one of: {valid}") from None
-
 
 DEFAULT_METRIC = Metric.SQEUCLIDEAN
 

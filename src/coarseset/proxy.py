@@ -44,7 +44,7 @@ from .errors import (
     DimensionMismatch,
     EmptySubset,
     IndexOutOfRange,
-    LabelOutOfRange,
+    NonFiniteValue,
 )
 from .rng import Rng
 from .store import EmbeddingMatrix, LabelVector
@@ -160,6 +160,9 @@ def train(
     return train_group(e, labels, [subset], cfg, [cfg.rng_seed])[0]
 
 
+# a learning rate too large for the data overflows the parameters to inf and
+# NaN; the check at the end reports that as one error naming the rate
+@np.errstate(over="ignore", invalid="ignore")
 def train_group(
     e: EmbeddingMatrix,
     labels: LabelVector,
@@ -195,9 +198,6 @@ def train_group(
             f"labels cover {len(labels)} points, embeddings have {e.n}"
         )
     idx = np.stack(idx)
-    y_pool = labels.labels[idx]
-    if int(y_pool.max()) >= labels.num_classes:
-        raise LabelOutOfRange("label id not below num_classes")
 
     one_hot = np.eye(labels.num_classes)
     # one stream per distinct seed, in first-use order; member b draws from
@@ -231,7 +231,10 @@ def train_group(
     params = [p.astype(np.float32) for p in params]
     for p in params:
         if not np.isfinite(p).all():
-            raise ArithmeticError("training produced non-finite parameters")
+            raise NonFiniteValue(
+                f"training produced non-finite parameters: learning_rate {lr!r} is "
+                "too large for this data"
+            )
     return [MlpModel(*(p[b] for p in params)) for b in range(len(idx))]
 
 

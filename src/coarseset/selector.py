@@ -15,7 +15,6 @@ The iterative core-set baseline is built from these pieces in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -25,7 +24,6 @@ from .errors import (
     BudgetExceedsPool,
     DuplicateSeed,
     IndexOutOfRange,
-    IoFailure,
     MalformedHeader,
     NoCenters,
 )
@@ -204,19 +202,13 @@ def save_order(order: SelectionOrder, path: PathLike) -> None:
     """One index per line, preceded by a `# seed_count=<k>` comment."""
     lines = [f"# seed_count={order.seed_count}"]
     lines.extend(str(int(i)) for i in order.order)
-    try:
-        store.write_atomically(path, "\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write order to {path}: {exc}") from exc
+    store.write_atomically(path, "\n".join(lines) + "\n")
 
 
 def load_order(path: PathLike) -> SelectionOrder:
     """The order save_order wrote. Every error names the file, and the line
     where one is at fault."""
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as exc:
-        raise IoFailure(f"cannot read order from {path}: {exc}") from exc
+    raw = store.read_file(path, "order")
     seed_count, header_line = 0, 0
     lines: dict[int, int] = {}  # index -> its line, in file order
     for lineno, tok in store.text_lines(raw, path, "not UTF-8 text"):

@@ -151,10 +151,20 @@ def text_lines(raw: bytes, path: PathLike, not_text: str) -> Iterator[tuple[int,
             yield lineno, line
 
 
+def read_file(path: PathLike, what: str) -> bytes:
+    """The bytes of the file at `path`. A read that fails (a missing file, a
+    directory, no permission) raises IoFailure naming `what` and the file."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise IoFailure(f"cannot read {what} from {path}: {exc}") from exc
+
+
 def write_atomically(path: PathLike, *parts) -> None:
     """Write `parts` (str as UTF-8, or bytes-like) to a temporary file beside
     `path`, then rename it over `path`, so a write that fails partway leaves
-    the previous file intact and no temporary file behind.
+    the previous file intact and no temporary file behind. A failed write
+    raises IoFailure naming the file.
 
     A symlink is followed: the file it points to is replaced and the link
     stays. A replaced file keeps its permission bits. A target that exists
@@ -162,23 +172,26 @@ def write_atomically(path: PathLike, *parts) -> None:
     cannot be renamed over, so it is written directly."""
     path = Path(path)
     try:
-        mode = path.stat().st_mode
-    except FileNotFoundError:
-        mode = None
-    if mode is not None and not stat.S_ISREG(mode):
-        with open(path, "wb") as fh:
-            _write_parts(fh, parts)
-        return
-    target = path.resolve()
-    tmp = target.with_name(target.name + ".tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            _write_parts(fh, parts)
-        if mode is not None:
-            os.chmod(tmp, stat.S_IMODE(mode))
-        os.replace(tmp, target)
-    finally:
-        tmp.unlink(missing_ok=True)
+        try:
+            mode = path.stat().st_mode
+        except FileNotFoundError:
+            mode = None
+        if mode is not None and not stat.S_ISREG(mode):
+            with open(path, "wb") as fh:
+                _write_parts(fh, parts)
+            return
+        target = path.resolve()
+        tmp = target.with_name(target.name + ".tmp")
+        try:
+            with open(tmp, "wb") as fh:
+                _write_parts(fh, parts)
+            if mode is not None:
+                os.chmod(tmp, stat.S_IMODE(mode))
+            os.replace(tmp, target)
+        finally:
+            tmp.unlink(missing_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
 def _write_parts(fh, parts) -> None:
@@ -194,18 +207,12 @@ def _emb1_parts(m: EmbeddingMatrix) -> tuple[bytes, np.ndarray]:
 
 def save_embeddings(m: EmbeddingMatrix, path: PathLike) -> None:
     """Write EMB1; round-trips bit-exactly through load_embeddings."""
-    try:
-        write_atomically(path, *_emb1_parts(m))
-    except OSError as exc:
-        raise IoFailure(f"cannot write embeddings to {path}: {exc}") from exc
+    write_atomically(path, *_emb1_parts(m))
 
 
 def load_embeddings(path: PathLike) -> EmbeddingMatrix:
     """Load EMB1 (detected by magic bytes) or headerless CSV."""
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as exc:
-        raise IoFailure(f"cannot read embeddings from {path}: {exc}") from exc
+    raw = read_file(path, "embeddings")
     if raw[:4] == EMB1_MAGIC:
         return _parse_emb1(raw, path)
     return _parse_embedding_csv(raw, path)
@@ -258,10 +265,7 @@ def _lab1_parts(v: LabelVector) -> tuple[bytes, np.ndarray]:
 
 def save_labels(v: LabelVector, path: PathLike) -> None:
     """Write LAB1; round-trips bit-exactly through load_labels."""
-    try:
-        write_atomically(path, *_lab1_parts(v))
-    except OSError as exc:
-        raise IoFailure(f"cannot write labels to {path}: {exc}") from exc
+    write_atomically(path, *_lab1_parts(v))
 
 
 def sha256(obj: Union[EmbeddingMatrix, LabelVector]) -> str:
@@ -280,10 +284,7 @@ def load_labels(path: PathLike, num_classes: Optional[int] = None) -> LabelVecto
     num_classes defaults to 1 + max label; pass it explicitly for datasets
     where some class is absent.
     """
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as exc:
-        raise IoFailure(f"cannot read labels from {path}: {exc}") from exc
+    raw = read_file(path, "labels")
     if raw[:4] == LAB1_MAGIC:
         labels = _parse_lab1(raw, path)
     else:

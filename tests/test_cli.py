@@ -73,13 +73,16 @@ def test_select_requires_budget(emb_file, tmp_path, capsys):
     assert "--budget" in capsys.readouterr().err
 
 
-def test_env_var_seed(emb_file, tmp_path, monkeypatch):
+def test_env_var_seed(emb_file, tmp_path, monkeypatch, capsys):
     flagged = tmp_path / "flag.csv"
     env = tmp_path / "env.csv"
     assert main(["order", "--embeddings", str(emb_file), "--out", str(flagged), "--rng-seed", "10"]) == 0
     monkeypatch.setenv("COARSESET_RNG_SEED", "10")
     assert main(["order", "--embeddings", str(emb_file), "--out", str(env)]) == 0
     assert env.read_bytes() == flagged.read_bytes()
+    monkeypatch.setenv("COARSESET_RNG_SEED", "abc")
+    assert main(["order", "--embeddings", str(emb_file), "--out", str(env)]) == 2
+    assert "COARSESET_RNG_SEED='abc' is not an integer" in capsys.readouterr().err
 
 
 def test_flag_overrides_env(emb_file, tmp_path, monkeypatch):
@@ -129,6 +132,10 @@ def test_config_unknown_key_exits_2(emb_file, tmp_path, capsys):
     rc = main(["order", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
     assert rc == 2
     assert "embeddingz" in capsys.readouterr().err
+    cfg.write_text(json.dumps([str(emb_file)]))
+    assert main(["order", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+    assert f"config {cfg} must hold a JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_gen_synth_writes_pair_and_is_deterministic(tmp_path):
@@ -167,6 +174,10 @@ def test_gen_synth_invalid_spec_exits_2(tmp_path, capsys):
     assert main(["gen-synth", "--spec", str(bad), "--out-prefix", str(tmp_path / "x")]) == 2
     bad.write_text(json.dumps({"per_class_counts": [3], "d": 2, "num_classes": 7}))
     assert main(["gen-synth", "--spec", str(bad), "--out-prefix", str(tmp_path / "x")]) == 2
+    bad.write_text(json.dumps({"per_class_counts": [3]}))
+    capsys.readouterr()
+    assert main(["gen-synth", "--spec", str(bad), "--out-prefix", str(tmp_path / "x")]) == 2
+    assert "mixture spec needs per_class_counts and d" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field,value", [
@@ -629,6 +640,18 @@ def test_config_null_leaves_a_setting_at_its_default(tmp_path):
         unset = parse_args([sub])
         path.write_text(json.dumps(dict.fromkeys(unset.settings)))
         assert without_config(parse_args([sub, "--config", str(path)])) == without_config(unset)
+
+
+@pytest.mark.filterwarnings("error")  # numpy's overflow warnings would add lines
+@pytest.mark.parametrize("learning_rate", ["1e30", "1e300"])
+def test_sweep_diverging_learning_rate_exits_2(tmp_path, capsys, learning_rate):
+    cfg = sweep_config(tmp_path)
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(cfg), "--learning-rate", learning_rate]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("coarseset: error:") and err.count("\n") == 1
+    assert f"learning_rate {float(learning_rate)!r} is too large" in err
+    assert not (tmp_path / "s" / "results.csv").exists()
 
 
 @pytest.mark.parametrize("learning_rate", ["nan", "inf"])

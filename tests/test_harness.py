@@ -1,3 +1,4 @@
+import errno
 import itertools
 from dataclasses import replace
 
@@ -157,7 +158,9 @@ def test_emit_report_mean_of_three(tmp_path):
     summary = (tmp_path / "summary.csv").read_text().splitlines()
     method, budget, mean, _ = summary[1].split(",")
     assert (method, budget) == ("random", "4")
-    assert float(mean) == pytest.approx(0.6)
+    assert float(mean) == SweepResult(rows).mean_accuracy("random", 4) == pytest.approx(0.6)
+    with pytest.raises(KeyError, match=r"no rows for \(random, 8\)"):
+        SweepResult(rows).mean_accuracy("random", 8)
 
 
 def test_format_summary_lists_cells():
@@ -243,22 +246,23 @@ def test_failed_report_rewrite_keeps_streamed_results(tmp_path, monkeypatch):
 
     out = tmp_path / "crash"
     streamed = {}
-    real_emit, real_format = harness.emit_report, harness._format_row
+    real_emit = harness.emit_report
 
-    def format_until_disk_full(row):
-        if row.trial == 1:  # the second canonical row: partway through results.csv
-            raise OSError("disk full")
-        return real_format(row)
+    def write_half_then_disk_full(fh, parts):
+        data = "".join(parts).encode("utf-8")
+        fh.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "disk full")
 
     def emit_failing_partway(result, out_dir):
         streamed["results"] = (out / "results.csv").read_bytes()
-        monkeypatch.setattr(harness, "_format_row", format_until_disk_full)
+        monkeypatch.setattr(harness.store, "_write_parts", write_half_then_disk_full)
         real_emit(result, out_dir)
 
     monkeypatch.setattr(harness, "emit_report", emit_failing_partway)
-    with pytest.raises(IoFailure, match="disk full"):
+    with pytest.raises(IoFailure, match=r"cannot write .*results\.csv: .*disk full"):
         run_budget_sweep(*args, **kwargs, out_dir=out)
-    assert len(streamed["results"].splitlines()) == 1 + 8
+    # the last group's rewrite already holds every row in canonical order
+    assert streamed["results"] == (tmp_path / "full" / "results.csv").read_bytes()
     assert (out / "results.csv").read_bytes() == streamed["results"]
     assert sorted(p.name for p in out.iterdir()) == ["results.csv", "run.json"]
 
@@ -292,6 +296,13 @@ def test_sweep_validation():
         run_budget_sweep(train_data, test_data, BudgetSchedule((4,)), ("random", "random"), 1)
     with pytest.raises(CoarsesetError, match="no method given"):
         run_budget_sweep(train_data, test_data, BudgetSchedule((4,)), (), 1)
+    with pytest.raises(ScheduleExceedsPool, match="trials must be >= 1, got 0"):
+        run_budget_sweep(train_data, test_data, BudgetSchedule((4,)), ("random",), 0)
+    with pytest.raises(CoarsesetError, match="jobs must be >= 1, got 0"):
+        run_budget_sweep(train_data, test_data, BudgetSchedule((4,)), ("random",), 1, jobs=0)
+    short = (train_data[0], LabelVector.from_labels(train_data[1].labels[:-1]))
+    with pytest.raises(ScheduleExceedsPool, match="labels and embeddings disagree on n"):
+        run_budget_sweep(short, test_data, BudgetSchedule((4,)), ("random",), 1)
 
 
 def test_coreset_budget_matches_schedule_points():
@@ -362,21 +373,38 @@ def test_jobs_two_writes_the_bytes_of_jobs_one(tmp_path):
 
 
 def test_resume_from_a_cut_inside_a_budget_group(tmp_path, monkeypatch):
-    sweep_lines(tmp_path / "full", ALL_METHODS)
-    # the rows as they stream, before the canonical rewrite
+    full = sweep_lines(tmp_path / "full", ALL_METHODS)
+    # results.csv as each group's rewrite leaves it, before the final report
+    rewrites = []
+    real_write = harness._write_csv
+
+    def recording(path, header, rows):
+        real_write(path, header, rows)
+        rewrites.append(path.read_text())
+
+    monkeypatch.setattr(harness, "_write_csv", recording)
     monkeypatch.setattr(harness, "emit_report", lambda result, out_dir: None)
-    streamed = sweep_lines(tmp_path / "stream", ALL_METHODS)
+    sweep_lines(tmp_path / "groups", ALL_METHODS)
     monkeypatch.undo()
-    cell = [tuple(line.split(",")[1:3]) for line in streamed[1:]]  # (budget, trial)
-    assert cell[0] == cell[1] == cell[2]  # one budget group streams its rows together
-    for cut in (1, 2, 4, 9, len(streamed) - 2):
-        out = tmp_path / f"cut{cut}"
+    # both trials train each budget in one group, whose six rows reach the
+    # file together, in canonical order among the rows before them
+    assert rewrites == [
+        "\n".join([full[0]] + [line for line in full[1:] if int(line.split(",")[1]) <= b]) + "\n"
+        for b in GROUP_SCHEDULE.budgets
+    ]
+    # a file cut outside the program: after a group, inside one, mid-row
+    cuts = rewrites[:-1] + [
+        "\n".join(full[: 1 + cut]) + "\n" + torn
+        for cut in (1, 2, 4, 9, len(full) - 2) for torn in ("", full[1 + cut][:9])
+    ]
+    for k, text in enumerate(cuts):
+        out = tmp_path / f"cut{k}"
         out.mkdir()
-        (out / "run.json").write_bytes((tmp_path / "stream" / "run.json").read_bytes())
-        (out / "results.csv").write_text("\n".join(streamed[: 1 + cut]) + "\n")
+        (out / "run.json").write_bytes((tmp_path / "groups" / "run.json").read_bytes())
+        (out / "results.csv").write_text(text)
         sweep_lines(out, ALL_METHODS)
         for name in ("results.csv", "summary.csv"):
-            assert (out / name).read_bytes() == (tmp_path / "full" / name).read_bytes(), cut
+            assert (out / name).read_bytes() == (tmp_path / "full" / name).read_bytes(), text
 
 
 def test_done_cells_drop_out_of_their_group(tmp_path, monkeypatch):
@@ -526,7 +554,7 @@ def test_subset_rerun_keeps_the_rows_it_does_not_request(tmp_path):
     before = {name: (out / name).read_bytes() for name in ("results.csv", "summary.csv")}
     assert len(full) == 1 + 3 * 3
     # fewer methods, then fewer trials after a two-trial run: nothing to
-    # compute, and every row stays in both the streamed and the final files
+    # compute, and every row stays in both CSVs
     assert sweep_lines(out, ("random",), trials=1) == full
     assert {name: (out / name).read_bytes() for name in before} == before
     two = sweep_lines(tmp_path / "two", ALL_METHODS, trials=2)
@@ -582,6 +610,30 @@ def test_resume_refuses_a_row_no_sweep_writes(tmp_path, line, message):
     with pytest.raises(CoarsesetError, match=f"results.csv: line 4: {message}"):
         resume()
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def _make_directory(path):
+    path.unlink()
+    path.mkdir()
+
+
+@pytest.mark.parametrize("name,spoil,error,message", [
+    ("results.csv", _make_directory, IoFailure, r"cannot read results from .*results\.csv: "),
+    ("results.csv", lambda p: p.write_bytes(b"method,budget,trial,seed,accuracy\n\xff\n"),
+     CoarsesetError, r"results\.csv: not UTF-8 text"),
+    ("run.json", _make_directory, IoFailure, r"cannot read the run record from .*run\.json: "),
+    ("run.json", lambda p: p.write_text("{not json"), CoarsesetError,
+     r"cannot read .*run\.json: Expecting property name"),
+    ("run.json", lambda p: p.write_text("[1, 2]"), CoarsesetError,
+     r"run\.json does not hold a JSON object"),
+])
+def test_resume_refuses_an_unreadable_file(tmp_path, name, spoil, error, message):
+    resume = resumable_sweep(tmp_path)
+    spoil(tmp_path / name)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    with pytest.raises(error, match=message):
+        resume()
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
 
 
 # method, budget, trial, the seed's offset from base seed 9 + trial, accuracy

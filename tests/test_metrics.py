@@ -75,6 +75,8 @@ def test_sq_vs_l2_argmax_invariance():
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         distance((1.0,), (1.0, 2.0))
+    with pytest.raises(DimensionMismatch, match=r"a must be a 1-D vector, got shape \(1, 2\)"):
+        distance([[1.0, 2.0]], (1.0, 2.0))
 
 
 def test_zero_vector_cosine():
@@ -90,8 +92,5 @@ def test_non_finite_rejected():
 
 
 def test_metric_names():
-    assert Metric.from_name("sqeuclidean") is Metric.SQEUCLIDEAN
-    assert Metric.from_name("EUCLIDEAN") is Metric.EUCLIDEAN
+    assert [m.value for m in Metric] == ["sqeuclidean", "euclidean", "cosine"]
     assert DEFAULT_METRIC is Metric.SQEUCLIDEAN
-    with pytest.raises(ValueError, match="cosine"):
-        Metric.from_name("manhattan")

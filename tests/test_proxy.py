@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from coarseset.errors import (
     DimensionMismatch,
     EmptySubset,
     IndexOutOfRange,
+    NonFiniteValue,
 )
 from coarseset.proxy import (
     MlpModel,
@@ -175,6 +177,16 @@ def test_parameters_finite_after_training():
         assert np.isfinite(p).all()
 
 
+@pytest.mark.filterwarnings("error")  # overflow must not reach numpy's warnings
+@pytest.mark.parametrize("learning_rate", [1e30, 1e300])
+def test_diverging_training_names_the_learning_rate(learning_rate):
+    emb, lab = generate(MixtureSpec([30] * 2, d=3, separation=5.0, rng_seed=8))
+    cfg = TrainConfig(epochs=2, learning_rate=learning_rate)
+    message = re.escape(f"learning_rate {learning_rate!r} is too large")
+    with pytest.raises(NonFiniteValue, match=message):
+        train(emb, lab, list(range(20)), cfg)
+
+
 def test_feature_trainer_contract():
     emb, lab = generate(MixtureSpec([20] * 2, d=3, separation=6.0, rng_seed=9))
     cfg = TrainConfig(epochs=10, rng_seed=0, hidden=5)
@@ -191,6 +203,8 @@ def test_train_config_validation():
             TrainConfig(learning_rate=learning_rate)
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
+    with pytest.raises(ValueError, match="rng_seed must be non-negative, got -1"):
+        TrainConfig(rng_seed=-1)
 
 
 def test_forward_hidden_matches_extract_features():
@@ -345,6 +359,12 @@ def test_train_group_validation():
         train_group(emb, lab, [[0, 1], [2, 3]], cfg, [4])
     with pytest.raises(ValueError, match="non-negative"):
         train_group(emb, lab, [[0, 1], [2, 3]], cfg, [4, -1])
+    short = LabelVector.from_labels(lab.labels[:-1])
+    with pytest.raises(DimensionMismatch, match=f"labels cover {emb.n - 1} points"):
+        train_group(emb, short, [[0, 1]], cfg, [0])
+    model = train(emb, lab, [0, 1], cfg)
+    with pytest.raises(DimensionMismatch, match=f"labels cover {emb.n - 1} points"):
+        accuracy(model, emb, short)
 
 
 @pytest.mark.parametrize("stack", [(), (3,)])

@@ -117,6 +117,10 @@ def test_sample_validation():
         Rng(0).sample(3, 4)
     with pytest.raises(ValueError):
         Rng(-1)
+    with pytest.raises(ValueError, match="count must be non-negative, got -1"):
+        Rng(0).uniforms(-1, 0.0, 1.0)
+    with pytest.raises(ValueError, match="count must be non-negative, got -1"):
+        Rng(0).normal_array(-1)
 
 
 def test_numpy_integer_seeds_give_the_python_int_stream():

@@ -182,6 +182,8 @@ def test_selection_order_validation():
         SelectionOrder(np.array([0, 1]), 3)
     with pytest.raises(IndexOutOfRange, match="non-negative"):
         SelectionOrder(np.array([0, -1]), 0)
+    with pytest.raises(IndexOutOfRange, match="1-D"):
+        SelectionOrder(np.array([[0, 1]]), 0)
 
 
 def test_prefix_refuses_budgets_outside_the_order():
@@ -304,6 +306,10 @@ def test_full_ordering_seed_draw_matches_rng_sample(four_points):
 def test_full_ordering_rejects_partial_budget(four_points):
     with pytest.raises(IndexOutOfRange):
         SelectionConfig(seed_count=0)
+    with pytest.raises(IndexOutOfRange, match="rng_seed must be non-negative, got -1"):
+        SelectionConfig(rng_seed=-1)
+    with pytest.raises(BudgetExceedsPool, match="budget 5 exceeds n=4"):
+        select_prefix(four_points, SelectionConfig(), 5)
 
 
 def test_iterative_mlp_covers_clusters_across_seeds():

@@ -112,13 +112,15 @@ def test_roundtrip_property_random_matrices(tmp_path):
 
 def test_save_unwritable_path(tmp_path):
     m = EmbeddingMatrix(np.array([[1.0]], dtype=np.float32))
-    with pytest.raises(IoFailure):
+    with pytest.raises(IoFailure, match=r"cannot write .*dir\.emb: "):
         save_embeddings(m, tmp_path / "no" / "such" / "dir.emb")
 
 
 def test_missing_file_is_io_failure(tmp_path):
-    with pytest.raises(IoFailure):
+    with pytest.raises(IoFailure, match=r"cannot read embeddings from .*absent\.emb: "):
         load_embeddings(tmp_path / "absent.emb")
+    with pytest.raises(IoFailure, match=r"cannot read labels from .*absent\.lab: "):
+        load_labels(tmp_path / "absent.lab")
 
 
 @pytest.mark.parametrize(
@@ -209,6 +211,18 @@ def test_matrix_is_immutable():
         m.data[0, 0] = 5.0
 
 
+@pytest.mark.parametrize("make,error,message", [
+    (lambda: EmbeddingMatrix(np.ones(3)), EmptyMatrix, r"must be 2-D, got shape \(3,\)"),
+    (lambda: EmbeddingMatrix(np.ones((0, 2))), EmptyMatrix, r"empty embedding matrix"),
+    (lambda: LabelVector(np.zeros((2, 1)), 1), EmptyFile, "non-empty 1-D"),
+    (lambda: LabelVector(np.array([0, -1]), 2), MalformedLabel, "non-negative"),
+    (lambda: LabelVector.from_labels([]), EmptyFile, "cannot infer num_classes"),
+])
+def test_containers_refuse_bad_arrays(make, error, message):
+    with pytest.raises(error, match=message):
+        make()
+
+
 def test_matrix_does_not_freeze_callers_array():
     arr = np.ones((2, 2), dtype=np.float32)
     EmbeddingMatrix(arr)
@@ -266,6 +280,9 @@ def test_lab1_bad_header(tmp_path):
         load_labels(p)
     p.write_bytes(lab1_bytes([1], reserved=(1, 0, 0)))
     with pytest.raises(MalformedHeader):
+        load_labels(p)
+    p.write_bytes(lab1_bytes([1])[:10])
+    with pytest.raises(MalformedHeader, match="truncated LAB1 header"):
         load_labels(p)
 
 

@@ -97,6 +97,10 @@ def test_spec_validation():
         MixtureSpec([3], d=2, separation=-1.0)
     with pytest.raises(ValueError):
         MixtureSpec([3, 3], d=2, centers=[[0.0, 0.0]])
+    with pytest.raises(ValueError, match="rng_seed must be non-negative, got -1"):
+        MixtureSpec([3], d=2, rng_seed=-1)
+    with pytest.raises(ValueError, match="center_seed must be non-negative, got -2"):
+        MixtureSpec([3], d=2, center_seed=-2)
 
 
 @pytest.mark.parametrize("fields", [
