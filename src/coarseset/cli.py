@@ -45,7 +45,7 @@ from typing import Iterable, Optional, Sequence
 # depend on it; a value the caller set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .errors import CoarsesetError, check_int
+from .errors import CoarsesetError, check_int, check_seed
 from .store import load_embeddings, load_labels
 
 ENV_SEED = "COARSESET_RNG_SEED"
@@ -121,9 +121,7 @@ def _seed(args: argparse.Namespace) -> int:
             seed = int(raw)
         except ValueError:
             raise UsageError(f"{ENV_SEED}={raw!r} is not an integer") from None
-    if seed < 0:
-        raise UsageError(f"--rng-seed (or ${ENV_SEED}) must be non-negative, got {seed}")
-    return seed
+    return check_seed(f"--rng-seed (or ${ENV_SEED})", seed, UsageError)
 
 
 # --- subcommand handlers ---------------------------------------------------------
@@ -132,7 +130,9 @@ def cmd_order(args: argparse.Namespace) -> int:
     from . import selector
     from .metrics import Metric
 
-    _require(args, "embeddings", "out")
+    select = args.subcommand == "select"
+    # every flag is checked before the embeddings are read
+    _require(args, "embeddings", "out", *(["budget"] if select else []))
     seed = _seed(args)
     emb = load_embeddings(args.embeddings)
     cfg = selector.SelectionConfig(
@@ -140,8 +140,7 @@ def cmd_order(args: argparse.Namespace) -> int:
         rng_seed=seed,
         metric=Metric(args.metric),
     )
-    if args.subcommand == "select":
-        _require(args, "budget")
+    if select:
         order = selector.select_prefix(emb, cfg, args.budget)
     else:
         order = selector.full_ordering(emb, cfg)

@@ -1,5 +1,5 @@
-"""Exception types raised by the coarseset engine, and the integer and
-number checks shared by its settings.
+"""Exception types raised by the coarseset engine, and the integer, number
+and seed checks shared by its settings.
 
 Everything derives from CoarsesetError so callers (and the CLI) can treat
 "bad input" uniformly; most subclasses also inherit ValueError or OSError
@@ -31,6 +31,20 @@ def check_real(field: str, value) -> float:
     if not math.isfinite(real):
         raise ValueError(f"{field} must be a finite number, got {value!r}")
     return real
+
+
+# seeds are unsigned 64-bit: the splitmix64 state the Rng expands them into
+SEED_LIMIT = 2 ** 64
+
+
+def check_seed(field: str, seed: int, error: type = ValueError) -> int:
+    """`seed` if it lies in [0, 2**64); otherwise `error` naming `field`. A
+    larger seed would alias the one 2**64 below it."""
+    if seed < 0:
+        raise error(f"{field} must be non-negative, got {seed}")
+    if seed >= SEED_LIMIT:
+        raise error(f"{field} must be below 2**64, got {seed}")
+    return seed
 
 
 class CoarsesetError(Exception):

@@ -3,10 +3,13 @@
 A sweep trains one fresh proxy model per (method, budget, trial) cell on
 that method's budget-b selection and records its test accuracy. Each trial
 holds one index array per method, and the budget-b cell trains on its first
-b entries. The random and fixed-feature arrays are whole orderings, drawn
-once per trial. The iterative core-set array grows by one round per budget,
-sized by the schedule increments, so every budget is hit exactly: the first
-round is a prefix of the trial's random ordering, and each later round runs
+b entries. The random and fixed-feature arrays are drawn once per trial, as
+long as the largest budget. The random one is ``Rng(seed).sample``: the
+first steps of ``selector.random_order``'s Fisher-Yates walk, so a prefix of
+that order, whose draws and kept indices scale with the largest budget. The
+iterative core-set array grows by one round per budget, sized by the
+schedule increments, so every budget is hit exactly: the first round is a
+prefix of the trial's random array, and each later round runs
 ``selector.kcenter_greedy`` with the array so far as centers, in the
 hidden-layer features of a proxy trained on that array.
 
@@ -29,13 +32,14 @@ depend on which other methods or trials ran or which cells a resume skips.
 
 Every setting (methods, budgets, trials, jobs, seed count, seed, metric) is
 checked before the first cell runs, so a bad one fails the sweep before any
-row is written.
+row is written; every trial's seed must lie in [0, 2**64).
 
 The sweep runs on the calling thread. ``jobs`` is accepted and checked
 (``>= 1``) but does not change the schedule: the work holds the
-interpreter lock, and a thread pool only made sweeps slower. After each
-``train_group`` call ``results.csv`` is rewritten whole, the kept and the
-fresh rows in canonical (method, budget, trial) order, and ``summary.csv``
+interpreter lock, and a thread pool only made sweeps slower. ``_sweep_rows``
+yields the rows of each ``train_group`` call, and ``run_budget_sweep``, the
+one writer, merges them and rewrites ``results.csv`` whole, the kept and the
+fresh rows in canonical (method, budget, trial) order; ``summary.csv``
 follows at the end. So an interrupted sweep can resume by skipping
 completed cells, and resumed and uninterrupted runs produce
 byte-identical outputs. Every write goes through a temporary file and a
@@ -60,7 +64,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -71,9 +75,12 @@ from .errors import (
     CoarsesetError,
     IndexOutOfRange,
     ScheduleExceedsPool,
+    check_int,
+    check_seed,
 )
 from .metrics import DEFAULT_METRIC, Metric
 from .proxy import TrainConfig
+from .rng import Rng
 from .store import EmbeddingMatrix, LabelVector, PathLike
 
 METHODS = ("coreset_iterative", "fixed_feature", "random")
@@ -91,7 +98,10 @@ class BudgetSchedule:
     budgets: tuple[int, ...]
 
     def __post_init__(self):
-        budgets = tuple(int(b) for b in self.budgets)
+        try:
+            budgets = tuple(check_int("budgets", b) for b in self.budgets)
+        except TypeError as exc:  # 2.5 is refused, not truncated to 2
+            raise ScheduleExceedsPool(str(exc)) from None
         if not budgets:
             raise ScheduleExceedsPool("schedule must contain at least one budget")
         if budgets[0] < 1:
@@ -103,12 +113,7 @@ class BudgetSchedule:
     @property
     def increments(self) -> list[int]:
         """Round sizes for the iterative baseline: first budget, then diffs."""
-        prev = 0
-        out = []
-        for b in self.budgets:
-            out.append(b - prev)
-            prev = b
-        return out
+        return [b - a for a, b in zip((0, *self.budgets), self.budgets)]
 
 
 def default_schedule(n: int) -> BudgetSchedule:
@@ -228,12 +233,12 @@ def _sweep_rows(
     sel_cfg: selector.SelectionConfig,
     train_cfg: TrainConfig,
     skip: set[tuple[str, int, int]],
-    emit,
-) -> None:
-    """The cells not in `skip`, one stack of trials at a time: the stack
-    walks the budgets, and at each budget all its trainings run as one
-    ``proxy.train_group`` call, whose rows go to `emit` together."""
+) -> Iterator[list[SweepRow]]:
+    """The rows of the cells not in `skip`, one list per ``proxy.train_group``
+    call: one stack of trials at a time walks the budgets, and at each
+    budget all the stack's trainings run as one call."""
     emb, labels = train_data
+    top = max(schedule.budgets)
     todo = [
         (trial, pending) for trial in range(trials)
         if (pending := {(m, b) for m in methods for b in schedule.budgets
@@ -252,14 +257,13 @@ def _sweep_rows(
         ]
         for t in stack:
             wanted = {m for m, _ in t.pending}
-            # random and fixed_feature take prefixes of one ordering per
-            # trial; the core-set baseline's first round is a prefix of the
-            # random one
+            # random and fixed_feature take prefixes of one array per trial;
+            # the core-set baseline's first round is a prefix of the random one
             if wanted & {"random", CORESET}:
-                t.orders["random"] = selector.random_order(emb.n, t.seed).order
+                t.orders["random"] = np.asarray(Rng(t.seed).sample(emb.n, top), np.int64)
             if "fixed_feature" in wanted:
                 t.orders["fixed_feature"] = selector.select_prefix(
-                    emb, replace(sel_cfg, rng_seed=t.seed), max(schedule.budgets)
+                    emb, replace(sel_cfg, rng_seed=t.seed), top
                 ).order
 
         for b, size in zip(schedule.budgets, schedule.increments):
@@ -298,7 +302,7 @@ def _sweep_rows(
                 else:
                     acc = proxy.accuracy(model, *test_data)
                     group.append(SweepRow(m, b, t.trial, t.seed, acc))
-            emit(group)
+            yield group
 
 
 def run_budget_sweep(
@@ -340,6 +344,8 @@ def run_budget_sweep(
     if jobs < 1:
         raise CoarsesetError(f"jobs must be >= 1, got {jobs}")
     sel_cfg = selector.SelectionConfig(seed_count, base_seed, metric)
+    check_seed(f"trial {trials - 1}'s seed, base seed {base_seed} + {trials - 1},",
+               base_seed + trials - 1, CoarsesetError)
     if "fixed_feature" in methods and seed_count > max(schedule.budgets):
         raise BudgetExceedsPool(
             f"budget {max(schedule.budgets)} cannot cover {seed_count} seeds"
@@ -351,10 +357,7 @@ def run_budget_sweep(
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         results_path = out / "results.csv"
-        record = _run_record(
-            train_data, test_data, schedule, base_seed=base_seed, seed_count=seed_count,
-            metric=metric, train_cfg=train_cfg,
-        )
+        record = _run_record(train_data, test_data, schedule, sel_cfg, train_cfg)
         # every row is kept, also those of methods or trials this run does
         # not request: they stay in the file and in the final rewrite
         if results_path.exists():
@@ -370,15 +373,13 @@ def run_budget_sweep(
                 )
         store.write_atomically(out / RUN_FILE, json.dumps(record, indent=2) + "\n")
 
-    def emit(group: list[SweepRow]) -> None:
+    for group in _sweep_rows(
+        trials, train_data, test_data, schedule, methods,
+        sel_cfg=sel_cfg, train_cfg=train_cfg, skip=set(rows),
+    ):
         rows.update(((r.method, r.budget, r.trial), r) for r in group)
         if results_path is not None:
             _write_csv(results_path, RESULTS_HEADER, map(_format_row, _canonical(rows.values())))
-
-    _sweep_rows(
-        trials, train_data, test_data, schedule, methods,
-        sel_cfg=sel_cfg, train_cfg=train_cfg, skip=set(rows), emit=emit,
-    )
     result = SweepResult(_canonical(rows.values()))
     if out_dir is not None:
         emit_report(result, out_dir)
@@ -451,18 +452,16 @@ def _run_record(
     train_data: tuple[EmbeddingMatrix, LabelVector],
     test_data: tuple[EmbeddingMatrix, LabelVector],
     schedule: BudgetSchedule,
-    *,
-    base_seed: int,
-    seed_count: int,
-    metric: Metric,
+    sel_cfg: selector.SelectionConfig,
     train_cfg: TrainConfig,
 ) -> dict:
-    """Every setting that determines a cell's row, as run.json holds it."""
+    """Every setting that determines a cell's row, as run.json holds it; the
+    selection config's seed is the sweep's base seed."""
     return {
         "budgets": list(schedule.budgets),
-        "base_seed": base_seed,
-        "seed_count": seed_count,
-        "metric": metric.value,
+        "base_seed": sel_cfg.rng_seed,
+        "seed_count": sel_cfg.seed_count,
+        "metric": sel_cfg.metric.value,
         "epochs": train_cfg.epochs,
         "batch_size": train_cfg.batch_size,
         "learning_rate": train_cfg.learning_rate,

@@ -45,6 +45,7 @@ from .errors import (
     EmptySubset,
     IndexOutOfRange,
     NonFiniteValue,
+    check_seed,
 )
 from .rng import Rng
 from .store import EmbeddingMatrix, LabelVector
@@ -63,8 +64,7 @@ class TrainConfig:
             raise ValueError("epochs, batch_size and hidden must be positive")
         if not 0 < self.learning_rate < math.inf:  # NaN fails every comparison
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
+        check_seed("rng_seed", self.rng_seed)
 
 
 @dataclass(frozen=True)
@@ -188,11 +188,9 @@ def train_group(
         raise DimensionMismatch(
             f"grouped subsets must share one length, got {sorted({len(s) for s in idx})}"
         )
-    seeds = [int(s) for s in seeds]
+    seeds = [check_seed("rng_seed", int(s)) for s in seeds]
     if len(seeds) != len(idx):
         raise DimensionMismatch(f"{len(seeds)} seeds for {len(idx)} subsets")
-    if min(seeds) < 0:
-        raise ValueError(f"rng_seed must be non-negative, got {min(seeds)}")
     if len(labels) != e.n:
         raise DimensionMismatch(
             f"labels cover {len(labels)} points, embeddings have {e.n}"

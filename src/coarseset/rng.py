@@ -1,9 +1,12 @@
 """Deterministic PRNG used everywhere randomness is needed.
 
 The generator is xoshiro256++ with its four 64-bit state words expanded from
-the user seed by splitmix64. Both algorithms are published reference
-constructions, so any reimplementation (other languages included) that
-follows the consumption rules below reproduces every stream bit-for-bit:
+the user seed by splitmix64. A seed is an integer in [0, 2**64), the
+splitmix64 state; any other seed is refused, since masking it to 64 bits
+would silently alias a smaller seed's stream. Both algorithms are published
+reference constructions, so any reimplementation (other languages included)
+that follows the consumption rules below reproduces every stream
+bit-for-bit:
 
 * ``next_uint64``    -- one xoshiro256++ output.
 * ``uniform01``      -- ``(next_uint64() >> 11) * 2**-53``, in [0, 1).
@@ -59,6 +62,8 @@ import operator
 from typing import Optional
 
 import numpy as np
+
+from .errors import check_seed
 
 _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -153,10 +158,7 @@ class Rng:
     __slots__ = ("_s0", "_s1", "_s2", "_s3")
 
     def __init__(self, seed: int):
-        seed = operator.index(seed)
-        if seed < 0:
-            raise ValueError(f"rng seed must be non-negative, got {seed}")
-        sm = seed & _MASK64
+        sm = check_seed("rng seed", operator.index(seed))
         sm, self._s0 = _splitmix64(sm)
         sm, self._s1 = _splitmix64(sm)
         sm, self._s2 = _splitmix64(sm)

@@ -8,8 +8,9 @@ prefix of the ordering at a larger one, which is what makes a single full
 ordering serve every annotation budget.
 
 The iterative core-set baseline is built from these pieces in
-:mod:`coarseset.harness`: a ``random_order`` prefix, then one
-``kcenter_greedy`` run per round in the features of a freshly trained proxy.
+:mod:`coarseset.harness`: a random prefix (the first steps of the walk
+``random_order`` takes), then one ``kcenter_greedy`` run per round in the
+features of a freshly trained proxy.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .errors import (
     IndexOutOfRange,
     MalformedHeader,
     NoCenters,
+    check_seed,
 )
 from .metrics import DEFAULT_METRIC, Metric
 from .rng import Rng
@@ -78,8 +80,7 @@ class SelectionConfig:
     def __post_init__(self):
         if self.seed_count < 1:
             raise IndexOutOfRange(f"seed_count must be >= 1, got {self.seed_count}")
-        if self.rng_seed < 0:
-            raise IndexOutOfRange(f"rng_seed must be non-negative, got {self.rng_seed}")
+        check_seed("rng_seed", self.rng_seed, IndexOutOfRange)
 
 
 @dataclass

@@ -77,9 +77,8 @@ class EmbeddingMatrix:
         if src.shape[0] == 0 or src.shape[1] == 0:
             raise EmptyMatrix(f"empty embedding matrix (shape {src.shape})")
         arr = np.ascontiguousarray(src, dtype=np.float32)
-        bad = ~np.isfinite(arr)
-        if bad.any():
-            row = int(np.nonzero(bad.any(axis=1))[0][0])
+        row = _nonfinite_row(arr)
+        if row is not None:
             raise NonFiniteValue(f"non-finite embedding value in row {row}")
         if arr is src and arr.flags.writeable:
             arr = arr.copy()  # never freeze the caller's array
@@ -93,6 +92,12 @@ class EmbeddingMatrix:
     @property
     def d(self) -> int:
         return self.data.shape[1]
+
+
+def _nonfinite_row(data: np.ndarray) -> Optional[int]:
+    """The first row of `data` holding NaN or an infinity, or None."""
+    finite = np.isfinite(data)
+    return None if finite.all() else int(np.argmin(finite.all(axis=1)))
 
 
 @dataclass(frozen=True)
@@ -234,11 +239,12 @@ def _parse_emb1(raw: bytes, path: PathLike) -> EmbeddingMatrix:
             f"{path}: EMB1 payload holds {payload // 4} float32 values, expected {n * d}"
         )
     data = np.frombuffer(raw, dtype="<f4", offset=_EMB1_HEADER.size).reshape(n, d)
-    return EmbeddingMatrix(data)
+    return _matrix(data, path)
 
 
 def _parse_embedding_csv(raw: bytes, path: PathLike) -> EmbeddingMatrix:
     rows: list[list[float]] = []
+    linenos: list[int] = []
     for lineno, line in text_lines(raw, path, "neither EMB1 binary nor UTF-8 CSV"):
         try:
             row = [float(tok) for tok in line.split(",")]
@@ -251,9 +257,25 @@ def _parse_embedding_csv(raw: bytes, path: PathLike) -> EmbeddingMatrix:
                 f"{path}: line {lineno} has {len(row)} values, expected {len(rows[0])}"
             )
         rows.append(row)
+        linenos.append(lineno)
     if not rows:
         raise EmptyMatrix(f"{path}: no data rows")
-    return EmbeddingMatrix(np.asarray(rows, dtype=np.float64).astype(np.float32))
+    with np.errstate(over="ignore"):  # beyond float32's range is inf, refused below
+        data = np.asarray(rows, dtype=np.float64).astype(np.float32)
+    return _matrix(data, path, linenos)
+
+
+def _matrix(
+    data: np.ndarray, path: PathLike, linenos: Optional[list[int]] = None
+) -> EmbeddingMatrix:
+    """EmbeddingMatrix(data), but a non-finite value is refused with the file
+    and its row, or its line when `linenos` gives each row's line."""
+    try:
+        return EmbeddingMatrix(data)
+    except NonFiniteValue:
+        row = _nonfinite_row(data)
+        where = f"row {row}" if linenos is None else f"line {linenos[row]}"
+        raise NonFiniteValue(f"{path}: {where}: non-finite embedding value") from None
 
 
 # --- labels ---------------------------------------------------------------------
@@ -286,9 +308,15 @@ def load_labels(path: PathLike, num_classes: Optional[int] = None) -> LabelVecto
     """
     raw = read_file(path, "labels")
     if raw[:4] == LAB1_MAGIC:
-        labels = _parse_lab1(raw, path)
+        labels, linenos = _parse_lab1(raw, path), None
     else:
-        labels = _parse_label_csv(raw, path)
+        labels, linenos = _parse_label_csv(raw, path)
+    if num_classes is not None and (over := np.flatnonzero(labels >= num_classes)).size:
+        i = int(over[0])
+        where = f"entry {i}" if linenos is None else f"line {linenos[i]}"
+        raise MalformedLabel(
+            f"{path}: {where}: label {int(labels[i])} exceeds num_classes={num_classes}"
+        )
     return LabelVector.from_labels(labels, num_classes)
 
 
@@ -316,8 +344,10 @@ def _parse_lab1(raw: bytes, path: PathLike) -> np.ndarray:
     return labels
 
 
-def _parse_label_csv(raw: bytes, path: PathLike) -> np.ndarray:
+def _parse_label_csv(raw: bytes, path: PathLike) -> tuple[np.ndarray, list[int]]:
+    """The labels, and the line each one is on."""
     values: list[int] = []
+    linenos: list[int] = []
     for lineno, tok in text_lines(raw, path, "neither LAB1 binary nor UTF-8 CSV"):
         try:
             label = int(tok)
@@ -331,6 +361,7 @@ def _parse_label_csv(raw: bytes, path: PathLike) -> np.ndarray:
                 f"more than MAX_CLASSES={MAX_CLASSES}"
             )
         values.append(label)
+        linenos.append(lineno)
     if not values:
         raise EmptyFile(f"{path}: no labels")
-    return np.asarray(values, dtype=np.int64)
+    return np.asarray(values, dtype=np.int64), linenos

@@ -28,7 +28,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import check_int, check_real
+from .errors import check_int, check_real, check_seed
 from .rng import Rng
 from .store import EmbeddingMatrix, LabelVector
 
@@ -51,10 +51,10 @@ class MixtureSpec:
         if not counts or any(c < 1 for c in counts):
             raise ValueError(f"per_class_counts must be positive, got {counts}")
         check_int("d", self.d)
-        check_int("rng_seed", self.rng_seed)
+        check_seed("rng_seed", check_int("rng_seed", self.rng_seed))
         check_real("separation", self.separation)
         if self.center_seed is not None:
-            check_int("center_seed", self.center_seed)
+            check_seed("center_seed", check_int("center_seed", self.center_seed))
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
         stds = self.class_stds
@@ -66,10 +66,6 @@ class MixtureSpec:
             )
         if self.separation < 0:
             raise ValueError(f"separation must be >= 0, got {self.separation}")
-        if self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
-        if self.center_seed is not None and self.center_seed < 0:
-            raise ValueError(f"center_seed must be non-negative, got {self.center_seed}")
         if self.centers is not None:
             arr = np.asarray(self.centers, dtype=object)
             if arr.shape != (len(counts), self.d):

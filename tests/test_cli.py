@@ -71,6 +71,12 @@ def test_select_requires_budget(emb_file, tmp_path, capsys):
     rc = main(["select", "--embeddings", str(emb_file), "--out", str(tmp_path / "o.csv")])
     assert rc == 2
     assert "--budget" in capsys.readouterr().err
+    # the flag is checked before the embeddings are read
+    rc = main(["select", "--embeddings", str(tmp_path / "missing.emb"),
+               "--out", str(tmp_path / "o.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--budget is required" in err and "missing.emb" not in err
 
 
 def test_env_var_seed(emb_file, tmp_path, monkeypatch, capsys):
@@ -663,3 +669,60 @@ def test_sweep_non_finite_learning_rate_exits_2(tmp_path, capsys, learning_rate)
     assert err.startswith("coarseset: error:") and err.count("\n") == 1
     assert f"learning_rate must be finite and > 0, got {learning_rate}" in err
     assert not (tmp_path / "s").exists()
+
+
+def one_error_line(capsys) -> str:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("coarseset: error:") and captured.err.count("\n") == 1
+    assert "internal" not in captured.err
+    return captured.err
+
+
+def test_seed_at_or_past_2_64_exits_2(emb_file, tmp_path, capsys, monkeypatch):
+    # masked to 64 bits, seed 2**64 + 3 would write the bytes of seed 3
+    out = tmp_path / "o.csv"
+    for seed in (2**64, 2**64 + 3):
+        assert main(["order", "--embeddings", str(emb_file), "--out", str(out),
+                     "--rng-seed", str(seed)]) == 2
+        assert f"must be below 2**64, got {seed}" in one_error_line(capsys)
+    monkeypatch.setenv("COARSESET_RNG_SEED", str(2**64))
+    assert main(["order", "--embeddings", str(emb_file), "--out", str(out)]) == 2
+    assert "$COARSESET_RNG_SEED) must be below 2**64" in one_error_line(capsys)
+    assert not out.exists()
+    assert main(["order", "--embeddings", str(emb_file), "--out", str(out),
+                 "--rng-seed", str(2**64 - 1)]) == 0
+
+
+@pytest.mark.parametrize("field", ["rng_seed", "center_seed"])
+def test_gen_synth_seed_past_2_64_exits_2(tmp_path, capsys, field):
+    spec = synth_spec(tmp_path, **{field: 2**64})
+    assert main(["gen-synth", "--spec", str(spec), "--out-prefix", str(tmp_path / "d")]) == 2
+    assert f"{field} must be below 2**64, got {2**64}" in one_error_line(capsys)
+    assert not (tmp_path / "d.emb").exists()
+
+
+def test_sweep_trial_seed_past_2_64_exits_2(tmp_path, capsys):
+    # trial 1 would take seed 2**64, which a 64-bit seed reads as 0
+    cfg = sweep_config(tmp_path, trials=2)
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(cfg), "--rng-seed", str(2**64 - 1)]) == 2
+    assert "trial 1's seed" in one_error_line(capsys)
+    assert not (tmp_path / "s").exists()
+
+
+def test_embeddings_csv_nan_names_file_and_line(tmp_path, capsys):
+    emb = tmp_path / "nan.csv"
+    emb.write_text("0,0\n\n1,nan\n")
+    assert main(["order", "--embeddings", str(emb), "--out", str(tmp_path / "o.csv")]) == 2
+    assert f"{emb}: line 3: non-finite embedding value" in one_error_line(capsys)
+
+
+def test_histogram_label_beyond_num_classes_names_file_and_line(tmp_path, capsys):
+    order = tmp_path / "order.csv"
+    order.write_text("# seed_count=1\n0\n1\n")
+    labels = tmp_path / "labels.csv"
+    labels.write_text("0\n5\n")
+    assert main(["histogram", "--order", str(order), "--labels", str(labels), "--budget", "2",
+                 "--num-classes", "3", "--out", str(tmp_path / "h.csv")]) == 2
+    assert f"{labels}: line 2: label 5 exceeds num_classes=3" in one_error_line(capsys)

@@ -63,6 +63,11 @@ def test_schedule_validation():
         BudgetSchedule((0, 5))
     with pytest.raises(ScheduleExceedsPool):
         BudgetSchedule((5, 5))
+    # a budget that is not an integer is refused, not truncated
+    for budgets in [(2.5, 7.9), (2, 7.0), (True, 3), ("2", 7)]:
+        with pytest.raises(ScheduleExceedsPool, match="budgets must be an integer"):
+            BudgetSchedule(budgets)
+    assert BudgetSchedule((np.int64(5), 8, 20)).budgets == (5, 8, 20)
     assert BudgetSchedule((5, 8, 20)).increments == [5, 3, 12]
 
 
@@ -305,6 +310,26 @@ def test_sweep_validation():
         run_budget_sweep(short, test_data, BudgetSchedule((4,)), ("random",), 1)
 
 
+def test_sweep_refuses_a_trial_seed_past_2_64(tmp_path):
+    # trial 1 under base seed 2**64 - 1 would take seed 2**64, whose stream
+    # a seed masked to 64 bits would share with seed 0
+    train_data, test_data = tiny_suite(n_per_class=5)
+    args = dict(methods=("random",), train_cfg=FAST_CFG, out_dir=tmp_path)
+    with pytest.raises(CoarsesetError, match=(
+        r"trial 1's seed, base seed 18446744073709551615 \+ 1, must be below 2\*\*64, "
+        r"got 18446744073709551616"
+    )):
+        run_budget_sweep(train_data, test_data, BudgetSchedule((4,)), trials=2,
+                         base_seed=2**64 - 1, **args)
+    with pytest.raises(IndexOutOfRange, match=r"rng_seed must be below 2\*\*64"):
+        run_budget_sweep(train_data, test_data, BudgetSchedule((4,)), trials=1,
+                         base_seed=2**64, **args)
+    assert not any(tmp_path.iterdir())  # refused before run.json
+    res = run_budget_sweep(train_data, test_data, BudgetSchedule((4,)), trials=1,
+                           base_seed=2**64 - 1, **args)
+    assert [r.seed for r in res.rows] == [2**64 - 1]
+
+
 def test_coreset_budget_matches_schedule_points():
     train_data, test_data = tiny_suite(n_per_class=12)
     res = run_budget_sweep(
@@ -500,20 +525,29 @@ def test_stack_width_counts_the_methods_still_pending(tmp_path, monkeypatch):
 
 
 def test_each_trial_draws_its_random_order_once(monkeypatch):
-    calls = []
-    real = harness.selector.random_order
+    # one random prefix per trial that needs one, of max(budgets) Fisher-Yates
+    # steps over the pool: never a whole permutation of n
+    draws = []
 
-    def counting(n, seed):
-        calls.append(seed)
-        return real(n, seed)
+    class CountingRng(harness.Rng):
+        def __init__(self, seed):
+            super().__init__(seed)
+            self.seed = seed
 
-    monkeypatch.setattr(harness.selector, "random_order", counting)
+        def _fisher_yates_offsets(self, n, steps):
+            draws.append((self.seed, n, steps))
+            return super()._fisher_yates_offsets(n, steps)
+
+    monkeypatch.setattr(harness, "Rng", CountingRng)
     train_data, test_data = tiny_suite(n_per_class=12)
-    for methods in (ALL_METHODS, ("coreset_iterative",), ("random",)):
-        calls.clear()
+    n, top = train_data[0].n, max(GROUP_SCHEDULE.budgets)
+    assert top < n
+    for methods, seeds in [(ALL_METHODS, [9, 10]), (("coreset_iterative",), [9, 10]),
+                           (("random",), [9, 10]), (("fixed_feature",), [])]:
+        draws.clear()
         run_budget_sweep(train_data, test_data, GROUP_SCHEDULE, methods, trials=2,
                          base_seed=9, train_cfg=FAST_CFG)
-        assert calls == [9, 10], methods
+        assert draws == [(seed, n, top) for seed in seeds], methods
 
 
 @pytest.mark.parametrize("field,change", [

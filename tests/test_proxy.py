@@ -205,6 +205,8 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError, match="rng_seed must be non-negative, got -1"):
         TrainConfig(rng_seed=-1)
+    with pytest.raises(ValueError, match=r"rng_seed must be below 2\*\*64, got 18446744073709551616"):
+        TrainConfig(rng_seed=2**64)
 
 
 def test_forward_hidden_matches_extract_features():
@@ -359,6 +361,8 @@ def test_train_group_validation():
         train_group(emb, lab, [[0, 1], [2, 3]], cfg, [4])
     with pytest.raises(ValueError, match="non-negative"):
         train_group(emb, lab, [[0, 1], [2, 3]], cfg, [4, -1])
+    with pytest.raises(ValueError, match=r"rng_seed must be below 2\*\*64"):
+        train_group(emb, lab, [[0, 1], [2, 3]], cfg, [4, 2**64])
     short = LabelVector.from_labels(lab.labels[:-1])
     with pytest.raises(DimensionMismatch, match=f"labels cover {emb.n - 1} points"):
         train_group(emb, short, [[0, 1]], cfg, [0])

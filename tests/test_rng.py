@@ -117,6 +117,10 @@ def test_sample_validation():
         Rng(0).sample(3, 4)
     with pytest.raises(ValueError):
         Rng(-1)
+    # masked to 64 bits, seed 2**64 + 3 would give seed 3's stream
+    for seed in (2**64, 2**64 + 3, 2**70):
+        with pytest.raises(ValueError, match=f"rng seed must be below 2\\*\\*64, got {seed}"):
+            Rng(seed)
     with pytest.raises(ValueError, match="count must be non-negative, got -1"):
         Rng(0).uniforms(-1, 0.0, 1.0)
     with pytest.raises(ValueError, match="count must be non-negative, got -1"):

@@ -303,11 +303,21 @@ def test_full_ordering_seed_draw_matches_rng_sample(four_points):
     assert order.order.tolist()[:2] == Rng(77).sample(4, 2)
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), n=st.integers(1, 400), data=st.data())
+def test_rng_sample_is_a_prefix_of_random_order(seed, n, data):
+    # the sweep draws its random arrays as Rng(seed).sample(n, max budget)
+    k = data.draw(st.one_of(st.sampled_from([0, 1, n - 1, n]), st.integers(0, n)))
+    assert Rng(seed).sample(n, k) == random_order(n, seed).order[:k].tolist()
+
+
 def test_full_ordering_rejects_partial_budget(four_points):
     with pytest.raises(IndexOutOfRange):
         SelectionConfig(seed_count=0)
     with pytest.raises(IndexOutOfRange, match="rng_seed must be non-negative, got -1"):
         SelectionConfig(rng_seed=-1)
+    with pytest.raises(IndexOutOfRange, match=rf"rng_seed must be below 2\*\*64, got {2**70}"):
+        SelectionConfig(rng_seed=2**70)
     with pytest.raises(BudgetExceedsPool, match="budget 5 exceeds n=4"):
         select_prefix(four_points, SelectionConfig(), 5)
 

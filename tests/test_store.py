@@ -7,8 +7,10 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from coarseset.errors import (
+    CoarsesetError,
     EmptyFile,
     EmptyMatrix,
     IoFailure,
@@ -151,15 +153,18 @@ def test_emb1_declared_empty(tmp_path):
 def test_nonfinite_reported_with_row(tmp_path):
     p = tmp_path / "nan.emb"
     p.write_bytes(emb1_bytes(3, 1, [1.0, np.nan, 2.0]))
-    with pytest.raises(NonFiniteValue, match="row 1"):
+    with pytest.raises(NonFiniteValue, match=f"^{p}: row 1: non-finite embedding value$"):
         load_embeddings(p)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy's overflow warning would add a line
 def test_csv_nan_rejected(tmp_path):
     p = tmp_path / "nan.csv"
-    p.write_text("1.0,2.0\nnan,3.0\n")
-    with pytest.raises(NonFiniteValue):
-        load_embeddings(p)
+    # blank lines count, and a value beyond float32's range is inf
+    for bad in ("nan", "-inf", "1e39"):
+        p.write_text(f"1.0,2.0\n\n3.0,{bad}\n")
+        with pytest.raises(NonFiniteValue, match=f"^{p}: line 3: non-finite embedding value$"):
+            load_embeddings(p)
 
 
 def test_csv_ragged_rejected(tmp_path):
@@ -305,8 +310,12 @@ def test_num_classes_override(tmp_path):
     p.write_text("0\n2\n")
     assert load_labels(p).num_classes == 3
     assert load_labels(p, num_classes=5).num_classes == 5
-    with pytest.raises(MalformedLabel):
+    with pytest.raises(MalformedLabel, match=f"^{p}: line 2: label 2 exceeds num_classes=2$"):
         load_labels(p, num_classes=2)
+    p = tmp_path / "l.lab"
+    p.write_bytes(lab1_bytes([0, 1, 5, 1]))
+    with pytest.raises(MalformedLabel, match=f"^{p}: entry 2: label 5 exceeds num_classes=3$"):
+        load_labels(p, num_classes=3)
 
 
 def test_label_vector_pairs_with_matrix():
@@ -441,3 +450,74 @@ def test_atomic_write_to_a_fifo_writes_through_it(tmp_path):
     reader.join(timeout=10)
     assert got and got[0][:4] == b"LAB1"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe"]
+
+
+# --- fuzzing the loaders ----------------------------------------------------------
+
+def _cut(raw: st.SearchStrategy) -> st.SearchStrategy:
+    """`raw`, or a prefix of it, as a file cut short."""
+    return raw.flatmap(lambda b: st.one_of(st.just(b), st.integers(0, len(b)).map(lambda k: b[:k])))
+
+
+def _text_file(line: st.SearchStrategy) -> st.SearchStrategy:
+    return st.tuples(
+        st.lists(line, max_size=6), st.sampled_from(["", "\n", "\r\n"]), st.binary(max_size=2)
+    ).map(lambda t: ("\n".join(t[0]) + t[1]).encode() + t[2])
+
+
+NUMBER_TOKENS = st.one_of(
+    st.floats(width=32).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e39", "-3.5e38", "", " 1 ", "1_0", "0x1", "--1"]),
+    st.text(max_size=4),
+)
+LABEL_TOKENS = st.one_of(
+    st.integers(-3, 9).map(str),
+    st.integers(-2**70, 2**70).map(str),
+    st.text(max_size=4),
+)
+WHOLE_EMB1 = st.tuples(st.integers(1, 4), st.integers(1, 3)).flatmap(
+    lambda nd: st.lists(st.floats(width=32), min_size=nd[0] * nd[1], max_size=nd[0] * nd[1])
+    .map(lambda values: emb1_bytes(*nd, values))
+)
+LOADER_BYTES = {
+    "emb1": WHOLE_EMB1 | _cut(st.builds(
+        emb1_bytes,
+        n=st.one_of(st.integers(0, 4), st.just(2**64 - 1)),
+        d=st.one_of(st.integers(0, 3), st.just(2**63)),
+        values=st.lists(st.floats(width=32), max_size=12),
+        version=st.sampled_from([1, 2]),
+        dtype=st.sampled_from([1, 0]),
+        reserved=st.sampled_from([0, 1]),
+    )) | st.binary(max_size=40).map(lambda b: b"EMB1" + b),
+    "lab1": _cut(st.builds(
+        lab1_bytes,
+        labels=st.lists(st.integers(0, 9) | st.integers(0, 2**32 - 1), max_size=6),
+        version=st.sampled_from([1, 2]),
+        reserved=st.sampled_from([(0, 0, 0), (0, 1, 0)]),
+        n=st.one_of(st.none(), st.integers(0, 8), st.just(2**64 - 1)),
+    )) | st.binary(max_size=40).map(lambda b: b"LAB1" + b),
+    "emb.csv": _text_file(st.lists(NUMBER_TOKENS, min_size=1, max_size=3).map(",".join)),
+    "lab.csv": _text_file(LABEL_TOKENS),
+}
+
+
+# a numpy warning would add a line to the CLI's one error line
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kind", sorted(LOADER_BYTES))
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_loader_fuzz_returns_a_value_or_names_the_file(tmp_path, kind, data):
+    p = tmp_path / f"fuzz.{kind}"
+    p.write_bytes(data.draw(LOADER_BYTES[kind], label="raw"))
+    labels = kind.startswith("lab")
+    try:
+        if labels:
+            num_classes = data.draw(st.one_of(st.none(), st.integers(-1, 12)), label="num_classes")
+            value = load_labels(p, num_classes)
+        else:
+            value = load_embeddings(p)
+    except CoarsesetError as exc:
+        assert str(p) in str(exc)
+    else:
+        assert isinstance(value, LabelVector if labels else EmbeddingMatrix)

@@ -101,6 +101,10 @@ def test_spec_validation():
         MixtureSpec([3], d=2, rng_seed=-1)
     with pytest.raises(ValueError, match="center_seed must be non-negative, got -2"):
         MixtureSpec([3], d=2, center_seed=-2)
+    with pytest.raises(ValueError, match=r"rng_seed must be below 2\*\*64, got 18446744073709551617"):
+        MixtureSpec([3], d=2, rng_seed=2**64 + 1)
+    with pytest.raises(ValueError, match=r"center_seed must be below 2\*\*64"):
+        MixtureSpec([3], d=2, center_seed=2**64)
 
 
 @pytest.mark.parametrize("fields", [
