@@ -3,15 +3,18 @@
 A sweep trains one fresh proxy model per (method, budget, trial) cell on
 that method's budget-b selection and records its test accuracy. Each trial
 holds one index array per method, and the budget-b cell trains on its first
-b entries. The random and fixed-feature arrays are drawn once per trial, as
-long as the largest budget. The random one is ``Rng(seed).sample``: the
-first steps of ``selector.random_order``'s Fisher-Yates walk, so a prefix of
-that order, whose draws and kept indices scale with the largest budget. The
+b entries. All three start from one random walk per trial,
+``Rng(seed).sample(n, max(budgets))``: the first steps of
+``selector.random_order``'s Fisher-Yates walk, so a prefix of that order,
+whose draws and kept indices scale with the largest budget. The random
+array is the walk. The fixed-feature array, as long as the largest budget,
+is ``selector.kcenter_greedy`` seeded with the walk's first seed-count
+entries, which is ``selector.select_prefix`` under the trial's seed. The
 iterative core-set array grows by one round per budget, sized by the
-schedule increments, so every budget is hit exactly: the first round is a
-prefix of the trial's random array, and each later round runs
-``selector.kcenter_greedy`` with the array so far as centers, in the
-hidden-layer features of a proxy trained on that array.
+schedule increments, so every budget is hit exactly: the first round is the
+walk's head, and each later round runs ``selector.kcenter_greedy`` with the
+array so far as centers, in the hidden-layer features of a proxy trained on
+that array.
 
 Training is grouped, and trials run in lock-step. The sweep takes the
 trials with cells to run in stacks of consecutive whole trials, and each
@@ -62,7 +65,7 @@ one cell. The error names the file and, where a row is at fault, its line.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -256,14 +259,12 @@ def _sweep_rows(
             for trial, pending in todo[start : start + width]
         ]
         for t in stack:
-            wanted = {m for m, _ in t.pending}
-            # random and fixed_feature take prefixes of one array per trial;
-            # the core-set baseline's first round is a prefix of the random one
-            if wanted & {"random", CORESET}:
-                t.orders["random"] = np.asarray(Rng(t.seed).sample(emb.n, top), np.int64)
-            if "fixed_feature" in wanted:
-                t.orders["fixed_feature"] = selector.select_prefix(
-                    emb, replace(sel_cfg, rng_seed=t.seed), top
+            # one walk per trial: random is the walk, and fixed_feature's
+            # seeds and the core-set baseline's first round are its head
+            walk = t.orders["random"] = np.asarray(Rng(t.seed).sample(emb.n, top), np.int64)
+            if any(m == "fixed_feature" for m, _ in t.pending):
+                t.orders["fixed_feature"] = selector.kcenter_greedy(
+                    emb, walk[:sel_cfg.seed_count], top - sel_cfg.seed_count, sel_cfg.metric
                 ).order
 
         for b, size in zip(schedule.budgets, schedule.increments):

@@ -88,9 +88,9 @@ bit-identical to it. Two layouts make numpy sum a column pairwise instead
 F-ordered block, such as the transposed rows themselves, and a
 single-column block, whose one remaining axis is the reduced one. So the
 reduction always runs on the preallocated C-ordered float64 buffer with at
-least two columns: a last chunk of one point gathers it twice. The farthest-point pick in
-:func:`coarseset.selector.greedy_steps` keeps the first maximum, i.e. ties
-resolve to the lowest index.
+least two columns: a last chunk of one point gathers it twice. The kernel
+only stores distances: the farthest-point pick over them, with its tie rule,
+is :func:`coarseset.selector.greedy_steps`'s.
 """
 
 from __future__ import annotations
@@ -222,8 +222,3 @@ class DistanceKernel:
         np.minimum(cur, acc, out=cur)
         min_dist[cols] = cur
 
-
-def masked_argmax(values: np.ndarray, taken: np.ndarray) -> int:
-    """Index of the largest value not taken; the lowest such index on ties."""
-    # distances are >= 0, so -1.0 never wins while a free point remains
-    return int(np.argmax(np.where(taken, -1.0, values)))

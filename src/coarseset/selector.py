@@ -7,10 +7,13 @@ the loop is incremental, the ordering at a small budget is always a literal
 prefix of the ordering at a larger one, which is what makes a single full
 ordering serve every annotation budget.
 
-The iterative core-set baseline is built from these pieces in
-:mod:`coarseset.harness`: a random prefix (the first steps of the walk
-``random_order`` takes), then one ``kcenter_greedy`` run per round in the
-features of a freshly trained proxy.
+:mod:`coarseset.harness` builds a sweep trial's three methods from one
+random walk, ``Rng(seed).sample`` (the first steps of the walk
+``random_order`` takes): the random baseline is the walk; the fixed-feature
+order is ``kcenter_greedy`` seeded with its head, which is ``select_prefix``
+under the same seed; and the iterative core-set baseline's first round is
+its head, then one ``kcenter_greedy`` run per round in the features of a
+freshly trained proxy.
 """
 
 from __future__ import annotations
@@ -94,7 +97,6 @@ class SelectionState:
 
     centers: list[int]
     min_dist: np.ndarray
-    metric: Metric
     seed_count: int = 0
 
 
@@ -134,17 +136,18 @@ def greedy_steps(
     kern = kernels.DistanceKernel(e.data, metric)
     min_dist = np.full(e.n, np.inf, dtype=np.float64)
     taken = np.zeros(e.n, dtype=np.bool_)
-    state = SelectionState(list(seeds), min_dist, metric, seed_count=len(seeds))
+    state = SelectionState(list(seeds), min_dist, seed_count=len(seeds))
     for c in seeds:
         taken[c] = True
         kern.update(c, min_dist)
     yield state
     for _ in range(budget):
-        # every taken point holds min_dist == 0.0 exactly (its own update
-        # sets it), so the first maximum is free unless the maximum is 0
+        # the first maximum: the lowest index on ties. A taken point holds
+        # min_dist == 0.0 exactly, so only a maximum of 0 can be taken; then
+        # the lowest free index wins (distances are >= 0, -1.0 never does)
         pick = int(np.argmax(min_dist))
         if taken[pick]:
-            pick = kernels.masked_argmax(min_dist, taken)
+            pick = int(np.argmax(np.where(taken, -1.0, min_dist)))
         taken[pick] = True
         state.centers.append(pick)
         kern.update(pick, min_dist)
@@ -158,10 +161,8 @@ def kcenter_greedy(
     metric: Metric = DEFAULT_METRIC,
 ) -> SelectionOrder:
     """Seeds followed by `budget` farthest-point picks (lowest index on ties)."""
-    state = None
     for state in greedy_steps(e, initial_centers, budget, metric):
         pass
-    assert state is not None
     return SelectionOrder(np.asarray(state.centers, dtype=np.int64), state.seed_count)
 
 

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oracles import coreset_rounds, hypergeometric_std
 
-from coarseset import harness
+from coarseset import harness, selector
 from coarseset.errors import (
     BudgetExceedsOrder,
     CoarsesetError,
@@ -27,6 +27,7 @@ from coarseset.harness import (
     format_summary,
     run_budget_sweep,
 )
+from coarseset.metrics import Metric
 from coarseset.proxy import TrainConfig, accuracy, train
 from coarseset.selector import (
     SelectionConfig,
@@ -525,8 +526,9 @@ def test_stack_width_counts_the_methods_still_pending(tmp_path, monkeypatch):
 
 
 def test_each_trial_draws_its_random_order_once(monkeypatch):
-    # one random prefix per trial that needs one, of max(budgets) Fisher-Yates
-    # steps over the pool: never a whole permutation of n
+    # one random walk per trial with a pending cell, whichever its methods,
+    # of max(budgets) Fisher-Yates steps over the pool: never a whole
+    # permutation of n, and never a second walk for fixed_feature's seeds
     draws = []
 
     class CountingRng(harness.Rng):
@@ -543,11 +545,37 @@ def test_each_trial_draws_its_random_order_once(monkeypatch):
     n, top = train_data[0].n, max(GROUP_SCHEDULE.budgets)
     assert top < n
     for methods, seeds in [(ALL_METHODS, [9, 10]), (("coreset_iterative",), [9, 10]),
-                           (("random",), [9, 10]), (("fixed_feature",), [])]:
+                           (("random",), [9, 10]), (("fixed_feature",), [9, 10])]:
         draws.clear()
         run_budget_sweep(train_data, test_data, GROUP_SCHEDULE, methods, trials=2,
                          base_seed=9, train_cfg=FAST_CFG)
         assert draws == [(seed, n, top) for seed in seeds], methods
+
+
+@pytest.mark.parametrize("metric", list(Metric))
+@pytest.mark.parametrize("seed_count", [1, 3])
+def test_fixed_feature_array_is_select_prefix_of_the_trial_seed(monkeypatch, metric, seed_count):
+    # the sweep seeds kcenter_greedy with its walk's head instead of drawing
+    # select_prefix's seeds again; both give the same array
+    train_data, test_data = tiny_suite(n_per_class=12)
+    emb, top = train_data[0], max(GROUP_SCHEDULE.budgets)
+    want = [
+        select_prefix(emb, SelectionConfig(seed_count, 9 + trial, metric), top).order.tolist()
+        for trial in range(3)
+    ]
+    arrays = []
+    greedy = selector.kcenter_greedy
+
+    def recording(e, *args):
+        order = greedy(e, *args)
+        if e is emb:  # not a core-set round, which runs in proxy features
+            arrays.append(order.order.tolist())
+        return order
+
+    monkeypatch.setattr(selector, "kcenter_greedy", recording)
+    run_budget_sweep(train_data, test_data, GROUP_SCHEDULE, ALL_METHODS, trials=3,
+                     base_seed=9, metric=metric, seed_count=seed_count, train_cfg=FAST_CFG)
+    assert arrays == want
 
 
 @pytest.mark.parametrize("field,change", [

@@ -55,27 +55,6 @@ def test_cosine_duplicate_rows_exact_zero():
     assert out[1] == 0.0 and out[3] == 0.0  # duplicates of the center row
 
 
-def test_masked_argmax_tie_break():
-    for seed in range(30):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 50))
-        values = np.round(rng.random(n) * 4) / 4.0  # force frequent ties
-        taken = rng.random(n) < 0.4
-        if taken.all():
-            taken[int(rng.integers(0, n))] = False
-        got = kernels.masked_argmax(values, taken)
-        free = [i for i in range(n) if not taken[i]]
-        best = max(free, key=lambda i: (values[i], -i))
-        assert values[got] == values[best]
-        assert got == min(i for i in free if values[i] == values[best])
-
-
-def test_all_points_identical_picks_lowest_free_index():
-    values = np.zeros(5)
-    taken = np.array([True, False, True, False, False])
-    assert kernels.masked_argmax(values, taken) == 1
-
-
 # --- the screened kernel against the dense reference loop ---------------------
 
 def kernel_case(seed):
@@ -123,7 +102,10 @@ def test_screened_update_is_bitwise_the_dense_loop(seed):
         if taken.all():
             break
         # mostly farthest-first, as in greedy, and sometimes a random center
-        center = kernels.masked_argmax(want, taken) if step % 3 else int(rng.integers(0, n))
+        if step % 3:  # the free point farthest out, lowest index on ties
+            center = int(np.argmax(np.where(taken, -1.0, want)))
+        else:
+            center = int(rng.integers(0, n))
 
 
 def test_cases_cover_the_ranges_the_kernel_must_handle():

@@ -99,6 +99,26 @@ def test_random_order_basics():
         random_order(0, 1)
 
 
+@pytest.mark.parametrize("metric", list(Metric))
+def test_all_points_identical_picks_lowest_free_index(metric):
+    # every min_dist is 0 after the seed: the first maximum (0) is free once,
+    # then taken, and from there each pick is the lowest free index
+    same = EmbeddingMatrix(np.ones((5, 3), dtype=np.float32))
+    assert kcenter_greedy(same, [2], 4, metric).order.tolist() == [2, 0, 1, 3, 4]
+
+
+@pytest.mark.parametrize("metric", list(Metric))
+def test_quantized_ties_pick_the_lowest_free_index(metric):
+    # 40 points on four positions: once each position holds a center, every
+    # min_dist is 0 and the remaining picks are the free indices in order
+    rng = np.random.default_rng(3)
+    e = EmbeddingMatrix(rng.integers(1, 3, size=(40, 2)).astype(np.float32))
+    got = kcenter_greedy(e, [7], e.n - 1, metric).order.tolist()
+    assert got == brute_force_greedy(e.data, [7], e.n - 1, metric)
+    tail = got[4:]
+    assert tail == sorted(tail)
+
+
 def test_coverage_radius_worked_example(four_points):
     state = None
     for state in greedy_steps(four_points, [0], 2, Metric.EUCLIDEAN):
