@@ -45,8 +45,8 @@ from typing import Iterable, Optional, Sequence
 # depend on it; a value the caller set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .errors import CoarsesetError, check_int, check_seed
-from .store import load_embeddings, load_labels
+from .errors import CoarsesetError, ZeroVector, check_int, check_seed
+from .store import load_embeddings, load_labels, row_location, zero_row
 
 ENV_SEED = "COARSESET_RNG_SEED"
 
@@ -126,6 +126,17 @@ def _seed(args: argparse.Namespace) -> int:
 
 # --- subcommand handlers ---------------------------------------------------------
 
+def _refuse_zero_point(path: str, emb) -> None:
+    """Refuse, naming the file and the line or row, a point of `emb` (read
+    from `path`) that the cosine metric rejects: an all-zero one."""
+    row = zero_row(emb.data)
+    if row is not None:
+        raise ZeroVector(
+            f"{path}: {row_location(path, row)}: all-zero point, which the cosine "
+            "metric rejects"
+        )
+
+
 def cmd_order(args: argparse.Namespace) -> int:
     from . import selector
     from .metrics import Metric
@@ -140,6 +151,8 @@ def cmd_order(args: argparse.Namespace) -> int:
         rng_seed=seed,
         metric=Metric(args.metric),
     )
+    if cfg.metric is Metric.COSINE:
+        _refuse_zero_point(args.embeddings, emb)
     if select:
         order = selector.select_prefix(emb, cfg, args.budget)
     else:
@@ -158,7 +171,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     test_data = (load_embeddings(args.test_emb), load_labels(args.test_lab))
 
     if args.budgets is None:
-        schedule = harness.default_schedule(train_data[0].n)
+        try:
+            schedule = harness.default_schedule(train_data[0].n)
+        except CoarsesetError as exc:
+            raise UsageError(f"{exc}; pass --budgets") from None
     else:
         schedule = harness.BudgetSchedule(tuple(args.budgets))
     seed = _seed(args)
@@ -173,6 +189,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise UsageError(f"invalid training config: {exc}") from None
+    metric = Metric(args.metric)
+    if metric is Metric.COSINE and "fixed_feature" in args.methods:
+        _refuse_zero_point(args.train_emb, train_data[0])
     result = harness.run_budget_sweep(
         train_data,
         test_data,
@@ -180,7 +199,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         args.methods,
         args.trials,
         base_seed=seed,
-        metric=Metric(args.metric),
+        metric=metric,
         seed_count=args.seed_count,
         train_cfg=train_cfg,
         out_dir=args.out,

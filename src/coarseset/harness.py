@@ -35,7 +35,11 @@ depend on which other methods or trials ran or which cells a resume skips.
 
 Every setting (methods, budgets, trials, jobs, seed count, seed, metric) is
 checked before the first cell runs, so a bad one fails the sweep before any
-row is written; every trial's seed must lie in [0, 2**64).
+row is written; every trial's seed must lie in [0, 2**64). So are the
+inputs' shapes: each split has one label per point, and the test
+embeddings have the train embeddings' d. A core-set round under the cosine
+metric whose proxy maps a point to all-zero hidden features stops the sweep
+with the method, trial, budget and point; the rows written stay.
 
 The sweep runs on the calling thread. ``jobs`` is accepted and checked
 (``>= 1``) but does not change the schedule: the work holds the
@@ -76,8 +80,10 @@ from .errors import (
     BudgetExceedsOrder,
     BudgetExceedsPool,
     CoarsesetError,
+    DimensionMismatch,
     IndexOutOfRange,
     ScheduleExceedsPool,
+    ZeroVector,
     check_int,
     check_seed,
 )
@@ -120,7 +126,12 @@ class BudgetSchedule:
 
 
 def default_schedule(n: int) -> BudgetSchedule:
-    """Desk-scale default: 2%..40% of n in 9 steps."""
+    """Desk-scale default: 2%..40% of n in 9 steps, so at least 9 points."""
+    if n < 9:
+        raise ScheduleExceedsPool(
+            f"the default schedule, 2%..40% of n in 9 steps, needs at least 9 points; "
+            f"the pool has {n}"
+        )
     budgets: list[int] = []
     for frac in np.linspace(0.02, 0.40, 9):
         b = max(1, round(float(frac) * n))
@@ -279,9 +290,16 @@ def _sweep_rows(
                         t.orders[CORESET] = t.orders["random"][:size]
                     else:
                         feats = proxy.extract_features(t.feature_model, emb)
-                        t.orders[CORESET] = selector.kcenter_greedy(
-                            feats, t.orders[CORESET], size, sel_cfg.metric
-                        ).order
+                        try:
+                            t.orders[CORESET] = selector.kcenter_greedy(
+                                feats, t.orders[CORESET], size, sel_cfg.metric
+                            ).order
+                        except ZeroVector:
+                            raise ZeroVector(
+                                f"{CORESET}, trial {t.trial}, budget {b}: the proxy's "
+                                f"hidden features of point {store.zero_row(feats.data)} "
+                                "are all zero, which the cosine metric rejects"
+                            ) from None
                 members += [(t, m) for m in methods if (m, b) in t.pending]
                 if b < t.coreset_last:
                     members.append((t, None))
@@ -325,8 +343,16 @@ def run_budget_sweep(
     The caller is responsible for test_data being disjoint from train_data.
     """
     emb, labels = train_data
-    if len(labels) != emb.n or len(test_data[1]) != test_data[0].n:
-        raise ScheduleExceedsPool("labels and embeddings disagree on n")
+    for split, (points, split_labels) in (("train", train_data), ("test", test_data)):
+        if len(split_labels) != points.n:
+            raise ScheduleExceedsPool(
+                f"{split} labels and embeddings disagree on n: "
+                f"{len(split_labels)} labels, {points.n} points"
+            )
+    if test_data[0].d != emb.d:
+        raise DimensionMismatch(
+            f"train embeddings have d={emb.d}, test embeddings have d={test_data[0].d}"
+        )
     if max(schedule.budgets) > emb.n:
         raise ScheduleExceedsPool(
             f"budget {max(schedule.budgets)} exceeds the {emb.n}-point pool"

@@ -23,6 +23,7 @@ immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import itertools
 import os
 import stat
 import struct
@@ -98,6 +99,13 @@ def _nonfinite_row(data: np.ndarray) -> Optional[int]:
     """The first row of `data` holding NaN or an infinity, or None."""
     finite = np.isfinite(data)
     return None if finite.all() else int(np.argmin(finite.all(axis=1)))
+
+
+def zero_row(data: np.ndarray) -> Optional[int]:
+    """The first all-zero row of `data`, or None: a point the cosine metric
+    refuses, as it has no direction."""
+    zero = ~data.any(axis=1)
+    return int(np.argmax(zero)) if zero.any() else None
 
 
 @dataclass(frozen=True)
@@ -263,6 +271,16 @@ def _parse_embedding_csv(raw: bytes, path: PathLike) -> EmbeddingMatrix:
     with np.errstate(over="ignore"):  # beyond float32's range is inf, refused below
         data = np.asarray(rows, dtype=np.float64).astype(np.float32)
     return _matrix(data, path, linenos)
+
+
+def row_location(path: PathLike, row: int) -> str:
+    """Where row `row` of the embeddings file at `path` is, as the loader's
+    refusals name it: ``line N`` in a CSV file, ``row N`` in an EMB1 file."""
+    raw = read_file(path, "embeddings")
+    if raw[:4] == EMB1_MAGIC:
+        return f"row {row}"
+    lines = text_lines(raw, path, "neither EMB1 binary nor UTF-8 CSV")
+    return f"line {next(itertools.islice(lines, row, None))[0]}"
 
 
 def _matrix(

@@ -726,3 +726,91 @@ def test_histogram_label_beyond_num_classes_names_file_and_line(tmp_path, capsys
     assert main(["histogram", "--order", str(order), "--labels", str(labels), "--budget", "2",
                  "--num-classes", "3", "--out", str(tmp_path / "h.csv")]) == 2
     assert f"{labels}: line 2: label 5 exceeds num_classes=3" in one_error_line(capsys)
+
+
+def pool_files(tmp_path, name, **overrides):
+    """A 90-point, 3-class pool written as <name>.emb and <name>.lab."""
+    spec = synth_spec(tmp_path, f"{name}.json", per_class_counts=[30, 30, 30], d=4,
+                      separation=6.0, rng_seed=1, center_seed=5)
+    spec.write_text(json.dumps({**json.loads(spec.read_text()), **overrides}))
+    assert main(["gen-synth", "--spec", str(spec), "--out-prefix", str(tmp_path / name)]) == 0
+    return [str(tmp_path / f"{name}.{ext}") for ext in ("emb", "lab")]
+
+
+def test_sweep_test_embeddings_of_another_d_exits_2_before_run_json(tmp_path, capsys):
+    train, test = pool_files(tmp_path, "train"), pool_files(tmp_path, "test", d=5)
+    out = tmp_path / "d1"
+    argv = ["sweep", "--train-emb", train[0], "--train-lab", train[1], "--test-emb", test[0],
+            "--test-lab", test[1], "--budgets", "5,10", "--trials", "1", "--epochs", "2",
+            "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "train embeddings have d=4, test embeddings have d=5" in one_error_line(capsys)
+    assert not out.exists()
+    short = tmp_path / "short.csv"
+    short.write_text("0\n1\n")
+    argv[argv.index("--test-emb") + 1:argv.index("--test-lab") + 2] = [train[0], "--test-lab",
+                                                                         str(short)]
+    assert main(argv) == 2
+    assert "test labels and embeddings disagree on n: 2 labels, 90 points" in one_error_line(
+        capsys)
+    assert not out.exists()
+
+
+def test_cosine_sweep_names_the_round_whose_proxy_features_are_zero(tmp_path, capsys):
+    # one hidden ReLU unit maps some point to 0 in a core-set round; the
+    # refusal names that round, not an input row, and keeps the rows written
+    train = pool_files(tmp_path, "train")
+    out = tmp_path / "c1"
+    capsys.readouterr()
+    assert main(["sweep", "--train-emb", train[0], "--train-lab", train[1],
+                 "--test-emb", train[0], "--test-lab", train[1], "--metric", "cosine",
+                 "--hidden", "1", "--budgets", "10,20,30", "--trials", "2", "--epochs", "3",
+                 "--out", str(out)]) == 2
+    assert ("coarseset: error: coreset_iterative, trial 0, budget 20: the proxy's hidden "
+            "features of point 1 are all zero, which the cosine metric rejects"
+            ) in one_error_line(capsys)
+    rows = (out / "results.csv").read_text().splitlines()[1:]
+    assert len(rows) == 6 and {row.split(",")[1] for row in rows} == {"10"}
+
+
+@pytest.mark.parametrize("fmt,where", [("csv", "line 2"), ("emb", "row 1")])
+def test_cosine_zero_point_names_file_and_place(tmp_path, capsys, fmt, where):
+    pts = np.array([[1, 1], [0, 0], [2, 3], [4, 1], [1, 5]], dtype=np.float32)
+    path = tmp_path / f"zero.{fmt}"
+    if fmt == "csv":
+        path.write_text("1,1\n0,0\n2,3\n4,1\n1,5\n")
+    else:
+        save_embeddings(EmbeddingMatrix(pts), path)
+    message = f"{path}: {where}: all-zero point, which the cosine metric rejects"
+    out = tmp_path / "o.csv"
+    for extra in ([], ["--budget", "3"]):
+        sub = "select" if extra else "order"
+        assert main([sub, "--embeddings", str(path), "--out", str(out), "--metric", "cosine",
+                     *extra]) == 2
+        assert message in one_error_line(capsys)
+        assert not out.exists()
+    labels = tmp_path / "labels.csv"
+    labels.write_text("0\n1\n0\n1\n0\n")
+    sweep = ["sweep", "--train-emb", str(path), "--train-lab", str(labels),
+             "--test-emb", str(path), "--test-lab", str(labels), "--metric", "cosine",
+             "--budgets", "2,3", "--trials", "1", "--epochs", "2", "--out", str(tmp_path / "s")]
+    assert main(sweep) == 2
+    assert message in one_error_line(capsys)
+    assert not (tmp_path / "s").exists()
+    # without fixed_feature no distance is taken between input points
+    assert main(sweep + ["--methods", "random"]) == 0
+
+
+def test_sweep_default_schedule_on_a_5_point_pool_asks_for_budgets(tmp_path, capsys):
+    pts, labels = tmp_path / "five.csv", tmp_path / "five_lab.csv"
+    pts.write_text("1,1\n2,3\n1,0\n4,1\n0,2\n")
+    labels.write_text("0\n1\n0\n1\n0\n")
+    out = tmp_path / "f1"
+    assert main(["sweep", "--train-emb", str(pts), "--train-lab", str(labels),
+                 "--test-emb", str(pts), "--test-lab", str(labels), "--trials", "1",
+                 "--epochs", "2", "--out", str(out)]) == 2
+    err = one_error_line(capsys)
+    assert "2%..40% of n in 9 steps, needs at least 9 points; the pool has 5" in err
+    assert "pass --budgets" in err and "budget 9" not in err
+    assert not out.exists()

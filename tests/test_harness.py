@@ -12,6 +12,7 @@ from coarseset import harness, selector
 from coarseset.errors import (
     BudgetExceedsOrder,
     CoarsesetError,
+    DimensionMismatch,
     IndexOutOfRange,
     IoFailure,
     ScheduleExceedsPool,
@@ -36,7 +37,7 @@ from coarseset.selector import (
     random_order,
     select_prefix,
 )
-from coarseset.store import LabelVector
+from coarseset.store import EmbeddingMatrix, LabelVector
 from coarseset.synth import MixtureSpec, generate
 
 FAST_CFG = TrainConfig(epochs=20, rng_seed=0)
@@ -79,6 +80,20 @@ def test_default_schedule_shape():
     tiny = default_schedule(10)  # stays strictly increasing even when rounding collides
     assert all(b2 > b1 for b1, b2 in zip(tiny.budgets, tiny.budgets[1:]))
 
+
+
+def test_default_schedule_refuses_a_pool_below_9_points():
+    # its 9 strictly increasing budgets need 9 points; a smaller pool used
+    # to get budgets up to 9 and fail on a budget nobody asked for
+    for n in (1, 5, 8):
+        with pytest.raises(ScheduleExceedsPool, match=(
+            rf"2%\.\.40% of n in 9 steps, needs at least 9 points; the pool has {n}$"
+        )):
+            default_schedule(n)
+    assert default_schedule(9).budgets == tuple(range(1, 10))
+    assert default_schedule(20).budgets == tuple(range(1, 10))
+    assert default_schedule(49).budgets == (1, 3, 6, 8, 10, 13, 15, 17, 20)
+    assert default_schedule(50).budgets == (1, 3, 6, 8, 10, 13, 15, 18, 20)
 
 # --- histograms ------------------------------------------------------------------
 
@@ -309,6 +324,29 @@ def test_sweep_validation():
     short = (train_data[0], LabelVector.from_labels(train_data[1].labels[:-1]))
     with pytest.raises(ScheduleExceedsPool, match="labels and embeddings disagree on n"):
         run_budget_sweep(short, test_data, BudgetSchedule((4,)), ("random",), 1)
+
+
+def test_sweep_refuses_mismatched_inputs_before_anything(tmp_path, monkeypatch):
+    # a test pool of another d, or a label file of another length, is refused
+    # with both values before run.json and before any training
+    def no_training(*args, **kwargs):
+        raise AssertionError("train_group called")
+
+    monkeypatch.setattr(harness.proxy, "train_group", no_training)
+    train_data, test_data = tiny_suite(n_per_class=5)
+    wide = (EmbeddingMatrix(np.ones((15, 5), dtype=np.float32)), test_data[1])
+    short = LabelVector.from_labels(test_data[1].labels[:-1])
+    args = dict(methods=ALL_METHODS, trials=1, train_cfg=FAST_CFG, out_dir=tmp_path)
+    with pytest.raises(DimensionMismatch,
+                       match="^train embeddings have d=4, test embeddings have d=5$"):
+        run_budget_sweep(train_data, wide, BudgetSchedule((4, 8)), **args)
+    with pytest.raises(ScheduleExceedsPool,
+                       match="^train labels and embeddings disagree on n: 14 labels, 15 points$"):
+        run_budget_sweep((train_data[0], short), test_data, BudgetSchedule((4, 8)), **args)
+    with pytest.raises(ScheduleExceedsPool,
+                       match="^test labels and embeddings disagree on n: 14 labels, 15 points$"):
+        run_budget_sweep(train_data, (test_data[0], short), BudgetSchedule((4, 8)), **args)
+    assert not any(tmp_path.iterdir())
 
 
 def test_sweep_refuses_a_trial_seed_past_2_64(tmp_path):
