@@ -37,17 +37,21 @@ Every setting (methods, budgets, trials, jobs, seed count, seed, metric) is
 checked before the first cell runs, so a bad one fails the sweep before any
 row is written; every trial's seed must lie in [0, 2**64). So are the
 inputs' shapes: each split has one label per point, and the test
-embeddings have the train embeddings' d. A core-set round under the cosine
-metric whose proxy maps a point to all-zero hidden features stops the sweep
-with the method, trial, budget and point; the rows written stay.
+embeddings have the train embeddings' d. Under the cosine metric a sweep
+with fixed_feature, whose k-center pass runs on the train embeddings, also
+refuses an all-zero train point, naming its row. A core-set round under
+the cosine metric whose proxy maps a point to all-zero hidden features
+stops the sweep with the method, trial, budget and point; the rows written
+stay.
 
 The sweep runs on the calling thread. ``jobs`` is accepted and checked
 (``>= 1``) but does not change the schedule: the work holds the
 interpreter lock, and a thread pool only made sweeps slower. ``_sweep_rows``
 yields the rows of each ``train_group`` call, and ``run_budget_sweep``, the
-one writer, merges them and rewrites ``results.csv`` whole, the kept and the
-fresh rows in canonical (method, budget, trial) order; ``summary.csv``
-follows at the end. So an interrupted sweep can resume by skipping
+one writer, merges them and rewrites ``results.csv`` whole after each
+group, the kept and the fresh rows in canonical (method, budget, trial)
+order, or once if no cell is left to run; ``summary.csv`` is written once
+at the end. So an interrupted sweep can resume by skipping
 completed cells, and resumed and uninterrupted runs produce
 byte-identical outputs. Every write goes through a temporary file and a
 rename, so a kill or a failed write leaves the previous file whole, and a
@@ -377,6 +381,13 @@ def run_budget_sweep(
         raise BudgetExceedsPool(
             f"budget {max(schedule.budgets)} cannot cover {seed_count} seeds"
         )
+    if metric is Metric.COSINE and "fixed_feature" in methods:
+        row = store.zero_row(emb.data)
+        if row is not None:
+            raise ZeroVector(
+                f"train embeddings: row {row}: all-zero point, which the cosine "
+                "metric rejects"
+            )
 
     rows: dict[tuple[str, int, int], SweepRow] = {}  # kept and fresh
     results_path = None
@@ -400,16 +411,22 @@ def run_budget_sweep(
                 )
         store.write_atomically(out / RUN_FILE, json.dumps(record, indent=2) + "\n")
 
+    # a resume with no cell left still rewrites results.csv once, which
+    # drops a torn last line
+    written = False
     for group in _sweep_rows(
         trials, train_data, test_data, schedule, methods,
         sel_cfg=sel_cfg, train_cfg=train_cfg, skip=set(rows),
     ):
         rows.update(((r.method, r.budget, r.trial), r) for r in group)
         if results_path is not None:
-            _write_csv(results_path, RESULTS_HEADER, map(_format_row, _canonical(rows.values())))
+            _write_results(results_path, _canonical(rows.values()))
+            written = True
     result = SweepResult(_canonical(rows.values()))
-    if out_dir is not None:
-        emit_report(result, out_dir)
+    if results_path is not None:
+        if not written:
+            _write_results(results_path, result.rows)
+        _write_summary(results_path.with_name("summary.csv"), result.rows)
     return result
 
 
@@ -528,16 +545,24 @@ def _write_csv(path: PathLike, header: list[str], rows: Iterable[list[str]]) -> 
     store.write_atomically(path, "".join(",".join(r) + "\n" for r in [header, *rows]))
 
 
+def _write_results(path: Path, rows: Sequence[SweepRow]) -> None:
+    _write_csv(path, RESULTS_HEADER, map(_format_row, rows))
+
+
+def _write_summary(path: Path, rows: Sequence[SweepRow]) -> None:
+    _write_csv(path, SUMMARY_HEADER, (
+        [method, str(budget), repr(float(np.mean(accs))), repr(float(np.std(accs)))]
+        for method, budget, accs in _summary_cells(rows)
+    ))
+
+
 def emit_report(result: SweepResult, out_dir: PathLike) -> None:
     """Write results.csv (canonical row order) and summary.csv (mean/std)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = _canonical(result.rows)
-    _write_csv(out / "results.csv", RESULTS_HEADER, (_format_row(r) for r in rows))
-    _write_csv(out / "summary.csv", SUMMARY_HEADER, (
-        [method, str(budget), repr(float(np.mean(accs))), repr(float(np.std(accs)))]
-        for method, budget, accs in _summary_cells(rows)
-    ))
+    _write_results(out / "results.csv", rows)
+    _write_summary(out / "summary.csv", rows)
 
 
 def _summary_cells(rows: Sequence[SweepRow]):

@@ -22,14 +22,17 @@ byte-identical to training its subset alone under its seed; ``train`` is
 the group of one.
 
 ``_forward`` and ``_grads`` (the one backward pass, shared by training and
-``gradient_check``) take float64 params and any number of leading stack
-dimensions. Training holds one float64 list of params and rounds it
-through float32 after every step, so every step reads exactly the values a
-model stores, and the model is cast to float32 once at the end. Each epoch
-orders the members' subset indices and labels, and each step gathers its
-batch's embedding rows and one-hot targets, so a group holds its subsets
-as indices only: a wider group adds members x subset length x 16 bytes,
-not copies of the rows.
+``gradient_check``) take any number of leading stack dimensions. Training
+keeps the stacked params in the float32 buffers ``_init_params`` returns:
+every matmul and add promotes them to float64 exactly, and each SGD step
+subtracts ``lr * grad`` in float64 and rounds the result into the buffers
+in place, so every step reads exactly what a model stores, and the models
+are views of the buffers. Each epoch orders the members' subset indices
+and labels, and each step gathers its batch's embedding rows and one-hot
+targets, so a group holds its subsets as indices only: a wider group adds
+members x subset length x 16 bytes, not copies of the rows. Training stops
+at the end of the first epoch that leaves a param inf or NaN, which no
+later step makes finite, with an error naming the learning rate.
 """
 
 from __future__ import annotations
@@ -96,12 +99,13 @@ def _init_params(rng: Rng, d: int, h: int, c: int, dtype) -> list[np.ndarray]:
     return [w1, b1, w2, b2]
 
 
-def _forward(params64: Sequence[np.ndarray], x: np.ndarray):
-    """Returns (hidden pre-activation, hidden, logits) from float64 params.
+def _forward(params: Sequence[np.ndarray], x: np.ndarray):
+    """Returns (hidden pre-activation, hidden, logits) in float64 from
+    float64 `x`.
 
     Leading dimensions of `x` and the params beyond one matrix are a stack
     of independent models, each applied to its own rows."""
-    w1, b1, w2, b2 = params64
+    w1, b1, w2, b2 = params
     z1 = x @ w1.swapaxes(-1, -2) + b1[..., None, :]
     hidden = np.maximum(z1, 0.0)
     logits = hidden @ w2.swapaxes(-1, -2) + b2[..., None, :]
@@ -121,17 +125,17 @@ def cross_entropy(logits: np.ndarray, y: np.ndarray) -> float:
     return float(-log_probs[np.arange(len(y)), y].mean())
 
 
-def _grads(params64: Sequence[np.ndarray], x: np.ndarray, target: np.ndarray):
+def _grads(params: Sequence[np.ndarray], x: np.ndarray, target: np.ndarray):
     """The one backward pass: (logits, [dW1, db1, dW2, db2]) of the mean
-    softmax cross-entropy, from float64 params; `target` holds the labels'
-    one-hot rows. Stacked like `_forward`."""
-    z1, hidden, logits = _forward(params64, x)
+    softmax cross-entropy, in float64; `target` holds the labels' one-hot
+    rows. Stacked like `_forward`."""
+    z1, hidden, logits = _forward(params, x)
     dlogits = softmax(logits)
     dlogits -= target  # p - 1 at the label; p - 0.0 == p exactly elsewhere
     dlogits /= x.shape[-2]
     dw2 = dlogits.swapaxes(-1, -2) @ hidden
     db2 = dlogits.sum(axis=-2)
-    dhidden = dlogits @ params64[2]
+    dhidden = dlogits @ params[2]
     # The ReLU mask as a cast and a multiply: np.where's select costs several
     # times more on stacked batches. A masked entry is 0.0 * dhidden, -0.0
     # for a negative gradient, and adding 0.0 makes it the +0.0 np.where
@@ -145,8 +149,8 @@ def _grads(params64: Sequence[np.ndarray], x: np.ndarray, target: np.ndarray):
     return logits, [dw1, db1, dw2, db2]
 
 
-def _loss_and_grads(params64: Sequence[np.ndarray], x: np.ndarray, y: np.ndarray):
-    logits, grads = _grads(params64, x, np.eye(params64[3].shape[-1])[y])
+def _loss_and_grads(params: Sequence[np.ndarray], x: np.ndarray, y: np.ndarray):
+    logits, grads = _grads(params, x, np.eye(params[3].shape[-1])[y])
     return cross_entropy(logits, y), grads
 
 
@@ -160,8 +164,7 @@ def train(
     return train_group(e, labels, [subset], cfg, [cfg.rng_seed])[0]
 
 
-# a learning rate too large for the data overflows the parameters to inf and
-# NaN; the check at the end reports that as one error naming the rate
+# an overflow to inf or NaN is reported by the check after each epoch
 @np.errstate(over="ignore", invalid="ignore")
 def train_group(
     e: EmbeddingMatrix,
@@ -204,9 +207,7 @@ def train_group(
     stream = np.asarray([distinct.index(s) for s in seeds])
     rngs = [Rng(s) for s in distinct]
     inits = [_init_params(rng, e.d, cfg.hidden, labels.num_classes, np.float32) for rng in rngs]
-    # float64 holding float32 values: every step rounds its update through
-    # float32, so the arithmetic reads exactly what a model stores
-    params = [np.stack(p)[stream].astype(np.float64) for p in zip(*inits)]
+    params = [np.stack(p)[stream] for p in zip(*inits)]
 
     lr = cfg.learning_rate
     positions = [list(range(m)) for _ in rngs]
@@ -223,16 +224,15 @@ def train_group(
             x = np.take(e.data, rows[:, start:stop], axis=0).astype(np.float64)
             target = np.take(one_hot, y_rows[:, start:stop], axis=0)
             _, grads = _grads(params, x, target)
-            for k, g in enumerate(grads):
-                params[k] = (params[k] - lr * g).astype(np.float32).astype(np.float64)
-
-    params = [p.astype(np.float32) for p in params]
-    for p in params:
-        if not np.isfinite(p).all():
-            raise NonFiniteValue(
-                f"training produced non-finite parameters: learning_rate {lr!r} is "
-                "too large for this data"
-            )
+            for p, g in zip(params, grads):
+                # in float64, rounded into the float32 buffer
+                np.subtract(p, lr * g, out=p)
+        for p in params:
+            if not np.isfinite(p).all():
+                raise NonFiniteValue(
+                    f"training produced non-finite parameters: learning_rate {lr!r} is "
+                    "too large for this data"
+                )
     return [MlpModel(*(p[b] for p in params)) for b in range(len(idx))]
 
 
@@ -242,8 +242,7 @@ def _evaluate(m: MlpModel, e: EmbeddingMatrix):
         raise DimensionMismatch(
             f"model expects d={m.input_dim}, embeddings have d={e.d}"
         )
-    params64 = [p.astype(np.float64) for p in (m.w1, m.b1, m.w2, m.b2)]
-    _, hidden, logits = _forward(params64, e.data.astype(np.float64))
+    _, hidden, logits = _forward((m.w1, m.b1, m.w2, m.b2), e.data.astype(np.float64))
     return hidden, logits
 
 

@@ -310,15 +310,11 @@ class Rng:
                 bound -= 1
         return offsets
 
-    def _walk(self, items: list, steps: int) -> None:
-        """The first `steps` ascending Fisher-Yates swaps of `items`, in place."""
-        for i, r in enumerate(self._fisher_yates_offsets(len(items), steps)):
-            j = i + r
-            items[i], items[j] = items[j], items[i]
-
     def shuffle(self, items: list) -> None:
         """In-place ascending Fisher-Yates."""
-        self._walk(items, len(items) - 1)
+        for i, r in enumerate(self._fisher_yates_offsets(len(items), len(items) - 1)):
+            j = i + r
+            items[i], items[j] = items[j], items[i]
 
     def permutation(self, n: int) -> list[int]:
         items = list(range(n))
@@ -326,9 +322,16 @@ class Rng:
         return items
 
     def sample(self, n: int, k: int) -> list[int]:
-        """k distinct indices from [0, n): the first k Fisher-Yates steps."""
+        """k distinct indices from [0, n): the first k Fisher-Yates steps
+        over range(n), in O(k) memory. Only the entries a swap has moved
+        are held, by position; every other position still holds itself."""
         if not 0 <= k <= n:
             raise ValueError(f"cannot sample {k} of {n}")
-        items = list(range(n))
-        self._walk(items, k)
-        return items[:k]
+        picked = []
+        moved: dict[int, int] = {}
+        for i, r in enumerate(self._fisher_yates_offsets(n, k)):
+            j = i + r
+            picked.append(moved.get(j, j))
+            # step i is the last to touch position i
+            moved[j] = moved.pop(i, i)
+        return picked

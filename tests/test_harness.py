@@ -16,6 +16,7 @@ from coarseset.errors import (
     IndexOutOfRange,
     IoFailure,
     ScheduleExceedsPool,
+    ZeroVector,
 )
 from coarseset.harness import (
     BudgetSchedule,
@@ -267,20 +268,20 @@ def test_failed_report_rewrite_keeps_streamed_results(tmp_path, monkeypatch):
 
     out = tmp_path / "crash"
     streamed = {}
-    real_emit = harness.emit_report
+    real_summary = harness._write_summary
 
     def write_half_then_disk_full(fh, parts):
         data = "".join(parts).encode("utf-8")
         fh.write(data[: len(data) // 2])
         raise OSError(errno.ENOSPC, "disk full")
 
-    def emit_failing_partway(result, out_dir):
+    def summary_failing_partway(path, rows):
         streamed["results"] = (out / "results.csv").read_bytes()
         monkeypatch.setattr(harness.store, "_write_parts", write_half_then_disk_full)
-        real_emit(result, out_dir)
+        real_summary(path, rows)
 
-    monkeypatch.setattr(harness, "emit_report", emit_failing_partway)
-    with pytest.raises(IoFailure, match=r"cannot write .*results\.csv: .*disk full"):
+    monkeypatch.setattr(harness, "_write_summary", summary_failing_partway)
+    with pytest.raises(IoFailure, match=r"cannot write .*summary\.csv: .*disk full"):
         run_budget_sweep(*args, **kwargs, out_dir=out)
     # the last group's rewrite already holds every row in canonical order
     assert streamed["results"] == (tmp_path / "full" / "results.csv").read_bytes()
@@ -347,6 +348,35 @@ def test_sweep_refuses_mismatched_inputs_before_anything(tmp_path, monkeypatch):
                        match="^test labels and embeddings disagree on n: 14 labels, 15 points$"):
         run_budget_sweep(train_data, (test_data[0], short), BudgetSchedule((4, 8)), **args)
     assert not any(tmp_path.iterdir())
+
+
+def test_cosine_sweep_refuses_an_all_zero_train_point_before_anything(tmp_path, monkeypatch):
+    # fixed_feature's k-center pass runs on the train embeddings, which the
+    # cosine metric needs free of all-zero points
+    train_emb, train_lab = generate(MixtureSpec([10, 10], d=3, separation=4.0, rng_seed=3))
+    data = train_emb.data.copy()
+    data[4] = 0.0
+    train_data = (EmbeddingMatrix(data), train_lab)
+    test_data = generate(MixtureSpec([10, 10], d=3, separation=4.0, rng_seed=4))
+    trained = []
+    real = harness.proxy.train_group
+
+    def recording(*args):
+        trained.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(harness.proxy, "train_group", recording)
+    args = dict(trials=1, metric=Metric.COSINE, train_cfg=FAST_CFG)
+    with pytest.raises(ZeroVector, match=(
+        "^train embeddings: row 4: all-zero point, which the cosine metric rejects$"
+    )):
+        run_budget_sweep(train_data, test_data, BudgetSchedule((4, 8)), ALL_METHODS,
+                         out_dir=tmp_path / "refused", **args)
+    assert not (tmp_path / "refused").exists() and not trained
+    # without fixed_feature no method measures the train points by cosine
+    run_budget_sweep(train_data, test_data, BudgetSchedule((4, 8)), ("random",),
+                     out_dir=tmp_path / "random", **args)
+    assert trained and (tmp_path / "random" / "run.json").exists()
 
 
 def test_sweep_refuses_a_trial_seed_past_2_64(tmp_path):
@@ -438,29 +468,33 @@ def test_jobs_two_writes_the_bytes_of_jobs_one(tmp_path):
 
 def test_resume_from_a_cut_inside_a_budget_group(tmp_path, monkeypatch):
     full = sweep_lines(tmp_path / "full", ALL_METHODS)
-    # results.csv as each group's rewrite leaves it, before the final report
-    rewrites = []
+    # every file as each of its writes leaves it
+    writes = []
     real_write = harness._write_csv
 
     def recording(path, header, rows):
         real_write(path, header, rows)
-        rewrites.append(path.read_text())
+        writes.append((path.name, path.read_text()))
 
     monkeypatch.setattr(harness, "_write_csv", recording)
-    monkeypatch.setattr(harness, "emit_report", lambda result, out_dir: None)
     sweep_lines(tmp_path / "groups", ALL_METHODS)
     monkeypatch.undo()
     # both trials train each budget in one group, whose six rows reach the
-    # file together, in canonical order among the rows before them
+    # file together, in canonical order among the rows before them; the last
+    # group's rewrite is the final file, and summary.csv is written once
+    rewrites = [text for name, text in writes if name == "results.csv"]
     assert rewrites == [
         "\n".join([full[0]] + [line for line in full[1:] if int(line.split(",")[1]) <= b]) + "\n"
         for b in GROUP_SCHEDULE.budgets
     ]
-    # a file cut outside the program: after a group, inside one, mid-row
+    assert [name for name, _ in writes] == ["results.csv"] * 3 + ["summary.csv"]
+    # a file cut outside the program: after a group, inside one, mid-row,
+    # and after the last row, where no cell is left and only the rewrite
+    # drops the torn line
     cuts = rewrites[:-1] + [
         "\n".join(full[: 1 + cut]) + "\n" + torn
         for cut in (1, 2, 4, 9, len(full) - 2) for torn in ("", full[1 + cut][:9])
-    ]
+    ] + ["\n".join(full) + "\n" + full[1][:9]]
     for k, text in enumerate(cuts):
         out = tmp_path / f"cut{k}"
         out.mkdir()

@@ -187,6 +187,24 @@ def test_diverging_training_names_the_learning_rate(learning_rate):
         train(emb, lab, list(range(20)), cfg)
 
 
+def test_diverging_group_stops_at_its_first_epoch(monkeypatch):
+    # each of the 4 seeds shuffles once per epoch; 40 points are two steps
+    # per epoch, after which the parameters are no longer finite
+    emb, lab = generate(MixtureSpec([30] * 2, d=3, separation=5.0, rng_seed=8))
+    shuffles = []
+    real_shuffle = Rng.shuffle
+
+    def counting(rng, items):
+        shuffles.append(len(items))
+        real_shuffle(rng, items)
+
+    monkeypatch.setattr(Rng, "shuffle", counting)
+    cfg = TrainConfig(epochs=100, learning_rate=1e30)
+    with pytest.raises(NonFiniteValue, match=re.escape("learning_rate 1e+30 is too large")):
+        train_group(emb, lab, [range(k, k + 40) for k in range(4)], cfg, [0, 1, 2, 3])
+    assert len(shuffles) == 4
+
+
 def test_feature_trainer_contract():
     emb, lab = generate(MixtureSpec([20] * 2, d=3, separation=6.0, rng_seed=9))
     cfg = TrainConfig(epochs=10, rng_seed=0, hidden=5)

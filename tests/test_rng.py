@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,6 +201,30 @@ def test_block_paths_match_one_draw_at_a_time(n):
         lo, hi = -1.0 / math.sqrt(n + 1), 1.0 / math.sqrt(n + 1)
         assert fast.uniforms(n, lo, hi) == [ref.uniform(lo, hi) for _ in range(n)]
         assert fast.next_uint64() == ref.next_uint64()
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), n=st.integers(0, 3000), data=st.data())
+def test_sample_equals_the_list_walk(seed, n, data):
+    # sample holds only the displaced entries; the reference walks the list
+    k = data.draw(st.integers(0, n))
+    fast, ref = Rng(seed), Rng(seed)
+    expected = list(range(n))
+    ref_walk(ref, expected, k)
+    assert fast.sample(n, k) == expected[:k]
+    assert fast.next_uint64() == ref.next_uint64()
+
+
+def test_sample_memory_is_bounded_by_k():
+    rng = Rng(5)
+    tracemalloc.start()
+    try:
+        picked = rng.sample(10**6, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(set(picked)) == 10 and all(0 <= i < 10**6 for i in picked)
+    assert peak < 100_000
 
 
 def test_fisher_yates_walk_rejection_keeps_the_stream():

@@ -1,4 +1,5 @@
-"""What a fresh process pays to start, and what BLAS threads must not change.
+"""What a fresh process pays to start, and what BLAS threads and CPU
+dispatch paths must not change.
 
 Each check runs in a new interpreter: this one imported numpy long ago.
 """
@@ -186,3 +187,29 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path):
                       *(f"pool_{metric}_{threads}.csv" for metric in metrics))
         ]
     assert outputs["1"] == outputs["2"]
+
+
+def dispatch_digests(work: Path, **env) -> dict:
+    """The digests and found SIMD groups ``dispatch_digests.py`` reports
+    from a child with one BLAS thread, the dispatch left to its defaults,
+    then `env`."""
+    work.mkdir()
+    base = {k: v for k, v in child_env(OPENBLAS_NUM_THREADS="1").items()
+            if k not in ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")}
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).with_name("dispatch_digests.py")), str(work)],
+        env={**base, **env}, capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def test_outputs_do_not_depend_on_cpu_dispatch(tmp_path):
+    # numpy's SIMD groups and OpenBLAS's core type pick the kernels that sum;
+    # the reduced run drops every group numpy found and takes OpenBLAS's
+    # oldest x86-64 core, and both must write the same bytes
+    default = dispatch_digests(tmp_path / "default")
+    reduced = dispatch_digests(tmp_path / "reduced", OPENBLAS_CORETYPE="Prescott",
+                               NPY_DISABLE_CPU_FEATURES=" ".join(default["found"]))
+    assert reduced["found"] == []
+    assert len(default["digests"]) == 10
+    assert reduced["digests"] == default["digests"]
