@@ -35,7 +35,7 @@ from .errors import (
 _EXPORTS = {
     "harness": (
         "BudgetSchedule", "ClassHistogram", "SweepResult", "SweepRow",
-        "class_histogram", "default_schedule", "emit_report", "run_budget_sweep",
+        "class_histogram", "default_schedule", "run_budget_sweep",
     ),
     "metrics": ("DEFAULT_METRIC", "Metric", "distance"),
     "proxy": (

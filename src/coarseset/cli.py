@@ -46,7 +46,7 @@ from typing import Iterable, Optional, Sequence
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .errors import CoarsesetError, ZeroVector, check_int, check_seed
-from .store import load_embeddings, load_labels, row_location, zero_row
+from .store import load_embeddings, load_labels, location, read_file, zero_row
 
 ENV_SEED = "COARSESET_RNG_SEED"
 
@@ -131,10 +131,8 @@ def _refuse_zero_point(path: str, emb) -> None:
     from `path`) that the cosine metric rejects: an all-zero one."""
     row = zero_row(emb.data)
     if row is not None:
-        raise ZeroVector(
-            f"{path}: {row_location(path, row)}: all-zero point, which the cosine "
-            "metric rejects"
-        )
+        where = location(read_file(path, "embeddings"), path, row)
+        raise ZeroVector(f"{path}: {where}: all-zero point, which the cosine metric rejects")
 
 
 def cmd_order(args: argparse.Namespace) -> int:
@@ -213,6 +211,8 @@ def cmd_histogram(args: argparse.Namespace) -> int:
     from . import harness, selector
 
     _require(args, "order", "labels", "budget", "out")
+    if args.num_classes is not None and args.num_classes < 1:
+        raise UsageError(f"--num-classes must be >= 1, got {args.num_classes}")
     order = selector.load_order(args.order)
     labels = load_labels(args.labels, args.num_classes)
     hist = harness.class_histogram(order, labels, args.budget)

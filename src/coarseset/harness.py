@@ -48,16 +48,19 @@ The sweep runs on the calling thread. ``jobs`` is accepted and checked
 (``>= 1``) but does not change the schedule: the work holds the
 interpreter lock, and a thread pool only made sweeps slower. ``_sweep_rows``
 yields the rows of each ``train_group`` call, and ``run_budget_sweep``, the
-one writer, merges them and rewrites ``results.csv`` whole after each
-group, the kept and the fresh rows in canonical (method, budget, trial)
-order, or once if no cell is left to run; ``summary.csv`` is written once
-at the end. So an interrupted sweep can resume by skipping
+only writer of both CSVs, merges them and rewrites ``results.csv`` whole
+after each group, or once if no cell is left to run; ``summary.csv`` is
+written once at the end. So an interrupted sweep can resume by skipping
 completed cells, and resumed and uninterrupted runs produce
 byte-identical outputs. Every write goes through a temporary file and a
 rename, so a kill or a failed write leaves the previous file whole, and a
 group's rows reach the file together. A rerun that asks for fewer methods
 or trials keeps the rows it does not ask for: they are seed-checked like
-the others and stay in both files, and in the returned result.
+the others and stay in both files, and in the returned result. Both files
+are written from a ``SweepResult``, which holds its rows in canonical
+(method, budget, trial) order and groups their accuracies per (method,
+budget) cell once, so the files, ``format_summary`` and ``mean_accuracy``
+read one order and one grouping.
 
 Before the first cell, ``run.json`` beside the CSVs records every setting
 that determines a cell (budgets, seed, seed count, metric, training config)
@@ -156,13 +159,28 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """A sweep's rows, in canonical (method, budget, trial) order whatever
+    order they are given in, and their accuracies per (method, budget)
+    cell, in that order: what ``results.csv``, ``summary.csv``,
+    ``format_summary`` and ``mean_accuracy`` all read."""
+
     rows: tuple[SweepRow, ...]
+    cells: dict[tuple[str, int], tuple[float, ...]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        rows = tuple(sorted(self.rows, key=lambda r: (r.method, r.budget, r.trial)))
+        cells: dict[tuple[str, int], list[float]] = {}
+        for r in rows:
+            cells.setdefault((r.method, r.budget), []).append(r.accuracy)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cells", {cell: tuple(a) for cell, a in cells.items()})
 
     def mean_accuracy(self, method: str, budget: int) -> float:
-        accs = [r.accuracy for r in self.rows if r.method == method and r.budget == budget]
-        if not accs:
+        if (method, budget) not in self.cells:
             raise KeyError(f"no rows for ({method}, {budget})")
-        return float(np.mean(accs))
+        return float(np.mean(self.cells[method, budget]))
 
 
 @dataclass(frozen=True)
@@ -203,10 +221,6 @@ def class_histogram(
 
 
 # --- the sweep ------------------------------------------------------------------
-
-def _canonical(rows: Iterable[SweepRow]) -> tuple[SweepRow, ...]:
-    return tuple(sorted(rows, key=lambda r: (r.method, r.budget, r.trial)))
-
 
 # The most trainings one ``proxy.train_group`` call stacks. A wider stack
 # spreads numpy's fixed cost per SGD step over more members, until past
@@ -420,13 +434,13 @@ def run_budget_sweep(
     ):
         rows.update(((r.method, r.budget, r.trial), r) for r in group)
         if results_path is not None:
-            _write_results(results_path, _canonical(rows.values()))
+            _write_results(results_path, SweepResult(tuple(rows.values())))
             written = True
-    result = SweepResult(_canonical(rows.values()))
+    result = SweepResult(tuple(rows.values()))
     if results_path is not None:
         if not written:
-            _write_results(results_path, result.rows)
-        _write_summary(results_path.with_name("summary.csv"), result.rows)
+            _write_results(results_path, result)
+        _write_summary(results_path.with_name("summary.csv"), result)
     return result
 
 
@@ -545,38 +559,21 @@ def _write_csv(path: PathLike, header: list[str], rows: Iterable[list[str]]) -> 
     store.write_atomically(path, "".join(",".join(r) + "\n" for r in [header, *rows]))
 
 
-def _write_results(path: Path, rows: Sequence[SweepRow]) -> None:
-    _write_csv(path, RESULTS_HEADER, map(_format_row, rows))
+def _write_results(path: Path, result: SweepResult) -> None:
+    _write_csv(path, RESULTS_HEADER, map(_format_row, result.rows))
 
 
-def _write_summary(path: Path, rows: Sequence[SweepRow]) -> None:
+def _write_summary(path: Path, result: SweepResult) -> None:
     _write_csv(path, SUMMARY_HEADER, (
         [method, str(budget), repr(float(np.mean(accs))), repr(float(np.std(accs)))]
-        for method, budget, accs in _summary_cells(rows)
+        for (method, budget), accs in result.cells.items()
     ))
-
-
-def emit_report(result: SweepResult, out_dir: PathLike) -> None:
-    """Write results.csv (canonical row order) and summary.csv (mean/std)."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = _canonical(result.rows)
-    _write_results(out / "results.csv", rows)
-    _write_summary(out / "summary.csv", rows)
-
-
-def _summary_cells(rows: Sequence[SweepRow]):
-    cells: dict[tuple[str, int], list[float]] = {}
-    for r in rows:
-        cells.setdefault((r.method, r.budget), []).append(r.accuracy)
-    for (method, budget) in sorted(cells):
-        yield method, budget, cells[(method, budget)]
 
 
 def format_summary(result: SweepResult) -> str:
     """Human-readable mean +- std table, one line per (method, budget)."""
     lines = [f"{'method':<20} {'budget':>8} {'mean_acc':>10} {'std_acc':>10}"]
-    for method, budget, accs in _summary_cells(_canonical(result.rows)):
+    for (method, budget), accs in result.cells.items():
         lines.append(
             f"{method:<20} {budget:>8d} {np.mean(accs):>10.4f} {np.std(accs):>10.4f}"
         )

@@ -247,12 +247,11 @@ def _parse_emb1(raw: bytes, path: PathLike) -> EmbeddingMatrix:
             f"{path}: EMB1 payload holds {payload // 4} float32 values, expected {n * d}"
         )
     data = np.frombuffer(raw, dtype="<f4", offset=_EMB1_HEADER.size).reshape(n, d)
-    return _matrix(data, path)
+    return _matrix(data, raw, path)
 
 
 def _parse_embedding_csv(raw: bytes, path: PathLike) -> EmbeddingMatrix:
     rows: list[list[float]] = []
-    linenos: list[int] = []
     for lineno, line in text_lines(raw, path, "neither EMB1 binary nor UTF-8 CSV"):
         try:
             row = [float(tok) for tok in line.split(",")]
@@ -265,34 +264,33 @@ def _parse_embedding_csv(raw: bytes, path: PathLike) -> EmbeddingMatrix:
                 f"{path}: line {lineno} has {len(row)} values, expected {len(rows[0])}"
             )
         rows.append(row)
-        linenos.append(lineno)
     if not rows:
         raise EmptyMatrix(f"{path}: no data rows")
     with np.errstate(over="ignore"):  # beyond float32's range is inf, refused below
         data = np.asarray(rows, dtype=np.float64).astype(np.float32)
-    return _matrix(data, path, linenos)
+    return _matrix(data, raw, path)
 
 
-def row_location(path: PathLike, row: int) -> str:
-    """Where row `row` of the embeddings file at `path` is, as the loader's
-    refusals name it: ``line N`` in a CSV file, ``row N`` in an EMB1 file."""
-    raw = read_file(path, "embeddings")
+def location(raw: bytes, path: PathLike, i: int) -> str:
+    """Where entry `i` of the loaded file whose bytes are `raw` is, as the
+    loaders' refusals name it: ``row N`` in EMB1, ``entry N`` in LAB1, and
+    in CSV ``line N``, the line of the i-th non-blank line. The CSV line is
+    found by scanning the bytes again, so a loader keeps no line per row."""
     if raw[:4] == EMB1_MAGIC:
-        return f"row {row}"
-    lines = text_lines(raw, path, "neither EMB1 binary nor UTF-8 CSV")
-    return f"line {next(itertools.islice(lines, row, None))[0]}"
+        return f"row {i}"
+    if raw[:4] == LAB1_MAGIC:
+        return f"entry {i}"
+    lines = text_lines(raw, path, "not UTF-8 text")
+    return f"line {next(itertools.islice(lines, i, None))[0]}"
 
 
-def _matrix(
-    data: np.ndarray, path: PathLike, linenos: Optional[list[int]] = None
-) -> EmbeddingMatrix:
+def _matrix(data: np.ndarray, raw: bytes, path: PathLike) -> EmbeddingMatrix:
     """EmbeddingMatrix(data), but a non-finite value is refused with the file
-    and its row, or its line when `linenos` gives each row's line."""
+    and the location of its row in `raw`, the file's bytes."""
     try:
         return EmbeddingMatrix(data)
     except NonFiniteValue:
-        row = _nonfinite_row(data)
-        where = f"row {row}" if linenos is None else f"line {linenos[row]}"
+        where = location(raw, path, _nonfinite_row(data))
         raise NonFiniteValue(f"{path}: {where}: non-finite embedding value") from None
 
 
@@ -325,15 +323,13 @@ def load_labels(path: PathLike, num_classes: Optional[int] = None) -> LabelVecto
     where some class is absent.
     """
     raw = read_file(path, "labels")
-    if raw[:4] == LAB1_MAGIC:
-        labels, linenos = _parse_lab1(raw, path), None
-    else:
-        labels, linenos = _parse_label_csv(raw, path)
+    parse = _parse_lab1 if raw[:4] == LAB1_MAGIC else _parse_label_csv
+    labels = parse(raw, path)
     if num_classes is not None and (over := np.flatnonzero(labels >= num_classes)).size:
         i = int(over[0])
-        where = f"entry {i}" if linenos is None else f"line {linenos[i]}"
         raise MalformedLabel(
-            f"{path}: {where}: label {int(labels[i])} exceeds num_classes={num_classes}"
+            f"{path}: {location(raw, path, i)}: label {int(labels[i])} exceeds "
+            f"num_classes={num_classes}"
         )
     return LabelVector.from_labels(labels, num_classes)
 
@@ -362,10 +358,8 @@ def _parse_lab1(raw: bytes, path: PathLike) -> np.ndarray:
     return labels
 
 
-def _parse_label_csv(raw: bytes, path: PathLike) -> tuple[np.ndarray, list[int]]:
-    """The labels, and the line each one is on."""
+def _parse_label_csv(raw: bytes, path: PathLike) -> np.ndarray:
     values: list[int] = []
-    linenos: list[int] = []
     for lineno, tok in text_lines(raw, path, "neither LAB1 binary nor UTF-8 CSV"):
         try:
             label = int(tok)
@@ -379,7 +373,6 @@ def _parse_label_csv(raw: bytes, path: PathLike) -> tuple[np.ndarray, list[int]]
                 f"more than MAX_CLASSES={MAX_CLASSES}"
             )
         values.append(label)
-        linenos.append(lineno)
     if not values:
         raise EmptyFile(f"{path}: no labels")
-    return np.asarray(values, dtype=np.int64), linenos
+    return np.asarray(values, dtype=np.int64)

@@ -728,6 +728,19 @@ def test_histogram_label_beyond_num_classes_names_file_and_line(tmp_path, capsys
     assert f"{labels}: line 2: label 5 exceeds num_classes=3" in one_error_line(capsys)
 
 
+@pytest.mark.parametrize("num_classes", ["0", "-3"])
+def test_histogram_num_classes_below_1_is_a_usage_error(tmp_path, capsys, num_classes):
+    # refused before any file is read: the order and label files do not exist
+    out = tmp_path / "h.csv"
+    assert main(["histogram", "--order", str(tmp_path / "order.csv"), "--labels",
+                 str(tmp_path / "l.csv"), "--budget", "2", "--num-classes", num_classes,
+                 "--out", str(out)]) == 2
+    assert one_error_line(capsys) == (
+        f"coarseset: error: --num-classes must be >= 1, got {num_classes}\n"
+    )
+    assert not out.exists()
+
+
 def pool_files(tmp_path, name, **overrides):
     """A 90-point, 3-class pool written as <name>.emb and <name>.lab."""
     spec = synth_spec(tmp_path, f"{name}.json", per_class_counts=[30, 30, 30], d=4,

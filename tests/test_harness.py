@@ -25,7 +25,6 @@ from coarseset.harness import (
     SweepRow,
     class_histogram,
     default_schedule,
-    emit_report,
     format_summary,
     run_budget_sweep,
 )
@@ -160,29 +159,75 @@ def test_prefix_histograms_are_monotone():
 
 # --- reports ---------------------------------------------------------------------
 
-def test_emit_report_empty(tmp_path):
-    emit_report(SweepResult(()), tmp_path)
+def write_report(result, out):
+    """The sweep's own writers, as ``run_budget_sweep`` calls them."""
+    harness._write_results(out / "results.csv", result)
+    harness._write_summary(out / "summary.csv", result)
+
+
+def test_sweep_writers_empty_result(tmp_path):
+    write_report(SweepResult(()), tmp_path)
     assert (tmp_path / "results.csv").read_text() == "method,budget,trial,seed,accuracy\n"
     assert (tmp_path / "summary.csv").read_text() == "method,budget,mean_accuracy,std_accuracy\n"
 
 
-def test_emit_report_single_row(tmp_path):
-    emit_report(SweepResult((SweepRow("random", 4, 0, 7, 0.75),)), tmp_path)
+def test_sweep_writers_single_row(tmp_path):
+    write_report(SweepResult((SweepRow("random", 4, 0, 7, 0.75),)), tmp_path)
     summary = (tmp_path / "summary.csv").read_text().splitlines()
     assert summary[1] == "random,4,0.75,0.0"
 
 
-def test_emit_report_mean_of_three(tmp_path):
+def test_sweep_writers_mean_of_three(tmp_path):
     rows = tuple(
         SweepRow("random", 4, t, 7 + t, acc) for t, acc in enumerate((0.5, 0.5, 0.8))
     )
-    emit_report(SweepResult(rows), tmp_path)
+    write_report(SweepResult(rows), tmp_path)
     summary = (tmp_path / "summary.csv").read_text().splitlines()
     method, budget, mean, _ = summary[1].split(",")
     assert (method, budget) == ("random", "4")
     assert float(mean) == SweepResult(rows).mean_accuracy("random", 4) == pytest.approx(0.6)
     with pytest.raises(KeyError, match=r"no rows for \(random, 8\)"):
         SweepResult(rows).mean_accuracy("random", 8)
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(order=st.permutations(range(12)))
+def test_sweep_result_orders_and_groups_rows_whatever_their_order(tmp_path, order):
+    # 2 methods x 2 budgets x 3 trials; each cell's float mean depends on
+    # the order its accuracies are added in, so a cell read out of
+    # canonical order shows
+    canonical = tuple(
+        SweepRow(m, b, t, 40 + t, acc)
+        for (m, b, t), acc in zip(
+            itertools.product(("fixed_feature", "random"), (4, 16), range(3)),
+            (0.1, 0.2, 0.3, 0.2, 0.4, 0.6, 0.1, 0.8, 0.9, 0.2, 0.6, 0.7),
+        )
+    )
+    result = SweepResult(tuple(canonical[i] for i in order))
+    assert result.rows == canonical
+    assert result == SweepResult(canonical)
+    assert list(result.cells) == [
+        ("fixed_feature", 4), ("fixed_feature", 16), ("random", 4), ("random", 16)
+    ]
+    harness._write_summary(tmp_path / "summary.csv", result)
+    summary = (tmp_path / "summary.csv").read_text().splitlines()[1:]
+    text = format_summary(result).splitlines()[1:]
+    for (m, b), line, printed in zip(result.cells, summary, text, strict=True):
+        accs = [r.accuracy for r in canonical if (r.method, r.budget) == (m, b)]
+        mean = result.mean_accuracy(m, b)
+        assert mean == float(np.mean(accs))
+        assert line == f"{m},{b},{mean!r},{float(np.std(accs))!r}"
+        assert printed.split() == [m, str(b), f"{mean:.4f}", f"{float(np.std(accs)):.4f}"]
+
+
+def test_the_sweep_is_the_only_writer_of_its_csvs():
+    # a second writer could put one config's rows beside another's run.json
+    import coarseset
+
+    assert not hasattr(harness, "emit_report")
+    with pytest.raises(AttributeError):
+        coarseset.emit_report
 
 
 def test_format_summary_lists_cells():

@@ -4,6 +4,7 @@ import hashlib
 import os
 import struct
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -347,6 +348,34 @@ def test_csv_label_beyond_class_limit_names_file_and_line(tmp_path):
         load_labels(p)
     p.write_text(f"{MAX_CLASSES - 1}\n")
     assert load_labels(p).num_classes == MAX_CLASSES
+
+
+def test_label_csv_peak_memory_is_bounded(tmp_path):
+    # 200000 one-digit labels, 400 kB: the loader held a line number per
+    # label for its error path, 28x the file at its peak; about 10x now
+    p = tmp_path / "l.csv"
+    p.write_text("".join(f"{i % 10}\n" for i in range(200_000)))
+    tracemalloc.start()
+    try:
+        labels = load_labels(p, num_classes=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(labels) == 200_000
+    assert peak < 16 * p.stat().st_size
+    # the refusal still names the line, found by scanning the bytes again
+    p.write_text("0\n\n3\n9\n")
+    with pytest.raises(MalformedLabel, match=f"^{p}: line 4: label 9 exceeds num_classes=9$"):
+        load_labels(p, num_classes=9)
+
+
+@pytest.mark.parametrize("raw,where", [
+    (b"1\n\n  \n2\r\n\x0c3\n", "line 5"),
+    (emb1_bytes(3, 1, [0.0, 1.0, 2.0]), "row 2"),
+    (lab1_bytes([0, 1, 2]), "entry 2"),
+], ids=["csv", "emb1", "lab1"])
+def test_location_names_an_entry_as_the_loaders_do(raw, where):
+    assert store.location(raw, "f", 2) == where
 
 
 def test_label_vector_rejects_class_count_beyond_limit():
