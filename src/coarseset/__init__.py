@@ -54,11 +54,10 @@ _EXPORTS = {
     "synth": ("MixtureSpec", "generate"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = frozenset(_EXPORTS) | {"kernels"}
 
 
 def __getattr__(name: str):
-    if name in _SUBMODULES:
+    if name in _EXPORTS:
         return importlib.import_module(f".{name}", __name__)
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -18,9 +18,10 @@ read from the engine (``TrainConfig``, ``SelectionConfig``,
 imports only the engine it runs: ``main`` declares the flags of the chosen
 subcommand alone, and each subcommand imports its engine modules when its
 flags are declared or its handler runs, so ``order``/``select`` never load
-the sweep's harness and proxy, nor ``gen-synth`` the selector. The default
-RNG seed comes from $COARSESET_RNG_SEED when set. BLAS runs single-threaded
-unless the caller sets OPENBLAS_NUM_THREADS.
+the sweep's harness and proxy, nor ``gen-synth`` the selector or the
+distance code in ``metrics``. The default RNG seed comes from
+$COARSESET_RNG_SEED when set. BLAS runs single-threaded unless the caller
+sets OPENBLAS_NUM_THREADS.
 
 Exit codes: 0 success, 2 usage or input error, 1 internal failure. Every
 usage or input error, a bad flag or config value included, is one line on
@@ -46,7 +47,7 @@ from typing import Iterable, Optional, Sequence
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .errors import CoarsesetError, ZeroVector, check_int, check_seed
-from .store import load_embeddings, load_labels, location, read_file, zero_row
+from .store import MAX_CLASSES, load_embeddings, load_labels, location, read_file
 
 ENV_SEED = "COARSESET_RNG_SEED"
 
@@ -129,7 +130,9 @@ def _seed(args: argparse.Namespace) -> int:
 def _refuse_zero_point(path: str, emb) -> None:
     """Refuse, naming the file and the line or row, a point of `emb` (read
     from `path`) that the cosine metric rejects: an all-zero one."""
-    row = zero_row(emb.data)
+    from .metrics import zero_point
+
+    row = zero_point(emb.data)
     if row is not None:
         where = location(read_file(path, "embeddings"), path, row)
         raise ZeroVector(f"{path}: {where}: all-zero point, which the cosine metric rejects")
@@ -213,6 +216,8 @@ def cmd_histogram(args: argparse.Namespace) -> int:
     _require(args, "order", "labels", "budget", "out")
     if args.num_classes is not None and args.num_classes < 1:
         raise UsageError(f"--num-classes must be >= 1, got {args.num_classes}")
+    if args.num_classes is not None and args.num_classes > MAX_CLASSES:
+        raise UsageError(f"--num-classes must be <= {MAX_CLASSES}, got {args.num_classes}")
     order = selector.load_order(args.order)
     labels = load_labels(args.labels, args.num_classes)
     hist = harness.class_histogram(order, labels, args.budget)

@@ -94,7 +94,7 @@ from .errors import (
     check_int,
     check_seed,
 )
-from .metrics import DEFAULT_METRIC, Metric
+from .metrics import DEFAULT_METRIC, Metric, zero_point
 from .proxy import TrainConfig
 from .rng import Rng
 from .store import EmbeddingMatrix, LabelVector, PathLike
@@ -315,7 +315,7 @@ def _sweep_rows(
                         except ZeroVector:
                             raise ZeroVector(
                                 f"{CORESET}, trial {t.trial}, budget {b}: the proxy's "
-                                f"hidden features of point {store.zero_row(feats.data)} "
+                                f"hidden features of point {zero_point(feats.data)} "
                                 "are all zero, which the cosine metric rejects"
                             ) from None
                 members += [(t, m) for m in methods if (m, b) in t.pending]
@@ -396,7 +396,7 @@ def run_budget_sweep(
             f"budget {max(schedule.budgets)} cannot cover {seed_count} seeds"
         )
     if metric is Metric.COSINE and "fixed_feature" in methods:
-        row = store.zero_row(emb.data)
+        row = zero_point(emb.data)
         if row is not None:
             raise ZeroVector(
                 f"train embeddings: row {row}: all-zero point, which the cosine "

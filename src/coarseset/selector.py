@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from . import kernels, store
+from . import store
 from .errors import (
     BudgetExceedsPool,
     DuplicateSeed,
@@ -32,7 +32,7 @@ from .errors import (
     NoCenters,
     check_seed,
 )
-from .metrics import DEFAULT_METRIC, Metric
+from .metrics import DEFAULT_METRIC, DistanceKernel, Metric
 from .rng import Rng
 from .store import EmbeddingMatrix, PathLike
 
@@ -133,7 +133,7 @@ def greedy_steps(
         raise BudgetExceedsPool(
             f"budget {budget} exceeds the {e.n - len(seeds)} unselected points"
         )
-    kern = kernels.DistanceKernel(e.data, metric)
+    kern = DistanceKernel(e.data, metric)
     min_dist = np.full(e.n, np.inf, dtype=np.float64)
     taken = np.zeros(e.n, dtype=np.bool_)
     state = SelectionState(list(seeds), min_dist, seed_count=len(seeds))

@@ -10,7 +10,9 @@ Binary layouts (little-endian throughout):
 Any structural deviation raises MalformedHeader. The CSV alternatives carry
 no header row: embeddings are one comma-separated point per line, labels one
 non-negative integer per line. ``load_embeddings``/``load_labels``
-auto-detect binary vs CSV by the magic bytes.
+auto-detect binary vs CSV by the magic bytes. The CSV loaders walk the
+decoded text one line at a time; the embedding loader fills a float32
+array sized at its first row.
 
 A label vector holds at most ``MAX_CLASSES`` classes, so a label file that
 implies more (one stray label near 2**32 would) is rejected with the file
@@ -101,13 +103,6 @@ def _nonfinite_row(data: np.ndarray) -> Optional[int]:
     return None if finite.all() else int(np.argmin(finite.all(axis=1)))
 
 
-def zero_row(data: np.ndarray) -> Optional[int]:
-    """The first all-zero row of `data`, or None: a point the cosine metric
-    refuses, as it has no direction."""
-    zero = ~data.any(axis=1)
-    return int(np.argmax(zero)) if zero.any() else None
-
-
 @dataclass(frozen=True)
 class LabelVector:
     """Per-point class ids; num_classes defaults to 1 + max(labels)."""
@@ -152,16 +147,25 @@ def text_lines(raw: bytes, path: PathLike, not_text: str) -> Iterator[tuple[int,
     ``"\r\n"`` endings work, while a form feed, ``\x1c``-``\x1e`` or a
     Unicode line separator stays inside its line (``str.splitlines`` would
     break there and number every later line wrong). Bytes that are not
-    UTF-8 raise MalformedHeader with the file, their line and `not_text`."""
+    UTF-8 raise MalformedHeader with the file, their line and `not_text`.
+    The text is walked with ``str.find``, never split whole into a list."""
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno = raw.count(b"\n", 0, exc.start) + 1
         raise MalformedHeader(f"{path}: line {lineno}: {not_text}") from None
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        line = line.strip()
-        if line:
-            yield lineno, line
+    start = lineno = 0
+    while start <= len(text):
+        # split about 1 KiB of whole lines at a time: as fast as one split of
+        # the whole text, with no list of every line
+        end = text.find("\n", start + 1024)
+        end = len(text) if end < 0 else end
+        for line in text[start:end].split("\n"):
+            lineno += 1
+            line = line.strip()
+            if line:
+                yield lineno, line
+        start = end + 1
 
 
 def read_file(path: PathLike, what: str) -> bytes:
@@ -251,24 +255,32 @@ def _parse_emb1(raw: bytes, path: PathLike) -> EmbeddingMatrix:
 
 
 def _parse_embedding_csv(raw: bytes, path: PathLike) -> EmbeddingMatrix:
-    rows: list[list[float]] = []
-    for lineno, line in text_lines(raw, path, "neither EMB1 binary nor UTF-8 CSV"):
-        try:
-            row = [float(tok) for tok in line.split(",")]
-        except ValueError:
-            raise MalformedHeader(
-                f"{path}: line {lineno} is not comma-separated numbers"
-            ) from None
-        if rows and len(row) != len(rows[0]):
-            raise SizeMismatch(
-                f"{path}: line {lineno} has {len(row)} values, expected {len(rows[0])}"
-            )
-        rows.append(row)
-    if not rows:
-        raise EmptyMatrix(f"{path}: no data rows")
+    data = None
+    k = 0  # rows filled
+    lines = text_lines(raw, path, "neither EMB1 binary nor UTF-8 CSV")
     with np.errstate(over="ignore"):  # beyond float32's range is inf, refused below
-        data = np.asarray(rows, dtype=np.float64).astype(np.float32)
-    return _matrix(data, raw, path)
+        for lineno, line in lines:
+            try:
+                row = [float(tok) for tok in line.split(",")]
+            except ValueError:
+                raise MalformedHeader(
+                    f"{path}: line {lineno} is not comma-separated numbers"
+                ) from None
+            if data is None:
+                # a row per line at most, and a row of d values spans 2d - 1
+                # bytes at least, so the array is at most about 2x the file
+                d = len(row)
+                n = min(raw.count(b"\n") + 1, (len(raw) + 1) // (2 * d))
+                data = np.empty((n, d), dtype=np.float32)
+            elif len(row) != data.shape[1]:
+                raise SizeMismatch(
+                    f"{path}: line {lineno} has {len(row)} values, expected {data.shape[1]}"
+                )
+            data[k] = row  # one rounding per value, as float64 -> float32 has
+            k += 1
+    if data is None:
+        raise EmptyMatrix(f"{path}: no data rows")
+    return _matrix(data[:k], raw, path)
 
 
 def location(raw: bytes, path: PathLike, i: int) -> str:

@@ -741,6 +741,16 @@ def test_histogram_num_classes_below_1_is_a_usage_error(tmp_path, capsys, num_cl
     assert not out.exists()
 
 
+def test_histogram_num_classes_above_max_classes_is_a_usage_error(tmp_path, capsys):
+    # refused before any file is read, as the flag's lower bound is
+    out = tmp_path / "h.csv"
+    assert main(["histogram", "--order", str(tmp_path / "order.csv"), "--labels",
+                 str(tmp_path / "l.csv"), "--budget", "2", "--num-classes", "70000",
+                 "--out", str(out)]) == 2
+    assert one_error_line(capsys) == "coarseset: error: --num-classes must be <= 65536, got 70000\n"
+    assert not out.exists()
+
+
 def pool_files(tmp_path, name, **overrides):
     """A 90-point, 3-class pool written as <name>.emb and <name>.lab."""
     spec = synth_spec(tmp_path, f"{name}.json", per_class_counts=[30, 30, 30], d=4,

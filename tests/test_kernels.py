@@ -3,11 +3,13 @@ coarseset.metrics and the dense per-feature loop in oracles."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import ReferenceKernel, brute_force_greedy
 
-from coarseset import kernels
-from coarseset.metrics import Metric, distance
+import coarseset
+from coarseset.errors import ZeroVector
+from coarseset.metrics import DistanceKernel, Metric, distance, zero_point
 from coarseset.selector import kcenter_greedy
 from coarseset.store import EmbeddingMatrix
 
@@ -27,7 +29,7 @@ def test_update_matches_scalar_distance(metric):
     for seed in range(25):
         x = random_case(seed, n_max=25, d_max=6)
         n = x.shape[0]
-        kern = kernels.DistanceKernel(x, metric)
+        kern = DistanceKernel(x, metric)
         got = np.full(n, np.inf)
         expected = np.full(n, np.inf)
         rng = np.random.default_rng(seed + 1000)
@@ -43,7 +45,7 @@ def test_center_distance_is_exact_zero():
     for metric in Metric:
         x = np.abs(np.random.default_rng(0).normal(size=(10, 4))) + 0.5
         out = np.full(10, np.inf)
-        kernels.DistanceKernel(x, metric).update(3, out)
+        DistanceKernel(x, metric).update(3, out)
         assert out[3] == 0.0
 
 
@@ -51,7 +53,7 @@ def test_cosine_duplicate_rows_exact_zero():
     x = np.ones((4, 3))
     x[2] = [1.0, 2.0, 3.0]
     out = np.full(4, np.inf)
-    kernels.DistanceKernel(x, Metric.COSINE).update(0, out)
+    DistanceKernel(x, Metric.COSINE).update(0, out)
     assert out[1] == 0.0 and out[3] == 0.0  # duplicates of the center row
 
 
@@ -86,7 +88,7 @@ def test_screened_update_is_bitwise_the_dense_loop(seed):
     n = x.shape[0]
     if metric is Metric.COSINE:
         x[~x.any(axis=1), 0] = 1.0  # cosine rejects all-zero rows
-    kern = kernels.DistanceKernel(x, metric)
+    kern = DistanceKernel(x, metric)
     if chunk is not None:
         kern._chunk = chunk  # smaller chunks split the exact step more often
     ref = ReferenceKernel(x, metric)
@@ -123,20 +125,20 @@ def test_screen_prunes_a_clustered_pool(monkeypatch):
     centers = 6.0 * rng.normal(size=(20, 32))
     x = (centers[rng.integers(0, 20, 2000)] + rng.normal(size=(2000, 32))).astype(np.float32)
     reached: list[int] = []
-    exact_block = kernels.DistanceKernel._exact_block
+    exact_block = DistanceKernel._exact_block
 
     def counting(self, cols, center, min_dist):
         reached[-1] += cols.shape[0]
         exact_block(self, cols, center, min_dist)
 
-    update = kernels.DistanceKernel.update
+    update = DistanceKernel.update
 
     def counting_update(self, center, min_dist):
         reached.append(0)
         update(self, center, min_dist)
 
-    monkeypatch.setattr(kernels.DistanceKernel, "_exact_block", counting)
-    monkeypatch.setattr(kernels.DistanceKernel, "update", counting_update)
+    monkeypatch.setattr(DistanceKernel, "_exact_block", counting)
+    monkeypatch.setattr(DistanceKernel, "update", counting_update)
     e = EmbeddingMatrix(x)
     order = kcenter_greedy(e, [0], 100)
     assert reached[0] == 2000  # the seed's update meets an all-inf min_dist
@@ -182,7 +184,7 @@ def test_kernel_keeps_ascending_sum_for_lone_and_paired_columns(metric):
         sub = x[[0] + cols]
         got = np.full(len(sub), np.inf)
         want = np.full(len(sub), np.inf)
-        kernels.DistanceKernel(sub, metric).update(0, got)
+        DistanceKernel(sub, metric).update(0, got)
         ReferenceKernel(sub, metric).update(0, want)
         assert got.tobytes() == want.tobytes()
     assert got[1] == (2.0 ** 54 if metric is Metric.SQEUCLIDEAN else 2.0 ** 27)
@@ -192,7 +194,7 @@ def test_unscreened_data_still_exact():
     # d * max|x|**2 above 2**126 could overflow the float32 screen
     x = np.random.default_rng(3).normal(scale=1e19, size=(30, 8)).astype(np.float32)
     for metric in Metric:
-        kern = kernels.DistanceKernel(x, metric)
+        kern = DistanceKernel(x, metric)
         assert not kern._screen
         ref = ReferenceKernel(x, metric)
         got = np.full(30, np.inf)
@@ -211,7 +213,7 @@ def test_full_update_reads_column_ranges_in_ascending_order(metric, n, chunk):
     # column is gathered twice
     x = np.repeat(_feature_sums_differ_by_order()[1:2], n, axis=0)
     x[0] = 1.0 if metric is Metric.COSINE else 0.0  # cosine rejects zero rows
-    kern = kernels.DistanceKernel(x, metric)
+    kern = DistanceKernel(x, metric)
     kern._chunk = chunk
     seen = []
     exact_block = kern._exact_block
@@ -233,12 +235,46 @@ def test_full_update_reads_column_ranges_in_ascending_order(metric, n, chunk):
 
 def test_kernel_keeps_c_contiguous_float32_data_without_a_copy():
     x = np.random.default_rng(5).normal(size=(40, 6)).astype(np.float32)
-    assert np.shares_memory(kernels.DistanceKernel(x, Metric.SQEUCLIDEAN)._x, x)
+    assert np.shares_memory(DistanceKernel(x, Metric.SQEUCLIDEAN)._x, x)
     loaded = EmbeddingMatrix(x).data  # read-only, as load_embeddings returns it
-    assert np.shares_memory(kernels.DistanceKernel(loaded, Metric.COSINE)._x, loaded)
+    assert np.shares_memory(DistanceKernel(loaded, Metric.COSINE)._x, loaded)
     others = (x.astype(np.float64), np.asfortranarray(x), x[::2], x[:, :5], x.astype(">f4"))
     for other in others:
-        kern = kernels.DistanceKernel(other, Metric.SQEUCLIDEAN)
+        kern = DistanceKernel(other, Metric.SQEUCLIDEAN)
         assert not np.shares_memory(kern._x, other)
         assert kern._x.flags.c_contiguous and kern._x.dtype == np.float32
         assert kern._x.tobytes() == np.ascontiguousarray(other, dtype=np.float32).tobytes()
+
+
+# --- the cosine all-zero rule ---------------------------------------------------
+
+def zero_rule_pool(d):
+    """Rows of `d` float32 values: any finite ones, only +-0.0, or only
+    +-0.0 and +-2**-149, the smallest subnormal, which is not zero."""
+    zero = st.sampled_from([0.0, -0.0])
+    row = st.one_of(
+        st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False), min_size=d, max_size=d),
+        st.lists(zero, min_size=d, max_size=d),
+        st.lists(zero | st.sampled_from([2.0 ** -149, -2.0 ** -149]), min_size=d, max_size=d),
+    )
+    return st.lists(row, min_size=1, max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.integers(1, 4).flatmap(zero_rule_pool))
+def test_zero_point_is_the_first_zeroed_row_and_the_kernel_refuses_it(rows):
+    x = np.array(rows, dtype=np.float32)
+    zeroed = [i for i, row in enumerate(rows) if all(v == 0.0 for v in row)]
+    want = zeroed[0] if zeroed else None
+    assert zero_point(x) == want
+    if want is None:
+        DistanceKernel(x, Metric.COSINE)
+    else:
+        with pytest.raises(ZeroVector, match=f"^cosine metric rejects all-zero point {want}$"):
+            DistanceKernel(x, Metric.COSINE)
+
+
+def test_the_kernel_lives_in_metrics():
+    assert coarseset.metrics.DistanceKernel is DistanceKernel
+    with pytest.raises(AttributeError):
+        coarseset.kernels

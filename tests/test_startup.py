@@ -100,11 +100,11 @@ def test_each_command_loads_only_its_engine(tmp_path):
     spec, pool = str(tmp_path / "pool.json"), str(tmp_path / "pool")
     gen = loaded_after(["gen-synth", "--spec", spec, "--out-prefix", pool])
     assert {"coarseset.synth", "coarseset.store", "coarseset.rng"} <= gen
-    assert not gen & {"coarseset.selector", "coarseset.kernels", "coarseset.harness",
+    assert not gen & {"coarseset.selector", "coarseset.metrics", "coarseset.harness",
                       "coarseset.proxy"}
     select = loaded_after(["select", "--embeddings", pool + ".emb", "--budget", "5",
                            "--out", str(tmp_path / "top.csv")])
-    assert {"coarseset.selector", "coarseset.kernels", "coarseset.store", "coarseset.rng",
+    assert {"coarseset.selector", "coarseset.store", "coarseset.rng",
             "coarseset.metrics"} <= select
     assert not select & {"coarseset.harness", "coarseset.proxy", "coarseset.synth"}
 

@@ -369,6 +369,34 @@ def test_label_csv_peak_memory_is_bounded(tmp_path):
         load_labels(p, num_classes=9)
 
 
+def test_embedding_csv_peak_memory_is_bounded(tmp_path):
+    # 200000 one-digit values, 400 kB: the loader built a Python list and a
+    # float per value before the array, 81x the file at its peak; about 5x now
+    p = tmp_path / "e.csv"
+    p.write_text("".join(f"{i % 10}\n" for i in range(200_000)))
+    tracemalloc.start()
+    try:
+        m = load_embeddings(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.data.shape == (200_000, 1)
+    assert np.array_equal(m.data[:, 0], np.arange(200_000) % 10)
+    assert peak < 16 * p.stat().st_size
+
+
+@settings(max_examples=100, deadline=None)
+@given(lines=st.lists(st.tuples(st.text(" \r\x0cx\u2028", max_size=4), st.integers(0, 300))
+                     .map(lambda t: t[0] * t[1]), max_size=40))
+def test_text_lines_numbers_lines_across_its_blocks(lines):
+    # text_lines splits about 1 KiB of lines at a time; files of several KiB
+    # cross those blocks, and every line keeps its number
+    raw = "\n".join(lines).encode()
+    want = [(i, line.strip()) for i, line in enumerate(raw.decode().split("\n"), start=1)
+            if line.strip()]
+    assert list(store.text_lines(raw, "f", "not text")) == want
+
+
 @pytest.mark.parametrize("raw,where", [
     (b"1\n\n  \n2\r\n\x0c3\n", "line 5"),
     (emb1_bytes(3, 1, [0.0, 1.0, 2.0]), "row 2"),
