@@ -189,13 +189,11 @@ class ClassHistogram:
     budget: int
 
     def __post_init__(self):
-        arr = np.asarray(self.counts, dtype=np.int64)
+        arr = store.frozen(self.counts, np.int64)
         if int(arr.sum()) != self.budget:
             raise ValueError(
                 f"histogram counts sum to {int(arr.sum())}, budget is {self.budget}"
             )
-        arr = arr.copy() if arr.flags.writeable else arr
-        arr.setflags(write=False)
         object.__setattr__(self, "counts", arr)
 
 
@@ -217,7 +215,8 @@ def class_histogram(
             f"is out of range for {len(labels)} labels"
         )
     counts = np.bincount(labels.labels[chosen], minlength=labels.num_classes)
-    return ClassHistogram(counts.astype(np.int64), budget)
+    counts.setflags(write=False)  # handed over: ClassHistogram keeps it uncopied
+    return ClassHistogram(counts, budget)
 
 
 # --- the sweep ------------------------------------------------------------------

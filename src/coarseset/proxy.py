@@ -249,7 +249,7 @@ def _evaluate(m: MlpModel, e: EmbeddingMatrix):
 def extract_features(m: MlpModel, e: EmbeddingMatrix) -> EmbeddingMatrix:
     """Hidden activations ReLU(W1 x + b1) as an n x h feature matrix."""
     hidden, _ = _evaluate(m, e)
-    return EmbeddingMatrix(hidden.astype(np.float32))
+    return EmbeddingMatrix(hidden)  # converted to float32 once, not copied again
 
 
 def accuracy(m: MlpModel, e: EmbeddingMatrix, labels: LabelVector) -> float:

@@ -18,14 +18,16 @@ freshly trained proxy.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import store
 from .errors import (
     BudgetExceedsPool,
+    CoarsesetError,
     DuplicateSeed,
     IndexOutOfRange,
     MalformedHeader,
@@ -44,7 +46,7 @@ class SelectionOrder:
     seed_count: int
 
     def __post_init__(self):
-        arr = np.asarray(self.order, dtype=np.int64)
+        arr = store.frozen(self.order, np.int64)
         if arr.ndim != 1:
             raise IndexOutOfRange("order must be a 1-D index sequence")
         ranked = np.sort(arr)
@@ -56,8 +58,6 @@ class SelectionOrder:
             raise IndexOutOfRange(
                 f"seed_count {self.seed_count} outside [0, {arr.shape[0]}]"
             )
-        arr = arr.copy() if arr.flags.writeable else arr
-        arr.setflags(write=False)
         object.__setattr__(self, "order", arr)
 
     def __len__(self) -> int:
@@ -163,7 +163,7 @@ def kcenter_greedy(
     """Seeds followed by `budget` farthest-point picks (lowest index on ties)."""
     for state in greedy_steps(e, initial_centers, budget, metric):
         pass
-    return SelectionOrder(np.asarray(state.centers, dtype=np.int64), state.seed_count)
+    return SelectionOrder(state.centers, state.seed_count)
 
 
 def full_ordering(e: EmbeddingMatrix, cfg: SelectionConfig) -> SelectionOrder:
@@ -194,8 +194,7 @@ def random_order(n: int, rng_seed: int) -> SelectionOrder:
     at budget b is its length-b prefix."""
     if n < 1:
         raise BudgetExceedsPool(f"need at least one point, got n={n}")
-    perm = Rng(rng_seed).permutation(n)
-    return SelectionOrder(np.asarray(perm, dtype=np.int64), seed_count=0)
+    return SelectionOrder(Rng(rng_seed).permutation(n), seed_count=0)
 
 
 # --- order files --------------------------------------------------------------
@@ -209,45 +208,77 @@ def save_order(order: SelectionOrder, path: PathLike) -> None:
 
 def load_order(path: PathLike) -> SelectionOrder:
     """The order save_order wrote. Every error names the file, and the line
-    where one is at fault."""
+    where one is at fault; the first fault in file order wins."""
     raw = store.read_file(path, "order")
     seed_count, header_line = 0, 0
-    lines: dict[int, int] = {}  # index -> its line, in file order
-    for lineno, tok in store.text_lines(raw, path, "not UTF-8 text"):
-        if tok.startswith("#"):
-            body = tok.lstrip("#").strip()
-            if body.startswith("seed_count="):
-                if header_line:
-                    raise MalformedHeader(
-                        f"{path}: line {lineno}: repeats the seed_count comment of "
-                        f"line {header_line}"
-                    )
-                header_line = lineno
-                try:
-                    seed_count = int(body.split("=", 1)[1])
-                except ValueError:
-                    raise MalformedHeader(
-                        f"{path}: line {lineno}: bad seed_count comment {tok!r}"
-                    ) from None
-            continue
-        try:
-            index = int(tok)
-        except ValueError:
-            raise MalformedHeader(f"{path}: line {lineno}: {tok!r} is not an index") from None
-        if index < 0:
-            raise IndexOutOfRange(f"{path}: line {lineno}: index {index} is negative")
-        if index >= 2**63:
-            raise IndexOutOfRange(f"{path}: line {lineno}: index {index} exceeds 2**63 - 1")
-        if index in lines:
-            raise DuplicateSeed(
-                f"{path}: order entries must be distinct: line {lineno} repeats "
-                f"index {index} of line {lines[index]}"
-            )
-        lines[index] = lineno
-    if not lines:
-        raise MalformedHeader(f"{path}: no indices")
-    if not 0 <= seed_count <= len(lines):
-        raise IndexOutOfRange(
-            f"{path}: line {header_line}: seed_count {seed_count} outside [0, {len(lines)}]"
+    values = np.empty(raw.count(b"\n") + 1, dtype=np.int64)  # an index per line at most
+    k = 0  # indices filled
+    fault = None  # a line's fault ends the walk, but a repeat before it comes first
+    try:
+        for lineno, tok in store.text_lines(raw, path, "not UTF-8 text"):
+            if tok.startswith("#"):
+                body = tok.lstrip("#").strip()
+                if body.startswith("seed_count="):
+                    if header_line:
+                        raise MalformedHeader(
+                            f"{path}: line {lineno}: repeats the seed_count comment of "
+                            f"line {header_line}"
+                        )
+                    header_line = lineno
+                    try:
+                        seed_count = int(body.split("=", 1)[1])
+                    except ValueError:
+                        raise MalformedHeader(
+                            f"{path}: line {lineno}: bad seed_count comment {tok!r}"
+                        ) from None
+                continue
+            try:
+                index = int(tok)
+            except ValueError:
+                raise MalformedHeader(f"{path}: line {lineno}: {tok!r} is not an index") from None
+            if index < 0:
+                raise IndexOutOfRange(f"{path}: line {lineno}: index {index} is negative")
+            if index >= 2**63:
+                raise IndexOutOfRange(f"{path}: line {lineno}: index {index} exceeds 2**63 - 1")
+            values[k] = index
+            k += 1
+    except CoarsesetError as exc:
+        fault = exc
+    values = values[:k]
+    repeat = _first_repeat(values)
+    if repeat is not None:
+        first, again = _entry_lines(raw, path, *repeat)
+        raise DuplicateSeed(
+            f"{path}: order entries must be distinct: line {again} repeats "
+            f"index {int(values[repeat[0]])} of line {first}"
         )
-    return SelectionOrder(np.asarray(list(lines), dtype=np.int64), seed_count)
+    if fault is not None:
+        raise fault
+    if not k:
+        raise MalformedHeader(f"{path}: no indices")
+    if not 0 <= seed_count <= k:
+        raise IndexOutOfRange(
+            f"{path}: line {header_line}: seed_count {seed_count} outside [0, {k}]"
+        )
+    values.setflags(write=False)  # handed over: SelectionOrder keeps it uncopied
+    return SelectionOrder(values, seed_count)
+
+
+def _first_repeat(values: np.ndarray) -> Optional[tuple[int, int]]:
+    """(i, j): entry j is the first in `values` to repeat an earlier one, i;
+    None if the entries are distinct."""
+    ranked = np.sort(values)
+    if not (ranked[1:] == ranked[:-1]).any():
+        return None
+    _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    j = int(np.argmax(first[inverse] != np.arange(values.shape[0])))
+    return int(first[inverse[j]]), j
+
+
+def _entry_lines(raw: bytes, path: PathLike, i: int, j: int) -> tuple[int, int]:
+    """The lines of entries i < j of the order file whose bytes are `raw`,
+    found by scanning the bytes again and skipping comment lines."""
+    lines = (lineno for lineno, tok in store.text_lines(raw, path, "not UTF-8 text")
+             if not tok.startswith("#"))
+    first = next(itertools.islice(lines, i, None))
+    return first, next(itertools.islice(lines, j - i - 1, None))

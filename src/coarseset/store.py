@@ -12,7 +12,8 @@ no header row: embeddings are one comma-separated point per line, labels one
 non-negative integer per line. ``load_embeddings``/``load_labels``
 auto-detect binary vs CSV by the magic bytes. The CSV loaders walk the
 decoded text one line at a time; the embedding loader fills a float32
-array sized at its first row.
+array sized at its first row, the label loader an int64 array sized at the
+line count.
 
 A label vector holds at most ``MAX_CLASSES`` classes, so a label file that
 implies more (one stray label near 2**32 would) is rejected with the file
@@ -21,6 +22,13 @@ and the label's position before anything is sized by the class count.
 Values are stored as float32 (both on disk and in memory); all distance
 arithmetic upcasts to float64 (see :mod:`coarseset.metrics`). Instances are
 immutable after construction and safe to share across threads.
+
+Who owns an array: the containers here, ``selector.SelectionOrder`` and
+``harness.ClassHistogram`` each keep their array as ``frozen`` returns it,
+converted to the container's dtype in C order and read-only. It is a copy
+only when it is the caller's own array and the caller can still write it.
+Code that builds an array for a container hands it over, as a list or as
+the array it filled and then froze, and no copy is made.
 """
 
 from __future__ import annotations
@@ -67,6 +75,18 @@ PathLike = Union[str, Path]
 MAX_CLASSES = 2 ** 16
 
 
+def frozen(values, dtype) -> np.ndarray:
+    """`values` as a read-only C-ordered array of `dtype`. The caller's own
+    array is copied only if the caller can still write it; a list, another
+    dtype or a strided view is converted once, and a read-only array of
+    `dtype` is kept as it is. A scalar stays 0-d, for the caller to refuse."""
+    arr = np.asarray(values, dtype=dtype, order="C")
+    if arr is values and arr.flags.writeable:
+        arr = arr.copy()  # never freeze the caller's array
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class EmbeddingMatrix:
     """n x d row-major feature matrix; row i is the feature vector of point i."""
@@ -74,18 +94,14 @@ class EmbeddingMatrix:
     data: np.ndarray
 
     def __post_init__(self):
-        src = np.asarray(self.data)
-        if src.ndim != 2:
-            raise EmptyMatrix(f"embedding data must be 2-D, got shape {src.shape}")
-        if src.shape[0] == 0 or src.shape[1] == 0:
-            raise EmptyMatrix(f"empty embedding matrix (shape {src.shape})")
-        arr = np.ascontiguousarray(src, dtype=np.float32)
+        arr = frozen(self.data, np.float32)
+        if arr.ndim != 2:
+            raise EmptyMatrix(f"embedding data must be 2-D, got shape {arr.shape}")
+        if arr.shape[0] == 0 or arr.shape[1] == 0:
+            raise EmptyMatrix(f"empty embedding matrix (shape {arr.shape})")
         row = _nonfinite_row(arr)
         if row is not None:
             raise NonFiniteValue(f"non-finite embedding value in row {row}")
-        if arr is src and arr.flags.writeable:
-            arr = arr.copy()  # never freeze the caller's array
-        arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
     @property
@@ -111,26 +127,24 @@ class LabelVector:
     num_classes: int
 
     def __post_init__(self):
-        src = np.asarray(self.labels, dtype=np.int64)
-        if src.ndim != 1 or src.shape[0] == 0:
+        arr = frozen(self.labels, np.int64)
+        if arr.ndim != 1 or arr.shape[0] == 0:
             raise EmptyFile("label vector must be a non-empty 1-D sequence")
-        if (src < 0).any():
+        if (arr < 0).any():
             raise MalformedLabel("labels must be non-negative")
         if self.num_classes > MAX_CLASSES:
             raise MalformedLabel(
                 f"num_classes={self.num_classes} exceeds MAX_CLASSES={MAX_CLASSES}"
             )
-        if int(src.max()) >= self.num_classes:
+        if int(arr.max()) >= self.num_classes:
             raise MalformedLabel(
-                f"label {int(src.max())} exceeds num_classes={self.num_classes}"
+                f"label {int(arr.max())} exceeds num_classes={self.num_classes}"
             )
-        arr = src.copy() if src.flags.writeable else src
-        arr.setflags(write=False)
         object.__setattr__(self, "labels", arr)
 
     @classmethod
     def from_labels(cls, labels, num_classes: Optional[int] = None) -> "LabelVector":
-        arr = np.asarray(labels, dtype=np.int64)
+        arr = frozen(labels, np.int64)
         if num_classes is None:
             if arr.size == 0:
                 raise EmptyFile("cannot infer num_classes from an empty label list")
@@ -280,7 +294,9 @@ def _parse_embedding_csv(raw: bytes, path: PathLike) -> EmbeddingMatrix:
             k += 1
     if data is None:
         raise EmptyMatrix(f"{path}: no data rows")
-    return _matrix(data[:k], raw, path)
+    data = data[:k]
+    data.setflags(write=False)  # handed over: EmbeddingMatrix keeps it uncopied
+    return _matrix(data, raw, path)
 
 
 def location(raw: bytes, path: PathLike, i: int) -> str:
@@ -359,7 +375,8 @@ def _parse_lab1(raw: bytes, path: PathLike) -> np.ndarray:
         raise MalformedHeader(
             f"{path}: LAB1 payload holds {payload // 4} labels, expected {n}"
         )
-    labels = np.frombuffer(raw, dtype="<u4", offset=_LAB1_HEADER.size).astype(np.int64)
+    # a read-only view of the payload; LabelVector converts it once
+    labels = np.frombuffer(raw, dtype="<u4", offset=_LAB1_HEADER.size)
     over = np.flatnonzero(labels >= MAX_CLASSES)
     if over.size:
         i = int(over[0])
@@ -371,7 +388,8 @@ def _parse_lab1(raw: bytes, path: PathLike) -> np.ndarray:
 
 
 def _parse_label_csv(raw: bytes, path: PathLike) -> np.ndarray:
-    values: list[int] = []
+    values = np.empty(raw.count(b"\n") + 1, dtype=np.int64)  # a label per line at most
+    k = 0  # labels filled
     for lineno, tok in text_lines(raw, path, "neither LAB1 binary nor UTF-8 CSV"):
         try:
             label = int(tok)
@@ -384,7 +402,10 @@ def _parse_label_csv(raw: bytes, path: PathLike) -> np.ndarray:
                 f"{path}: line {lineno}: label {label} implies {label + 1} classes, "
                 f"more than MAX_CLASSES={MAX_CLASSES}"
             )
-        values.append(label)
-    if not values:
+        values[k] = label
+        k += 1
+    if not k:
         raise EmptyFile(f"{path}: no labels")
-    return np.asarray(values, dtype=np.int64)
+    values = values[:k]
+    values.setflags(write=False)  # handed over: LabelVector keeps it uncopied
+    return values

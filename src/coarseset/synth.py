@@ -129,5 +129,6 @@ def generate(spec: MixtureSpec) -> tuple[EmbeddingMatrix, LabelVector]:
         start += span
 
     perm = rng.permutation(n)
-    emb = EmbeddingMatrix(points[perm].astype(np.float32))
-    return emb, LabelVector(labels[perm], spec.num_classes)
+    labels = labels[perm]
+    labels.setflags(write=False)  # handed over: LabelVector keeps it uncopied
+    return EmbeddingMatrix(points[perm]), LabelVector(labels, spec.num_classes)

@@ -175,3 +175,51 @@ def hypergeometric_std(n: int, population: int, draws: int) -> float:
     replacement and the class has `population` members."""
     p = population / n
     return math.sqrt(draws * p * (1.0 - p) * (n - draws) / (n - 1))
+
+
+def reference_load_order(raw: bytes, path) -> tuple[list[int], int]:
+    """(indices, seed_count) of an order file, or the CoarsesetError
+    load_order raises, by one walk over its lines that keeps every index's
+    line in a dict and stops at the first fault in file order."""
+    from coarseset.errors import DuplicateSeed, IndexOutOfRange, MalformedHeader
+
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise MalformedHeader(f"{path}: line {line}: not UTF-8 text") from None
+    seed_count, header_line, lines = 0, 0, {}
+    for lineno, tok in enumerate((t.strip() for t in text.split("\n")), start=1):
+        if not tok:
+            continue
+        if tok.startswith("#"):
+            body = tok.lstrip("#").strip()
+            if body.startswith("seed_count="):
+                if header_line:
+                    raise MalformedHeader(f"{path}: line {lineno}: repeats the seed_count "
+                                          f"comment of line {header_line}")
+                header_line = lineno
+                try:
+                    seed_count = int(body.split("=", 1)[1])
+                except ValueError:
+                    raise MalformedHeader(
+                        f"{path}: line {lineno}: bad seed_count comment {tok!r}") from None
+            continue
+        try:
+            index = int(tok)
+        except ValueError:
+            raise MalformedHeader(f"{path}: line {lineno}: {tok!r} is not an index") from None
+        if index < 0:
+            raise IndexOutOfRange(f"{path}: line {lineno}: index {index} is negative")
+        if index >= 2**63:
+            raise IndexOutOfRange(f"{path}: line {lineno}: index {index} exceeds 2**63 - 1")
+        if index in lines:
+            raise DuplicateSeed(f"{path}: order entries must be distinct: line {lineno} "
+                                f"repeats index {index} of line {lines[index]}")
+        lines[index] = lineno
+    if not lines:
+        raise MalformedHeader(f"{path}: no indices")
+    if not 0 <= seed_count <= len(lines):
+        raise IndexOutOfRange(
+            f"{path}: line {header_line}: seed_count {seed_count} outside [0, {len(lines)}]")
+    return list(lines), seed_count

@@ -1,11 +1,18 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from oracles import brute_force_greedy, coreset_rounds, min_dists, min_dists_scalar
+from oracles import (
+    brute_force_greedy,
+    coreset_rounds,
+    min_dists,
+    min_dists_scalar,
+    reference_load_order,
+)
 
 from coarseset.errors import (
     BudgetExceedsPool,
@@ -259,6 +266,15 @@ def test_order_file_rejects_garbage(tmp_path):
     ("0\u2028\n1\n-1\n".encode(), IndexOutOfRange,
      "bad.csv: line 3: index -1 is negative"),
     (b"0\x0c\n\xff\n", MalformedHeader, "bad.csv: line 2: not UTF-8 text"),
+    # the first fault in file order wins: the repeat on line 3, then 'foo'
+    # on line 2, though the loader finds repeats after its walk
+    (b"0\n2\n0\nfoo\n", DuplicateSeed,
+     "bad.csv: order entries must be distinct: line 3 repeats index 0 of line 1"),
+    (b"0\nfoo\n0\n", MalformedHeader, "bad.csv: line 2: 'foo' is not an index"),
+    (b"# seed_count=9\n5\n# c\n\n7\n5\n", DuplicateSeed,
+     "bad.csv: order entries must be distinct: line 6 repeats index 5 of line 2"),
+    (b"1\n2\n2\n1\n", DuplicateSeed,
+     "bad.csv: order entries must be distinct: line 3 repeats index 2 of line 2"),
 ])
 def test_order_file_errors_name_file_and_line(tmp_path, raw, error, message):
     p = tmp_path / "bad.csv"
@@ -266,6 +282,23 @@ def test_order_file_errors_name_file_and_line(tmp_path, raw, error, message):
     with pytest.raises(error) as info:
         load_order(p)
     assert message in str(info.value)
+
+
+def test_order_file_peak_memory_is_bounded(tmp_path):
+    # 200000 entries, 1.3 MB: the loader kept an index -> line dict, 22x the
+    # file at its peak; it fills one int64 array now, about 4x
+    n = 200_000
+    p = tmp_path / "order.csv"
+    p.write_text("# seed_count=1\n" + "".join(f"{i * 7919 % n}\n" for i in range(n)))
+    tracemalloc.start()
+    try:
+        order = load_order(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(order.order, np.arange(n) * 7919 % n)
+    assert order.seed_count == 1
+    assert peak < 8 * p.stat().st_size
 
 
 ORDER_LINES = st.one_of(
@@ -357,3 +390,22 @@ def test_iterative_mlp_covers_clusters_across_seeds():
         labeled = coreset_rounds(emb, lab, [2, 2, 2], cfg, seed)[-1]
         covered += int(len(set(lab.labels[labeled].tolist())) == 3)
     assert covered >= 95
+
+
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ORDER_BYTES)
+def test_load_order_matches_a_line_by_line_reference(tmp_path, raw):
+    # the reference stops at the first fault in file order, a repeat
+    # included; load_order finds repeats after its walk, and must agree
+    p = tmp_path / "ref.csv"
+    p.write_bytes(raw)
+    try:
+        want = reference_load_order(raw, p)
+    except CoarsesetError as exc:
+        with pytest.raises(type(exc)) as info:
+            load_order(p)
+        assert str(info.value) == str(exc)
+    else:
+        order = load_order(p)
+        assert (order.order.tolist(), order.seed_count) == want

@@ -2,6 +2,7 @@ import builtins
 import errno
 import hashlib
 import os
+import re
 import struct
 import threading
 import tracemalloc
@@ -14,6 +15,7 @@ from coarseset.errors import (
     CoarsesetError,
     EmptyFile,
     EmptyMatrix,
+    IndexOutOfRange,
     IoFailure,
     MalformedHeader,
     MalformedLabel,
@@ -352,7 +354,8 @@ def test_csv_label_beyond_class_limit_names_file_and_line(tmp_path):
 
 def test_label_csv_peak_memory_is_bounded(tmp_path):
     # 200000 one-digit labels, 400 kB: the loader held a line number per
-    # label for its error path, 28x the file at its peak; about 10x now
+    # label for its error path, 28x the file at its peak, then a Python list
+    # of the labels, 9x; it fills one int64 array now, about 6x
     p = tmp_path / "l.csv"
     p.write_text("".join(f"{i % 10}\n" for i in range(200_000)))
     tracemalloc.start()
@@ -362,7 +365,7 @@ def test_label_csv_peak_memory_is_bounded(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(labels) == 200_000
-    assert peak < 16 * p.stat().st_size
+    assert peak < 7 * p.stat().st_size
     # the refusal still names the line, found by scanning the bytes again
     p.write_text("0\n\n3\n9\n")
     with pytest.raises(MalformedLabel, match=f"^{p}: line 4: label 9 exceeds num_classes=9$"):
@@ -371,7 +374,8 @@ def test_label_csv_peak_memory_is_bounded(tmp_path):
 
 def test_embedding_csv_peak_memory_is_bounded(tmp_path):
     # 200000 one-digit values, 400 kB: the loader built a Python list and a
-    # float per value before the array, 81x the file at its peak; about 5x now
+    # float per value before the array, 81x the file at its peak, then
+    # EmbeddingMatrix copied the array it filled, 5x; about 4x now
     p = tmp_path / "e.csv"
     p.write_text("".join(f"{i % 10}\n" for i in range(200_000)))
     tracemalloc.start()
@@ -382,7 +386,107 @@ def test_embedding_csv_peak_memory_is_bounded(tmp_path):
         tracemalloc.stop()
     assert m.data.shape == (200_000, 1)
     assert np.array_equal(m.data[:, 0], np.arange(200_000) % 10)
-    assert peak < 16 * p.stat().st_size
+    assert peak < 4.5 * p.stat().st_size
+
+
+def test_lab1_peak_memory_is_bounded(tmp_path):
+    # 200000 labels, 800 kB: the loader widened the payload to int64 and
+    # LabelVector copied that, 5x the file at its peak; it converts the
+    # payload once now, about 3.25x
+    p = tmp_path / "l.lab"
+    save_labels(LabelVector.from_labels(np.arange(200_000) % 10), p)
+    tracemalloc.start()
+    try:
+        labels = load_labels(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(labels.labels, np.arange(200_000) % 10)
+    assert peak < 4 * p.stat().st_size
+
+
+def _peak(build):
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_containers_given_a_list_convert_it_once():
+    # a list becomes one int64 array, kept as it is: the containers used to
+    # copy the array they had just converted, one more array at their peak
+    one = 8 * 10**6  # bytes of one int64 array of 10**6 entries
+    labels = [i % 10 for i in range(10**6)]
+    assert _peak(lambda: LabelVector.from_labels(labels)) < 1.5 * one  # was 2
+    # and the sorted copy that finds a repeated index
+    order = list(range(10**6))
+    assert _peak(lambda: selector.SelectionOrder(order, 0)) < 2.5 * one  # was 3
+
+
+# each container: (the array it keeps of these values, its dtype, another dtype)
+CONTAINERS = {
+    "frozen": (lambda v: store.frozen(v, np.int64), np.int64, np.int32),
+    "EmbeddingMatrix": (lambda v: EmbeddingMatrix(v).data, np.float32, np.float64),
+    "LabelVector": (lambda v: LabelVector(v, len(v)).labels, np.int64, np.int32),
+    "LabelVector.from_labels": (lambda v: LabelVector.from_labels(v).labels, np.int64, np.uint16),
+    "SelectionOrder": (lambda v: selector.SelectionOrder(v, 0).order, np.int64, np.int32),
+    "ClassHistogram": (lambda v: harness.ClassHistogram(v, int(np.sum(v))).counts,
+                       np.int64, np.int32),
+}
+INPUT_KINDS = ["list", "writable", "other dtype", "read-only", "strided view"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(CONTAINERS)), kind=st.sampled_from(INPUT_KINDS),
+       perm=st.integers(1, 12).flatmap(lambda n: st.permutations(range(n))),
+       d=st.integers(1, 3))
+def test_every_container_keeps_a_read_only_array_of_its_own(name, kind, perm, d):
+    keep, dtype, other = CONTAINERS[name]
+    want = np.array(perm)
+    if name == "EmbeddingMatrix":
+        want = want[:, None] * np.arange(1, d + 1)
+    caller = None  # the caller's writable array, when it gives one
+    if kind == "list":
+        given_ = want.tolist()
+    elif kind == "writable":
+        given_ = caller = want.astype(dtype)
+    elif kind == "other dtype":
+        given_ = caller = want.astype(other)
+    elif kind == "read-only":
+        given_ = want.astype(dtype)
+        given_.setflags(write=False)
+    else:
+        caller = np.repeat(want, 2, axis=0).astype(dtype)
+        given_ = caller[::2]
+    kept = keep(given_)
+    assert kept.dtype == dtype and np.array_equal(kept, want)
+    assert not kept.flags.writeable and kept.flags.c_contiguous
+    if caller is not None:
+        assert caller.flags.writeable and given_.flags.writeable
+        assert not np.shares_memory(caller, kept)
+    if kind == "read-only":
+        assert kept is given_  # no one can write it, so it is not copied
+
+
+@pytest.mark.parametrize("build,error,message", [
+    (lambda: EmbeddingMatrix(5.0), EmptyMatrix, "embedding data must be 2-D, got shape ()"),
+    (lambda: EmbeddingMatrix([1.0, 2.0]), EmptyMatrix,
+     "embedding data must be 2-D, got shape (2,)"),
+    (lambda: LabelVector(5, 6), EmptyFile, "label vector must be a non-empty 1-D sequence"),
+    (lambda: LabelVector([[0, 1]], 2), EmptyFile,
+     "label vector must be a non-empty 1-D sequence"),
+    (lambda: LabelVector.from_labels(5), EmptyFile,
+     "label vector must be a non-empty 1-D sequence"),
+    (lambda: selector.SelectionOrder(3, 0), IndexOutOfRange,
+     "order must be a 1-D index sequence"),
+    (lambda: selector.SelectionOrder([[0, 1]], 0), IndexOutOfRange,
+     "order must be a 1-D index sequence"),
+])
+def test_containers_refuse_scalars_and_the_wrong_rank(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()
 
 
 @settings(max_examples=100, deadline=None)
