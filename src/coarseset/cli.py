@@ -72,7 +72,7 @@ def _read_object(path: str, what: str, known) -> dict:
             obj = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read {what} {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
         raise UsageError(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise UsageError(f"{what} {path} must hold a JSON object")

@@ -540,7 +540,7 @@ def _check_run_record(path: Path, record: dict, results_path: Path) -> None:
         )
     try:
         old = json.loads(store.read_file(path, "the run record").decode("utf-8"))
-    except ValueError as exc:  # not UTF-8, not JSON
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
         raise CoarsesetError(f"cannot read {path}: {exc}") from None
     if not isinstance(old, dict):
         raise CoarsesetError(f"{path} does not hold a JSON object")

@@ -14,13 +14,18 @@ order is ``kcenter_greedy`` seeded with its head, which is ``select_prefix``
 under the same seed; and the iterative core-set baseline's first round is
 its head, then one ``kcenter_greedy`` run per round in the features of a
 freshly trained proxy.
+
+An order file (``save_order``/``load_order``) holds one index per line
+after a ``# seed_count=<k>`` comment. Loading it checks each line on its
+own; ``SelectionOrder`` alone checks that the indices are distinct and
+that the seed count fits, and ``store.location`` names the lines of a
+refusal.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -208,7 +213,12 @@ def save_order(order: SelectionOrder, path: PathLike) -> None:
 
 def load_order(path: PathLike) -> SelectionOrder:
     """The order save_order wrote. Every error names the file, and the line
-    where one is at fault; the first fault in file order wins."""
+    where one is at fault; the first fault in file order wins.
+
+    The walk refuses what a line holds on its own. Distinctness and the
+    header's seed_count are checked by SelectionOrder alone, with its one
+    sort; its refusal is restated with the file's lines, a repeat's found
+    by store.location."""
     raw = store.read_file(path, "order")
     seed_count, header_line = 0, 0
     values = np.empty(raw.count(b"\n") + 1, dtype=np.int64)  # an index per line at most
@@ -245,40 +255,26 @@ def load_order(path: PathLike) -> SelectionOrder:
     except CoarsesetError as exc:
         fault = exc
     values = values[:k]
-    repeat = _first_repeat(values)
-    if repeat is not None:
-        first, again = _entry_lines(raw, path, *repeat)
-        raise DuplicateSeed(
-            f"{path}: order entries must be distinct: line {again} repeats "
-            f"index {int(values[repeat[0]])} of line {first}"
-        )
-    if fault is not None:
-        raise fault
-    if not k:
-        raise MalformedHeader(f"{path}: no indices")
-    if not 0 <= seed_count <= k:
-        raise IndexOutOfRange(
-            f"{path}: line {header_line}: seed_count {seed_count} outside [0, {k}]"
-        )
     values.setflags(write=False)  # handed over: SelectionOrder keeps it uncopied
-    return SelectionOrder(values, seed_count)
+    try:
+        if fault is not None:
+            SelectionOrder(values, 0)  # a repeat before the faulty line comes first
+        elif k:
+            return SelectionOrder(values, seed_count)
+    except DuplicateSeed as exc:
+        first, again = _first_repeat(values)
+        raise DuplicateSeed(
+            f"{path}: {exc}: {store.location(raw, path, again)} repeats index "
+            f"{int(values[first])} of {store.location(raw, path, first)}"
+        ) from None
+    except IndexOutOfRange as exc:  # the header's seed_count: the walk refused bad indices
+        raise IndexOutOfRange(f"{path}: line {header_line}: {exc}") from None
+    raise fault or MalformedHeader(f"{path}: no indices")
 
 
-def _first_repeat(values: np.ndarray) -> Optional[tuple[int, int]]:
-    """(i, j): entry j is the first in `values` to repeat an earlier one, i;
-    None if the entries are distinct."""
-    ranked = np.sort(values)
-    if not (ranked[1:] == ranked[:-1]).any():
-        return None
+def _first_repeat(values: np.ndarray) -> tuple[int, int]:
+    """(i, j): entry j is the first in `values`, which hold a repeat, to
+    repeat an earlier one, i."""
     _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
     j = int(np.argmax(first[inverse] != np.arange(values.shape[0])))
     return int(first[inverse[j]]), j
-
-
-def _entry_lines(raw: bytes, path: PathLike, i: int, j: int) -> tuple[int, int]:
-    """The lines of entries i < j of the order file whose bytes are `raw`,
-    found by scanning the bytes again and skipping comment lines."""
-    lines = (lineno for lineno, tok in store.text_lines(raw, path, "not UTF-8 text")
-             if not tok.startswith("#"))
-    first = next(itertools.islice(lines, i, None))
-    return first, next(itertools.islice(lines, j - i - 1, None))

@@ -300,16 +300,22 @@ def _parse_embedding_csv(raw: bytes, path: PathLike) -> EmbeddingMatrix:
 
 
 def location(raw: bytes, path: PathLike, i: int) -> str:
-    """Where entry `i` of the loaded file whose bytes are `raw` is, as the
-    loaders' refusals name it: ``row N`` in EMB1, ``entry N`` in LAB1, and
-    in CSV ``line N``, the line of the i-th non-blank line. The CSV line is
-    found by scanning the bytes again, so a loader keeps no line per row."""
+    """Where entry `i` of the loaded file whose bytes are `raw` is: ``row
+    N`` in EMB1, ``entry N`` in LAB1, and in a text file ``line N``, the
+    line of the i-th non-blank line that is not a ``#`` comment. Comment
+    lines are skipped so that an order file's entries are found too; no
+    embedding or label CSV that loads holds one, as ``float`` and ``int``
+    refuse it. This is the one locator: the only code that turns the index
+    of an entry in an embedding, label or order file into its place. The
+    line is found by scanning the bytes again, so a loader keeps no line
+    per entry."""
     if raw[:4] == EMB1_MAGIC:
         return f"row {i}"
     if raw[:4] == LAB1_MAGIC:
         return f"entry {i}"
-    lines = text_lines(raw, path, "not UTF-8 text")
-    return f"line {next(itertools.islice(lines, i, None))[0]}"
+    lines = (lineno for lineno, tok in text_lines(raw, path, "not UTF-8 text")
+             if not tok.startswith("#"))
+    return f"line {next(itertools.islice(lines, i, None))}"
 
 
 def _matrix(data: np.ndarray, raw: bytes, path: PathLike) -> EmbeddingMatrix:
@@ -381,7 +387,7 @@ def _parse_lab1(raw: bytes, path: PathLike) -> np.ndarray:
     if over.size:
         i = int(over[0])
         raise MalformedLabel(
-            f"{path}: entry {i}: label {int(labels[i])} implies "
+            f"{path}: {location(raw, path, i)}: label {int(labels[i])} implies "
             f"{int(labels[i]) + 1} classes, more than MAX_CLASSES={MAX_CLASSES}"
         )
     return labels

@@ -186,6 +186,27 @@ def test_gen_synth_invalid_spec_exits_2(tmp_path, capsys):
     assert "mixture spec needs per_class_counts and d" in capsys.readouterr().err
 
 
+# a file json.load refuses with something other than JSONDecodeError
+HOSTILE_JSON = {
+    "not-utf8": b"\xff\xfe{}",
+    "long-int": b'{"trials": ' + b"9" * 4301 + b"}",  # past int's 4300-digit limit
+    "deep": b"[" * 100_000 + b"]" * 100_000,  # past the recursion limit
+}
+
+
+@pytest.mark.parametrize("raw", HOSTILE_JSON.values(), ids=HOSTILE_JSON.keys())
+@pytest.mark.parametrize("flag", ["sweep --config", "gen-synth --spec"])
+def test_hostile_json_file_exits_2(tmp_path, capsys, flag, raw):
+    p = tmp_path / "in.json"
+    p.write_bytes(raw)
+    argv = flag.split() + [str(p)]
+    if argv[0] == "gen-synth":
+        argv += ["--out-prefix", str(tmp_path / "x")]
+    assert main(argv) == 2
+    assert f"{p} is not valid JSON: " in one_error_line(capsys)
+    assert sorted(q.name for q in tmp_path.iterdir()) == ["in.json"]
+
+
 @pytest.mark.parametrize("field,value", [
     ("d", 8.5),
     ("d", True),
@@ -575,6 +596,18 @@ def test_sweep_resume_refuses_rows_without_run_json(tmp_path, capsys):
     capsys.readouterr()
     assert main(["sweep", "--config", str(cfg)]) == 2
     assert "run.json is missing" in capsys.readouterr().err
+    assert (tmp_path / "s" / "results.csv").read_bytes() == results
+
+
+def test_sweep_resume_refuses_a_run_json_nested_too_deep(tmp_path, capsys):
+    cfg = sweep_config(tmp_path)
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    run = tmp_path / "s" / "run.json"
+    run.write_bytes(b"[" * 100_000 + b"]" * 100_000)
+    results = (tmp_path / "s" / "results.csv").read_bytes()
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert f"cannot read {run}: " in one_error_line(capsys)
     assert (tmp_path / "s" / "results.csv").read_bytes() == results
 
 

@@ -84,6 +84,10 @@ def test_zero_vector_cosine():
         distance((0.0, 0.0), (1.0, 0.0), Metric.COSINE)
     with pytest.raises(ZeroVector):
         distance((0.0, 0.0), (0.0, 0.0), Metric.COSINE)
+    # 1e-200 is not zero, but its square is in float64: the norm cannot divide
+    for a, b in (([1e-200, 0.0], [1.0, 0.0]), ([1.0, 0.0], [1e-200, 0.0])):
+        with pytest.raises(ZeroVector, match="undefined for the zero vector"):
+            distance(a, b, Metric.COSINE)
 
 
 def test_non_finite_rejected():

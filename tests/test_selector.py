@@ -301,6 +301,19 @@ def test_order_file_peak_memory_is_bounded(tmp_path):
     assert peak < 8 * p.stat().st_size
 
 
+def test_loading_an_order_sorts_it_once(tmp_path, monkeypatch):
+    # SelectionOrder's sort is the only distinctness check a load makes
+    n = 100_000
+    p = tmp_path / "order.csv"
+    save_order(SelectionOrder(np.arange(n) * 7919 % n, seed_count=1), p)
+    sorts = []
+    sort = np.sort
+    monkeypatch.setattr(np, "sort", lambda *a, **kw: sorts.append(1) or sort(*a, **kw))
+    order = load_order(p)
+    assert np.array_equal(order.order, np.arange(n) * 7919 % n)
+    assert len(sorts) == 1
+
+
 ORDER_LINES = st.one_of(
     st.integers(-3, 6).map(str),
     st.integers(-2**70, 2**70).map(str),

@@ -224,6 +224,9 @@ def test_matrix_is_immutable():
     (lambda: EmbeddingMatrix(np.ones((0, 2))), EmptyMatrix, r"empty embedding matrix"),
     (lambda: LabelVector(np.zeros((2, 1)), 1), EmptyFile, "non-empty 1-D"),
     (lambda: LabelVector(np.array([0, -1]), 2), MalformedLabel, "non-negative"),
+    # load_labels refuses such a file first; a vector built directly must too
+    (lambda: LabelVector(np.array([0, 3, 1]), 3), MalformedLabel,
+     "label 3 exceeds num_classes=3"),
     (lambda: LabelVector.from_labels([]), EmptyFile, "cannot infer num_classes"),
 ])
 def test_containers_refuse_bad_arrays(make, error, message):
@@ -505,7 +508,9 @@ def test_text_lines_numbers_lines_across_its_blocks(lines):
     (b"1\n\n  \n2\r\n\x0c3\n", "line 5"),
     (emb1_bytes(3, 1, [0.0, 1.0, 2.0]), "row 2"),
     (lab1_bytes([0, 1, 2]), "entry 2"),
-], ids=["csv", "emb1", "lab1"])
+    # an order file: its comment lines hold no entry
+    (b"# seed_count=1\n5\n# c\n\n7\n#\n9\n", "line 7"),
+], ids=["csv", "emb1", "lab1", "order"])
 def test_location_names_an_entry_as_the_loaders_do(raw, where):
     assert store.location(raw, "f", 2) == where
 
