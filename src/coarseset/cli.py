@@ -46,7 +46,14 @@ from typing import Iterable, Optional, Sequence
 # depend on it; a value the caller set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .errors import CoarsesetError, ZeroVector, check_int, check_seed
+from .errors import (
+    CoarsesetError,
+    IndexOutOfRange,
+    NonFiniteValue,
+    ZeroVector,
+    check_int,
+    check_seed,
+)
 from .store import MAX_CLASSES, load_embeddings, load_labels, location, read_file
 
 ENV_SEED = "COARSESET_RNG_SEED"
@@ -154,10 +161,7 @@ def cmd_order(args: argparse.Namespace) -> int:
     )
     if cfg.metric is Metric.COSINE:
         _refuse_zero_point(args.embeddings, emb)
-    if select:
-        order = selector.select_prefix(emb, cfg, args.budget)
-    else:
-        order = selector.full_ordering(emb, cfg)
+    order = selector.select_prefix(emb, cfg, args.budget if select else emb.n)
     selector.save_order(order, args.out)
     return 0
 
@@ -220,7 +224,16 @@ def cmd_histogram(args: argparse.Namespace) -> int:
         raise UsageError(f"--num-classes must be <= {MAX_CLASSES}, got {args.num_classes}")
     order = selector.load_order(args.order)
     labels = load_labels(args.labels, args.num_classes)
-    hist = harness.class_histogram(order, labels, args.budget)
+    try:
+        hist = harness.class_histogram(order, labels, args.budget)
+    except IndexOutOfRange:
+        # the prefix's first index past the labels is the order's first
+        entry = int((order.order >= len(labels)).argmax())
+        where = location(read_file(args.order, "order"), args.order, entry)
+        raise IndexOutOfRange(
+            f"{args.order}: {where}: order index {int(order.order[entry])} is out of range "
+            f"for the {len(labels)} labels of {args.labels}"
+        ) from None
     harness.save_histogram(hist, args.out)
     return 0
 
@@ -247,7 +260,10 @@ def cmd_gen_synth(args: argparse.Namespace) -> int:
             f"num_classes={declared} but per_class_counts lists {spec.num_classes} classes"
         )
 
-    emb, labels = synth.generate(spec)
+    try:
+        emb, labels = synth.generate(spec)
+    except NonFiniteValue as exc:  # points past float32's range
+        raise NonFiniteValue(f"invalid mixture spec {args.spec}: {exc}") from None
     save_embeddings(emb, args.out_prefix + ".emb")
     save_labels(labels, args.out_prefix + ".lab")
     return 0

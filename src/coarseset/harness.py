@@ -3,18 +3,18 @@
 A sweep trains one fresh proxy model per (method, budget, trial) cell on
 that method's budget-b selection and records its test accuracy. Each trial
 holds one index array per method, and the budget-b cell trains on its first
-b entries. All three start from one random walk per trial,
+b entries. Each trial draws one random walk,
 ``Rng(seed).sample(n, max(budgets))``: the first steps of
 ``selector.random_order``'s Fisher-Yates walk, so a prefix of that order,
 whose draws and kept indices scale with the largest budget. The random
-array is the walk. The fixed-feature array, as long as the largest budget,
-is ``selector.kcenter_greedy`` seeded with the walk's first seed-count
-entries, which is ``selector.select_prefix`` under the trial's seed. The
-iterative core-set array grows by one round per budget, sized by the
-schedule increments, so every budget is hit exactly: the first round is the
-walk's head, and each later round runs ``selector.kcenter_greedy`` with the
-array so far as centers, in the hidden-layer features of a proxy trained on
-that array.
+array is the walk. The fixed-feature array is the ordering ``select``
+writes: ``selector.select_prefix`` under the trial's seed, as long as the
+largest budget, which draws its own seed-count seeds. The iterative
+core-set array grows by one round per budget, sized by the schedule
+increments, so every budget is hit exactly: the first round is the walk's
+head, and each later round runs ``selector.kcenter_greedy`` with the array
+so far as centers, in the hidden-layer features of a proxy trained on that
+array; ``kcenter_greedy`` is called here for those rounds alone.
 
 Training is grouped, and trials run in lock-step. The sweep takes the
 trials with cells to run in stacks of consecutive whole trials, and each
@@ -287,13 +287,13 @@ def _sweep_rows(
             for trial, pending in todo[start : start + width]
         ]
         for t in stack:
-            # one walk per trial: random is the walk, and fixed_feature's
-            # seeds and the core-set baseline's first round are its head
-            walk = t.orders["random"] = np.asarray(Rng(t.seed).sample(emb.n, top), np.int64)
+            # one walk per trial: random is the walk, and the core-set
+            # baseline's first round is its head; fixed_feature is the
+            # ordering `select` ships, under the trial's seed
+            t.orders["random"] = np.asarray(Rng(t.seed).sample(emb.n, top), np.int64)
             if any(m == "fixed_feature" for m, _ in t.pending):
-                t.orders["fixed_feature"] = selector.kcenter_greedy(
-                    emb, walk[:sel_cfg.seed_count], top - sel_cfg.seed_count, sel_cfg.metric
-                ).order
+                cfg = selector.SelectionConfig(sel_cfg.seed_count, t.seed, sel_cfg.metric)
+                t.orders["fixed_feature"] = selector.select_prefix(emb, cfg, top).order
 
         for b, size in zip(schedule.budgets, schedule.increments):
             members = []  # (trial, method, or None for the core-set feature model)
@@ -405,8 +405,7 @@ def run_budget_sweep(
     rows: dict[tuple[str, int, int], SweepRow] = {}  # kept and fresh
     results_path = None
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        out = store.make_dir(out_dir)
         results_path = out / "results.csv"
         record = _run_record(train_data, test_data, schedule, sel_cfg, train_cfg)
         # every row is kept, also those of methods or trials this run does

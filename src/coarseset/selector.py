@@ -7,13 +7,14 @@ the loop is incremental, the ordering at a small budget is always a literal
 prefix of the ordering at a larger one, which is what makes a single full
 ordering serve every annotation budget.
 
-:mod:`coarseset.harness` builds a sweep trial's three methods from one
-random walk, ``Rng(seed).sample`` (the first steps of the walk
-``random_order`` takes): the random baseline is the walk; the fixed-feature
-order is ``kcenter_greedy`` seeded with its head, which is ``select_prefix``
-under the same seed; and the iterative core-set baseline's first round is
-its head, then one ``kcenter_greedy`` run per round in the features of a
-freshly trained proxy.
+``select_prefix`` is the one code path of the fixed-feature ordering:
+``order`` and ``select`` write it, ``full_ordering`` is its whole-pool
+alias, and a sweep (:mod:`coarseset.harness`) trains on it under each
+trial's seed. The sweep's other two methods start from one random walk per
+trial, ``Rng(seed).sample`` (the first steps of the walk ``random_order``
+takes): the random baseline is the walk, and the iterative core-set
+baseline's first round is its head, then one ``kcenter_greedy`` run per
+round in the features of a freshly trained proxy.
 
 An order file (``save_order``/``load_order``) holds one index per line
 after a ``# seed_count=<k>`` comment. Loading it checks each line on its
@@ -79,7 +80,7 @@ class SelectionOrder:
 
 @dataclass(frozen=True)
 class SelectionConfig:
-    """Knobs for full_ordering: k random seed centers, then greedy picks."""
+    """Knobs for select_prefix: k random seed centers, then greedy picks."""
 
     seed_count: int = 1
     rng_seed: int = 0

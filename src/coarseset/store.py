@@ -94,7 +94,8 @@ class EmbeddingMatrix:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = frozen(self.data, np.float32)
+        with np.errstate(over="ignore"):  # beyond float32's range is inf, refused below
+            arr = frozen(self.data, np.float32)
         if arr.ndim != 2:
             raise EmptyMatrix(f"embedding data must be 2-D, got shape {arr.shape}")
         if arr.shape[0] == 0 or arr.shape[1] == 0:
@@ -189,6 +190,17 @@ def read_file(path: PathLike, what: str) -> bytes:
         return Path(path).read_bytes()
     except OSError as exc:
         raise IoFailure(f"cannot read {what} from {path}: {exc}") from exc
+
+
+def make_dir(path: PathLike) -> Path:
+    """The directory at `path`, created with its parents if missing. A
+    failure (a file in the way, no permission) raises IoFailure naming the
+    directory."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot create directory {path}: {exc}") from exc
+    return Path(path)
 
 
 def write_atomically(path: PathLike, *parts) -> None:

@@ -103,6 +103,8 @@ def _auto_centers(spec: MixtureSpec, rng: Rng) -> np.ndarray:
     return centers
 
 
+# an overflow to inf or NaN is refused by EmbeddingMatrix's non-finite check
+@np.errstate(over="ignore", invalid="ignore")
 def generate(spec: MixtureSpec) -> tuple[EmbeddingMatrix, LabelVector]:
     """Sample the mixture: class-by-class emission, then a seeded shuffle."""
     rng = Rng(spec.rng_seed)

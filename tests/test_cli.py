@@ -277,6 +277,24 @@ def test_histogram_index_beyond_labels_exits_2(tmp_path, capsys):
     assert not (tmp_path / "h.csv").exists()
 
 
+def test_histogram_index_beyond_labels_names_the_order_line_and_label_file(tmp_path, capsys):
+    # the order file's comment and blank lines count in its line numbers
+    order = tmp_path / "o.csv"
+    order.write_text("# seed_count=1\n0\n\n# note\n1\n7\n2\n")
+    labels = tmp_path / "l.csv"
+    labels.write_text("0\n1\n2\n")
+    assert main(["histogram", "--order", str(order), "--labels", str(labels),
+                 "--budget", "4", "--out", str(tmp_path / "h.csv")]) == 2
+    assert one_error_line(capsys) == (
+        f"coarseset: error: {order}: line 6: order index 7 is out of range for the 3 labels "
+        f"of {labels}\n"
+    )
+    assert not (tmp_path / "h.csv").exists()
+    # a prefix that stops short of the index is counted
+    assert main(["histogram", "--order", str(order), "--labels", str(labels),
+                 "--budget", "2", "--out", str(tmp_path / "h.csv")]) == 0
+
+
 def test_order_file_with_negative_index_exits_2(tmp_path, capsys):
     order = tmp_path / "order.csv"
     order.write_text("# seed_count=1\n0\n-1\n")
@@ -870,3 +888,37 @@ def test_sweep_default_schedule_on_a_5_point_pool_asks_for_budgets(tmp_path, cap
     assert "2%..40% of n in 9 steps, needs at least 9 points; the pool has 5" in err
     assert "pass --budgets" in err and "budget 9" not in err
     assert not out.exists()
+
+
+# a spec whose points overflow float32: separation or a center past its
+# range, or a std past float64's, whose points overflow in the multiply
+OVERFLOWING_SPECS = {
+    "separation": dict(separation=1e308),
+    "centers": dict(per_class_counts=[3, 3], d=2, centers=[[1e39, 0], [0, 0]]),
+    "std": dict(std=1e308),
+    "std-and-separation": dict(std=1e308, separation=1e308),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("overrides", OVERFLOWING_SPECS.values(), ids=OVERFLOWING_SPECS.keys())
+def test_gen_synth_of_points_past_float32_exits_2_naming_the_spec(tmp_path, capsys, overrides):
+    spec = synth_spec(tmp_path, **overrides)
+    capsys.readouterr()
+    assert main(["gen-synth", "--spec", str(spec), "--out-prefix", str(tmp_path / "x")]) == 2
+    err = one_error_line(capsys)
+    assert err.startswith(f"coarseset: error: invalid mixture spec {spec}: non-finite ")
+    assert sorted(q.name for q in tmp_path.iterdir()) == ["spec.json"]
+
+
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+def test_sweep_out_that_cannot_be_a_directory_exits_2_naming_it(tmp_path, capsys, out):
+    train = pool_files(tmp_path, "train")
+    (tmp_path / "afile").write_bytes(b"kept")
+    capsys.readouterr()
+    assert main(["sweep", "--train-emb", train[0], "--train-lab", train[1],
+                 "--test-emb", train[0], "--test-lab", train[1], "--budgets", "5,10",
+                 "--trials", "1", "--epochs", "2", "--out", str(tmp_path / out)]) == 2
+    assert f"coarseset: error: cannot create directory {tmp_path / out}: " in one_error_line(
+        capsys)
+    assert (tmp_path / "afile").read_bytes() == b"kept"

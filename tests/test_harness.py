@@ -645,7 +645,8 @@ def test_stack_width_counts_the_methods_still_pending(tmp_path, monkeypatch):
 def test_each_trial_draws_its_random_order_once(monkeypatch):
     # one random walk per trial with a pending cell, whichever its methods,
     # of max(budgets) Fisher-Yates steps over the pool: never a whole
-    # permutation of n, and never a second walk for fixed_feature's seeds
+    # permutation of n. A trial with a pending fixed_feature cell also draws
+    # select_prefix's seed-count seeds, and nothing else draws
     draws = []
 
     class CountingRng(harness.Rng):
@@ -658,22 +659,25 @@ def test_each_trial_draws_its_random_order_once(monkeypatch):
             return super()._fisher_yates_offsets(n, steps)
 
     monkeypatch.setattr(harness, "Rng", CountingRng)
+    monkeypatch.setattr(selector, "Rng", CountingRng)
     train_data, test_data = tiny_suite(n_per_class=12)
     n, top = train_data[0].n, max(GROUP_SCHEDULE.budgets)
     assert top < n
-    for methods, seeds in [(ALL_METHODS, [9, 10]), (("coreset_iterative",), [9, 10]),
-                           (("random",), [9, 10]), (("fixed_feature",), [9, 10])]:
+    for methods, seed_count in [(ALL_METHODS, 1), (ALL_METHODS, 3), (("coreset_iterative",), 1),
+                                (("random",), 1), (("fixed_feature",), 2)]:
+        seeds = [] if "fixed_feature" not in methods else [seed_count]
         draws.clear()
         run_budget_sweep(train_data, test_data, GROUP_SCHEDULE, methods, trials=2,
-                         base_seed=9, train_cfg=FAST_CFG)
-        assert draws == [(seed, n, top) for seed in seeds], methods
+                         base_seed=9, seed_count=seed_count, train_cfg=FAST_CFG)
+        assert draws == [(seed, n, steps) for seed in (9, 10) for steps in [top, *seeds]], methods
 
 
 @pytest.mark.parametrize("metric", list(Metric))
 @pytest.mark.parametrize("seed_count", [1, 3])
 def test_fixed_feature_array_is_select_prefix_of_the_trial_seed(monkeypatch, metric, seed_count):
-    # the sweep seeds kcenter_greedy with its walk's head instead of drawing
-    # select_prefix's seeds again; both give the same array
+    # the sweep's fixed-feature array is the ordering `select` writes under
+    # the trial's seed: its kcenter_greedy runs on the train embeddings, a
+    # core-set round's on proxy features
     train_data, test_data = tiny_suite(n_per_class=12)
     emb, top = train_data[0], max(GROUP_SCHEDULE.budgets)
     want = [
@@ -813,6 +817,18 @@ def test_resume_refuses_an_unreadable_file(tmp_path, name, spoil, error, message
     with pytest.raises(error, match=message):
         resume()
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+
+
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+def test_an_out_dir_that_cannot_be_made_is_an_io_failure(tmp_path, out):
+    # a file in the way, or a file as a parent: IoFailure naming the directory
+    (tmp_path / "afile").write_bytes(b"kept")
+    train_data, test_data = tiny_suite(n_per_class=12)
+    with pytest.raises(IoFailure, match=f"cannot create directory {tmp_path / out}: "):
+        run_budget_sweep(train_data, test_data, BudgetSchedule((4, 8)), ("random",), trials=1,
+                         train_cfg=FAST_CFG, out_dir=tmp_path / out)
+    assert [q.name for q in tmp_path.iterdir()] == ["afile"]
+    assert (tmp_path / "afile").read_bytes() == b"kept"
 
 
 # method, budget, trial, the seed's offset from base seed 9 + trial, accuracy
