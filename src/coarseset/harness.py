@@ -3,18 +3,16 @@
 A sweep trains one fresh proxy model per (method, budget, trial) cell on
 that method's budget-b selection and records its test accuracy. Each trial
 holds one index array per method, and the budget-b cell trains on its first
-b entries. Each trial draws one random walk,
-``Rng(seed).sample(n, max(budgets))``: the first steps of
-``selector.random_order``'s Fisher-Yates walk, so a prefix of that order,
-whose draws and kept indices scale with the largest budget. The random
-array is the walk. The fixed-feature array is the ordering ``select``
-writes: ``selector.select_prefix`` under the trial's seed, as long as the
-largest budget, which draws its own seed-count seeds. The iterative
-core-set array grows by one round per budget, sized by the schedule
-increments, so every budget is hit exactly: the first round is the walk's
-head, and each later round runs ``selector.kcenter_greedy`` with the array
-so far as centers, in the hidden-layer features of a proxy trained on that
-array; ``kcenter_greedy`` is called here for those rounds alone.
+b entries. The random array is ``selector.random_order`` under the trial's
+seed, as long as the largest budget, so its draws and kept indices scale
+with the largest budget, not with n. The fixed-feature array is the
+ordering ``select`` writes: ``selector.select_prefix`` under the trial's
+seed, as long as the largest budget. The iterative core-set array grows by
+one round per budget, sized by the schedule increments, so every budget is
+hit exactly: the first round is the random array's head, and each later
+round runs ``selector.kcenter_greedy`` with the array so far as centers, in
+the hidden-layer features of a proxy trained on that array;
+``kcenter_greedy`` is called here for those rounds alone.
 
 Training is grouped, and trials run in lock-step. The sweep takes the
 trials with cells to run in stacks of consecutive whole trials, and each
@@ -96,7 +94,6 @@ from .errors import (
 )
 from .metrics import DEFAULT_METRIC, Metric, zero_point
 from .proxy import TrainConfig
-from .rng import Rng
 from .store import EmbeddingMatrix, LabelVector, PathLike
 
 METHODS = ("coreset_iterative", "fixed_feature", "random")
@@ -287,10 +284,9 @@ def _sweep_rows(
             for trial, pending in todo[start : start + width]
         ]
         for t in stack:
-            # one walk per trial: random is the walk, and the core-set
-            # baseline's first round is its head; fixed_feature is the
-            # ordering `select` ships, under the trial's seed
-            t.orders["random"] = np.asarray(Rng(t.seed).sample(emb.n, top), np.int64)
+            # under the trial's seed: the random array, whose head is the
+            # core-set baseline's first round, and the ordering `select` ships
+            t.orders["random"] = selector.random_order(emb.n, t.seed, top).order
             if any(m == "fixed_feature" for m, _ in t.pending):
                 cfg = selector.SelectionConfig(sel_cfg.seed_count, t.seed, sel_cfg.metric)
                 t.orders["fixed_feature"] = selector.select_prefix(emb, cfg, top).order

@@ -126,9 +126,11 @@ _CHUNK_VALUES = 1 << 15
 
 
 class Metric(enum.Enum):
-    """Distance function selector. SQEUCLIDEAN and EUCLIDEAN induce the same
-    farthest/nearest orderings (monotone transform); SQEUCLIDEAN is the
-    default because it skips the square root."""
+    """Distance function selector. SQEUCLIDEAN is the default because it
+    skips the square root. EUCLIDEAN's rounded square root is monotone but
+    not strictly so: two squared distances an ulp apart can round to one
+    distance, which then ties, so the two orderings can differ (the
+    farthest-point tie goes to the lowest index)."""
 
     SQEUCLIDEAN = "sqeuclidean"
     EUCLIDEAN = "euclidean"

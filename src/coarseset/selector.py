@@ -7,14 +7,17 @@ the loop is incremental, the ordering at a small budget is always a literal
 prefix of the ordering at a larger one, which is what makes a single full
 ordering serve every annotation budget.
 
-``select_prefix`` is the one code path of the fixed-feature ordering:
-``order`` and ``select`` write it, ``full_ordering`` is its whole-pool
-alias, and a sweep (:mod:`coarseset.harness`) trains on it under each
-trial's seed. The sweep's other two methods start from one random walk per
-trial, ``Rng(seed).sample`` (the first steps of the walk ``random_order``
-takes): the random baseline is the walk, and the iterative core-set
-baseline's first round is its head, then one ``kcenter_greedy`` run per
-round in the features of a freshly trained proxy.
+``random_order`` is the one code that turns a seed into a random ordering:
+the first ``length`` steps of the seed's ascending Fisher-Yates walk over
+the pool (:mod:`coarseset.rng`). ``select_prefix`` is the one code path of
+the fixed-feature ordering, and its seeds are ``random_order``'s first
+``seed_count`` points: ``order`` and ``select`` write it, ``full_ordering``
+is its whole-pool alias, and a sweep (:mod:`coarseset.harness`) trains on
+it under each trial's seed. The sweep's other two methods start from
+``random_order`` under the trial's seed: the random baseline is that
+ordering, and the iterative core-set baseline's first round is its head,
+then one ``kcenter_greedy`` run per round in the features of a freshly
+trained proxy.
 
 An order file (``save_order``/``load_order``) holds one index per line
 after a ``# seed_count=<k>`` comment. Loading it checks each line on its
@@ -26,7 +29,7 @@ refusal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -181,9 +184,9 @@ def full_ordering(e: EmbeddingMatrix, cfg: SelectionConfig) -> SelectionOrder:
 
 
 def select_prefix(e: EmbeddingMatrix, cfg: SelectionConfig, budget_total: int) -> SelectionOrder:
-    """`cfg.seed_count` seeds drawn by ``Rng(cfg.rng_seed).sample``, then
-    greedy picks, budget_total entries in all. Identical to the same-length
-    prefix of full_ordering.
+    """The first `cfg.seed_count` points of random_order under
+    `cfg.rng_seed` as seeds, then greedy picks, budget_total entries in all.
+    Identical to the same-length prefix of full_ordering.
     """
     if budget_total < cfg.seed_count:
         raise BudgetExceedsPool(
@@ -191,16 +194,19 @@ def select_prefix(e: EmbeddingMatrix, cfg: SelectionConfig, budget_total: int) -
         )
     if budget_total > e.n:
         raise BudgetExceedsPool(f"budget {budget_total} exceeds n={e.n}")
-    seeds = Rng(cfg.rng_seed).sample(e.n, cfg.seed_count)
+    seeds = random_order(e.n, cfg.rng_seed, cfg.seed_count).order
     return kcenter_greedy(e, seeds, budget_total - cfg.seed_count, cfg.metric)
 
 
-def random_order(n: int, rng_seed: int) -> SelectionOrder:
-    """Uniform random permutation (seeded Fisher-Yates); the Random baseline
-    at budget b is its length-b prefix."""
-    if n < 1:
-        raise BudgetExceedsPool(f"need at least one point, got n={n}")
-    return SelectionOrder(Rng(rng_seed).permutation(n), seed_count=0)
+def random_order(n: int, rng_seed: int, length: Optional[int] = None) -> SelectionOrder:
+    """The first `length` (default n, a uniform random permutation) steps of
+    the seed's ascending Fisher-Yates walk over range(n), drawn in O(length)
+    memory. A shorter length is a prefix of a longer one; the Random
+    baseline at budget b is the length-b prefix."""
+    length = n if length is None else length
+    if n < 1 or not 0 <= length <= n:
+        raise BudgetExceedsPool(f"need n >= 1 and 0 <= length <= n, got n={n}, length {length}")
+    return SelectionOrder(Rng(rng_seed).sample(n, length), seed_count=0)
 
 
 # --- order files --------------------------------------------------------------

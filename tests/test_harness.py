@@ -649,7 +649,7 @@ def test_each_trial_draws_its_random_order_once(monkeypatch):
     # select_prefix's seed-count seeds, and nothing else draws
     draws = []
 
-    class CountingRng(harness.Rng):
+    class CountingRng(selector.Rng):
         def __init__(self, seed):
             super().__init__(seed)
             self.seed = seed
@@ -658,7 +658,6 @@ def test_each_trial_draws_its_random_order_once(monkeypatch):
             draws.append((self.seed, n, steps))
             return super()._fisher_yates_offsets(n, steps)
 
-    monkeypatch.setattr(harness, "Rng", CountingRng)
     monkeypatch.setattr(selector, "Rng", CountingRng)
     train_data, test_data = tiny_suite(n_per_class=12)
     n, top = train_data[0].n, max(GROUP_SCHEDULE.budgets)

@@ -55,6 +55,18 @@ def test_worked_example_sqeuclidean_identical(four_points):
     assert sq.order.tolist() == l2.order.tolist() == [0, 1, 2]
 
 
+def test_sqeuclidean_and_euclidean_orders_can_differ():
+    # points 1 and 2 are one ulp apart in squared distance from point 0
+    # (1.0000000009313226 and ...228), and both square roots round to
+    # 1.0000000004656613: euclidean ties and picks the lower index
+    tiny = np.float32(2**-15)
+    e = EmbeddingMatrix(np.array(
+        [[0, 0], [1, tiny], [1, np.nextafter(tiny, np.float32(1))]], dtype=np.float32
+    ))
+    assert kcenter_greedy(e, [0], 2, Metric.SQEUCLIDEAN).order.tolist() == [0, 2, 1]
+    assert kcenter_greedy(e, [0], 2, Metric.EUCLIDEAN).order.tolist() == [0, 1, 2]
+
+
 def test_budget_zero_returns_seeds(four_points):
     assert kcenter_greedy(four_points, [0], 0).order.tolist() == [0]
 
@@ -104,6 +116,12 @@ def test_random_order_basics():
         assert sorted(random_order(4, seed).order.tolist()) == [0, 1, 2, 3]
     with pytest.raises(BudgetExceedsPool):
         random_order(0, 1)
+
+
+@pytest.mark.parametrize("length", [-1, 5])
+def test_random_order_refuses_a_length_outside_the_pool(length):
+    with pytest.raises(BudgetExceedsPool, match=rf"got n=4, length {length}$"):
+        random_order(4, 0, length)
 
 
 @pytest.mark.parametrize("metric", list(Metric))
@@ -371,10 +389,10 @@ def test_full_ordering_seed_draw_matches_rng_sample(four_points):
 
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**64 - 1), n=st.integers(1, 400), data=st.data())
-def test_rng_sample_is_a_prefix_of_random_order(seed, n, data):
-    # the sweep draws its random arrays as Rng(seed).sample(n, max budget)
+def test_random_order_is_a_prefix_of_the_full_shuffle(seed, n, data):
+    # the sweep and select_prefix draw short walks, random_order(n, seed, k)
     k = data.draw(st.one_of(st.sampled_from([0, 1, n - 1, n]), st.integers(0, n)))
-    assert Rng(seed).sample(n, k) == random_order(n, seed).order[:k].tolist()
+    assert random_order(n, seed, k).order.tolist() == Rng(seed).permutation(n)[:k]
 
 
 def test_full_ordering_rejects_partial_budget(four_points):
