@@ -54,7 +54,7 @@ from .errors import (
     check_int,
     check_seed,
 )
-from .store import MAX_CLASSES, load_embeddings, load_labels, location, read_file
+from .store import MAX_CLASSES, load_embeddings, load_labels, location, read_file, read_json_object
 
 ENV_SEED = "COARSESET_RNG_SEED"
 
@@ -71,18 +71,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_object(path: str, what: str, known) -> dict:
-    """The JSON object held in `path`; a key not in `known` is a usage error."""
-    import json  # only commands given a config or spec file need it
-
-    try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot read {what} {path}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
-        raise UsageError(f"{what} {path} is not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise UsageError(f"{what} {path} must hold a JSON object")
+    """The JSON object held in `path` (``store.read_json_object``); a key
+    not in `known` is a usage error."""
+    obj = read_json_object(path, what)
     for key in obj:
         if key not in known:
             raise UsageError(f"{what} {path}: unknown key {key!r}")

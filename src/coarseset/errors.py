@@ -109,8 +109,9 @@ class NoCenters(CoarsesetError, ValueError):
     """Coverage radius requested before any center exists."""
 
 
-class BudgetExceedsOrder(CoarsesetError, ValueError):
-    """Histogram budget larger than the selection order."""
+class BudgetExceedsOrder(BudgetExceedsPool):
+    """A prefix of a selection order that is negative or longer than the
+    order, such as a histogram budget the order cannot cover."""
 
 
 # --- proxy model ------------------------------------------------------------

@@ -82,7 +82,6 @@ import numpy as np
 
 from . import proxy, selector, store
 from .errors import (
-    BudgetExceedsOrder,
     BudgetExceedsPool,
     CoarsesetError,
     DimensionMismatch,
@@ -198,12 +197,6 @@ def class_histogram(
     order: selector.SelectionOrder, labels: LabelVector, budget: int
 ) -> ClassHistogram:
     """Per-class counts among the first `budget` selected points."""
-    if budget < 0:
-        raise BudgetExceedsOrder(f"budget must be non-negative, got {budget}")
-    if budget > len(order):
-        raise BudgetExceedsOrder(
-            f"budget {budget} exceeds order length {len(order)}"
-        )
     chosen = order.prefix(budget)
     beyond = np.flatnonzero(chosen >= len(labels))
     if beyond.shape[0]:
@@ -379,6 +372,7 @@ def run_budget_sweep(
             )
     if len(set(methods)) != len(methods):
         raise CoarsesetError(f"duplicate method names in {list(methods)}")
+    trials = check_int("trials", trials)
     if trials < 1:
         raise ScheduleExceedsPool(f"trials must be >= 1, got {trials}")
     if jobs < 1:
@@ -454,10 +448,7 @@ def _read_results(path: Path, base_seed: int) -> dict[tuple[str, int, int], Swee
     as its seed and an accuracy in [0, 1]; the caller checks its budget
     against the run's schedule."""
     raw = store.read_file(path, "results")
-    try:
-        lines = raw[: raw.rfind(b"\n") + 1].decode("utf-8").split("\n")[:-1]
-    except UnicodeDecodeError as exc:
-        raise CoarsesetError(f"{path}: not UTF-8 text: {exc}") from None
+    lines = store.decode(raw[: raw.rfind(b"\n") + 1], path, "not UTF-8 text").split("\n")[:-1]
     if not lines:  # cut before the header was complete
         return {}
     if lines[0].split(",") != RESULTS_HEADER:
@@ -533,12 +524,7 @@ def _check_run_record(path: Path, record: dict, results_path: Path) -> None:
             f"{results_path} holds rows but {path.name} is missing, so their settings "
             "are unknown; use a fresh out dir"
         )
-    try:
-        old = json.loads(store.read_file(path, "the run record").decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
-        raise CoarsesetError(f"cannot read {path}: {exc}") from None
-    if not isinstance(old, dict):
-        raise CoarsesetError(f"{path} does not hold a JSON object")
+    old = store.read_json_object(path, "the run record")
     for field, value in record.items():
         if old.get(field) != value:
             raise CoarsesetError(

@@ -48,6 +48,7 @@ from .errors import (
     EmptySubset,
     IndexOutOfRange,
     NonFiniteValue,
+    check_int,
     check_seed,
 )
 from .rng import Rng
@@ -63,6 +64,10 @@ class TrainConfig:
     hidden: int = 32
 
     def __post_init__(self):
+        # Python ints, which run.json can hold: a numpy integer is converted,
+        # a float or bool refused
+        for name in ("epochs", "batch_size", "hidden", "rng_seed"):
+            object.__setattr__(self, name, check_int(name, getattr(self, name)))
         if self.epochs < 1 or self.batch_size < 1 or self.hidden < 1:
             raise ValueError("epochs, batch_size and hidden must be positive")
         if not 0 < self.learning_rate < math.inf:  # NaN fails every comparison

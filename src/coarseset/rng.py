@@ -291,8 +291,12 @@ class Rng:
         Every step needs at least one output, so each block drawn is at most
         the steps still open and a rejection only extends the walk by the
         outputs it really needs: the state afterwards is the one-at-a-time
-        state.
+        state. `n` and `steps` may be numpy integers. An `n` above 2**64 is
+        refused: a bound past the output range would reject every draw.
         """
+        n, steps = operator.index(n), operator.index(steps)
+        if n > 1 << 64:
+            raise ValueError(f"bound must be at most 2**64, got {n}")
         offsets: list[int] = []
         # 2**64 % bound < bound <= n, so no draw below `safe` is rejected
         safe = (1 << 64) - n

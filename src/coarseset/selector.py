@@ -35,12 +35,14 @@ import numpy as np
 
 from . import store
 from .errors import (
+    BudgetExceedsOrder,
     BudgetExceedsPool,
     CoarsesetError,
     DuplicateSeed,
     IndexOutOfRange,
     MalformedHeader,
     NoCenters,
+    check_int,
     check_seed,
 )
 from .metrics import DEFAULT_METRIC, DistanceKernel, Metric
@@ -75,9 +77,9 @@ class SelectionOrder:
     def prefix(self, budget: int) -> np.ndarray:
         """First `budget` selected indices (seeds count toward the budget)."""
         if budget < 0:
-            raise BudgetExceedsPool(f"prefix {budget} is negative")
+            raise BudgetExceedsOrder(f"prefix {budget} is negative")
         if budget > len(self):
-            raise BudgetExceedsPool(f"prefix {budget} exceeds order length {len(self)}")
+            raise BudgetExceedsOrder(f"prefix {budget} exceeds order length {len(self)}")
         return self.order[:budget]
 
 
@@ -90,6 +92,8 @@ class SelectionConfig:
     metric: Metric = DEFAULT_METRIC
 
     def __post_init__(self):
+        for name in ("seed_count", "rng_seed"):  # Python ints, which run.json can hold
+            object.__setattr__(self, name, check_int(name, getattr(self, name)))
         if self.seed_count < 1:
             raise IndexOutOfRange(f"seed_count must be >= 1, got {self.seed_count}")
         check_seed("rng_seed", self.rng_seed, IndexOutOfRange)

@@ -15,6 +15,14 @@ decoded text one line at a time; the embedding loader fills a float32
 array sized at its first row, the label loader an int64 array sized at the
 line count.
 
+This module reads, decodes and locates every input file of the package:
+``read_file`` is the only read, and turns a failed one into IoFailure;
+``decode`` is the only UTF-8 decode of a CSV input (embedding, label and
+order CSVs, and a sweep's ``results.csv``), and names the line of a byte
+that is not UTF-8; ``read_json_object`` reads and decodes each JSON input
+(a ``--config`` or gen-synth ``--spec`` file, a sweep's ``run.json``); and
+``location`` names the place of an entry in a loaded file.
+
 A label vector holds at most ``MAX_CLASSES`` classes, so a label file that
 implies more (one stray label near 2**32 would) is rejected with the file
 and the label's position before anything is sized by the class count.
@@ -156,19 +164,25 @@ class LabelVector:
         return int(self.labels.shape[0])
 
 
-def text_lines(raw: bytes, path: PathLike, not_text: str) -> Iterator[tuple[int, str]]:
-    """(line number, line stripped of surrounding whitespace) for every
-    non-blank line of a text file's bytes. Lines end at ``"\n"`` only, so
-    ``"\r\n"`` endings work, while a form feed, ``\x1c``-``\x1e`` or a
-    Unicode line separator stays inside its line (``str.splitlines`` would
-    break there and number every later line wrong). Bytes that are not
-    UTF-8 raise MalformedHeader with the file, their line and `not_text`.
-    The text is walked with ``str.find``, never split whole into a list."""
+def decode(raw: bytes, path: PathLike, not_text: str) -> str:
+    """The text of a text file's bytes, `raw`. Bytes that are not UTF-8
+    raise MalformedHeader with the file, their line and `not_text`."""
     try:
-        text = raw.decode("utf-8")
+        return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno = raw.count(b"\n", 0, exc.start) + 1
         raise MalformedHeader(f"{path}: line {lineno}: {not_text}") from None
+
+
+def text_lines(raw: bytes, path: PathLike, not_text: str) -> Iterator[tuple[int, str]]:
+    """(line number, line stripped of surrounding whitespace) for every
+    non-blank line of a text file's bytes, decoded by ``decode``. Lines end
+    at ``"\n"`` only, so ``"\r\n"`` endings work, while a form feed,
+    ``\x1c``-``\x1e`` or a Unicode line separator stays inside its line
+    (``str.splitlines`` would break there and number every later line
+    wrong). The text is walked with ``str.find``, never split whole into a
+    list."""
+    text = decode(raw, path, not_text)
     start = lineno = 0
     while start <= len(text):
         # split about 1 KiB of whole lines at a time: as fast as one split of
@@ -190,6 +204,22 @@ def read_file(path: PathLike, what: str) -> bytes:
         return Path(path).read_bytes()
     except OSError as exc:
         raise IoFailure(f"cannot read {what} from {path}: {exc}") from exc
+
+
+def read_json_object(path: PathLike, what: str) -> dict:
+    """The JSON object held in the file at `path`. A failed read raises
+    IoFailure (``read_file``); bytes that are not UTF-8 JSON, or nest past
+    the recursion limit, and a value that is not an object raise
+    MalformedHeader, each naming `what` and the file."""
+    import json  # only the commands given a JSON file pay for it
+
+    try:
+        obj = json.loads(read_file(path, what).decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
+        raise MalformedHeader(f"{what} {path} is not valid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise MalformedHeader(f"{what} {path} must hold a JSON object")
+    return obj
 
 
 def make_dir(path: PathLike) -> Path:

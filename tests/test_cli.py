@@ -625,7 +625,7 @@ def test_sweep_resume_refuses_a_run_json_nested_too_deep(tmp_path, capsys):
     results = (tmp_path / "s" / "results.csv").read_bytes()
     capsys.readouterr()
     assert main(["sweep", "--config", str(cfg)]) == 2
-    assert f"cannot read {run}: " in one_error_line(capsys)
+    assert f"the run record {run} is not valid JSON: " in one_error_line(capsys)
     assert (tmp_path / "s" / "results.csv").read_bytes() == results
 
 
@@ -666,7 +666,7 @@ def test_bad_flag_is_one_error_line(capsys, argv, needle):
 
 
 @pytest.mark.parametrize("sub,config,needle", [
-    ("gen-synth", {"spec": 0, "out_prefix": "x"}, "cannot read spec 0"),
+    ("gen-synth", {"spec": 0, "out_prefix": "x"}, "cannot read spec from 0"),
     ("order", {"embeddings": 7, "out": "o.csv"}, "cannot read embeddings from 7:"),
 ])
 def test_config_number_as_input_path_names_a_file(tmp_path, capsys, monkeypatch, sub, config,

@@ -275,6 +275,22 @@ def test_rows_are_canonically_sorted_and_deterministic_across_jobs():
     assert list(seq.rows) == sorted(seq.rows, key=lambda r: (r.method, r.budget, r.trial))
 
 
+def test_numpy_integer_settings_write_the_python_int_files(tmp_path):
+    # run.json is JSON: numpy integers in the settings must reach it as ints
+    train_data, test_data = tiny_suite(n_per_class=12)
+    files = {}
+    for kind, num in (("python", int), ("numpy", np.int64)):
+        run_budget_sweep(
+            train_data, test_data, BudgetSchedule((4, 8)), harness.METHODS, trials=num(2),
+            base_seed=num(9), seed_count=num(2),
+            train_cfg=TrainConfig(epochs=num(20), batch_size=num(4), hidden=num(8)),
+            out_dir=tmp_path / kind,
+        )
+        files[kind] = {name: (tmp_path / kind / name).read_bytes()
+                       for name in ("run.json", "results.csv", "summary.csv")}
+    assert files["numpy"] == files["python"]
+
+
 def test_sweep_writes_and_resumes_byte_identically(tmp_path):
     train_data, test_data = tiny_suite(n_per_class=12)
     schedule = BudgetSchedule((4, 8))
@@ -802,12 +818,12 @@ def _make_directory(path):
 @pytest.mark.parametrize("name,spoil,error,message", [
     ("results.csv", _make_directory, IoFailure, r"cannot read results from .*results\.csv: "),
     ("results.csv", lambda p: p.write_bytes(b"method,budget,trial,seed,accuracy\n\xff\n"),
-     CoarsesetError, r"results\.csv: not UTF-8 text"),
+     CoarsesetError, r"results\.csv: line 2: not UTF-8 text"),
     ("run.json", _make_directory, IoFailure, r"cannot read the run record from .*run\.json: "),
     ("run.json", lambda p: p.write_text("{not json"), CoarsesetError,
-     r"cannot read .*run\.json: Expecting property name"),
+     r"run\.json is not valid JSON: Expecting property name"),
     ("run.json", lambda p: p.write_text("[1, 2]"), CoarsesetError,
-     r"run\.json does not hold a JSON object"),
+     r"run\.json must hold a JSON object"),
 ])
 def test_resume_refuses_an_unreadable_file(tmp_path, name, spoil, error, message):
     resume = resumable_sweep(tmp_path)

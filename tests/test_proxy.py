@@ -227,6 +227,19 @@ def test_train_config_validation():
         TrainConfig(rng_seed=2**64)
 
 
+def test_train_config_holds_python_ints():
+    cfg = TrainConfig(epochs=np.int64(2), batch_size=np.int32(4), rng_seed=np.uint64(7),
+                      hidden=np.int64(3))
+    assert cfg == TrainConfig(epochs=2, batch_size=4, rng_seed=7, hidden=3)
+    fields = ("epochs", "batch_size", "rng_seed", "hidden")
+    assert all(type(getattr(cfg, f)) is int for f in fields)
+    # refused at once, not truncated, and not a batch of one
+    for field, value in (("epochs", 2.5), ("hidden", 2.5), ("batch_size", True),
+                         ("rng_seed", 1.0)):
+        with pytest.raises(TypeError, match=f"{field} must be an integer, got {value!r}"):
+            TrainConfig(**{field: value})
+
+
 def test_forward_hidden_matches_extract_features():
     e, labels = two_point_problem()
     model = train(e, labels, [0, 1], TrainConfig(epochs=3, rng_seed=4))

@@ -136,6 +136,25 @@ def test_numpy_integer_seeds_give_the_python_int_stream():
         Rng(5.0)
 
 
+def test_numpy_integer_bounds_give_the_python_int_draws():
+    for n in (np.int64(5), np.int32(5), np.uint64(5)):
+        assert Rng(3).below(n) == Rng(3).below(5)
+        assert Rng(3).sample(n, np.int64(3)) == Rng(3).sample(5, 3)
+        assert Rng(3).permutation(n) == Rng(3).permutation(5)
+    assert all(type(i) is int for i in Rng(3).sample(np.int64(10), 3))
+
+
+def test_bounds_up_to_2_64_are_drawn_and_larger_ones_refused():
+    # 2**64 % 2**64 is 0: no draw is rejected, and the first raw output is
+    # the value; any larger bound would reject every draw and never return
+    assert Rng(0).below(2**64) == Rng(0).next_uint64() == 5987356902031041503
+    for n in (2**64 + 1, 2**70):
+        with pytest.raises(ValueError, match=f"bound must be at most 2\\*\\*64, got {n}"):
+            Rng(0).below(n)
+        with pytest.raises(ValueError, match=f"bound must be at most 2\\*\\*64, got {n}"):
+            Rng(0).sample(n, 1)
+
+
 # --- the block-drawn paths against one-draw-at-a-time references -------------
 
 def ref_below(rng, bound):

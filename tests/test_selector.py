@@ -406,6 +406,15 @@ def test_full_ordering_rejects_partial_budget(four_points):
         select_prefix(four_points, SelectionConfig(), 5)
 
 
+def test_selection_config_holds_python_ints():
+    cfg = SelectionConfig(seed_count=np.int64(2), rng_seed=np.uint64(5))
+    assert cfg == SelectionConfig(seed_count=2, rng_seed=5)
+    assert type(cfg.seed_count) is int and type(cfg.rng_seed) is int
+    for field, value in (("seed_count", 2.5), ("seed_count", True), ("rng_seed", 5.0)):
+        with pytest.raises(TypeError, match=f"{field} must be an integer, got {value!r}"):
+            SelectionConfig(**{field: value})
+
+
 def test_iterative_mlp_covers_clusters_across_seeds():
     # Monte-Carlo over 100 seeds on a 3-cluster set; observed coverage 98/100,
     # frozen gate at 95

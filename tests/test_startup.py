@@ -47,11 +47,13 @@ def run_cli(argv: list, cwd: Path, blas_threads: str = "1", **env) -> str:
 
 
 def loaded_after(argv: list) -> set:
-    """The coarseset modules a fresh interpreter holds after `main(argv)`."""
+    """The coarseset modules, and json if loaded, that a fresh interpreter
+    holds after `main(argv)`."""
     return set(json.loads(run_python(
-        "import json, sys; from coarseset import cli; "
+        "import sys; from coarseset import cli; "
         f"assert cli.main({argv!r}) == 0; "
-        "print(json.dumps([m for m in sys.modules if m.startswith('coarseset')]))"
+        "loaded = [m for m in sys.modules if m.startswith('coarseset') or m == 'json']; "
+        "import json; print(json.dumps(loaded))"
     )))
 
 
@@ -99,14 +101,16 @@ def test_each_command_loads_only_its_engine(tmp_path):
     (tmp_path / "pool.json").write_text(json.dumps(SPEC))
     spec, pool = str(tmp_path / "pool.json"), str(tmp_path / "pool")
     gen = loaded_after(["gen-synth", "--spec", spec, "--out-prefix", pool])
-    assert {"coarseset.synth", "coarseset.store", "coarseset.rng"} <= gen
+    assert {"coarseset.synth", "coarseset.store", "coarseset.rng", "json"} <= gen
     assert not gen & {"coarseset.selector", "coarseset.metrics", "coarseset.harness",
                       "coarseset.proxy"}
-    select = loaded_after(["select", "--embeddings", pool + ".emb", "--budget", "5",
-                           "--out", str(tmp_path / "top.csv")])
-    assert {"coarseset.selector", "coarseset.store", "coarseset.rng",
-            "coarseset.metrics"} <= select
-    assert not select & {"coarseset.harness", "coarseset.proxy", "coarseset.synth"}
+    # json is loaded by the reader of JSON inputs alone, which these do not read
+    for sub in ("order", "select"):
+        argv = [sub, "--embeddings", pool + ".emb", "--out", str(tmp_path / f"{sub}.csv")]
+        loaded = loaded_after(argv + (["--budget", "5"] if sub == "select" else []))
+        assert {"coarseset.selector", "coarseset.store", "coarseset.rng",
+                "coarseset.metrics"} <= loaded
+        assert not loaded & {"coarseset.harness", "coarseset.proxy", "coarseset.synth", "json"}
 
 
 def test_sweep_loads_no_thread_pool(tmp_path):
@@ -144,6 +148,15 @@ def test_star_import_binds_every_public_name():
         "print(json.dumps([n for n in coarseset.__all__ if n not in globals()]))"
     ))
     assert names == []
+
+
+def test_dir_lists_every_public_name_and_loads_no_numpy():
+    names, numpy_loaded = json.loads(run_python(
+        "import sys, coarseset; names = dir(coarseset); loaded = 'numpy' in sys.modules; "
+        "import json; print(json.dumps([names, loaded]))"
+    ))
+    assert set(coarseset.__all__) <= set(names)
+    assert numpy_loaded is False
 
 
 def test_all_lists_every_error_class_and_export():
