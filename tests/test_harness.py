@@ -820,8 +820,10 @@ def _make_directory(path):
     ("results.csv", lambda p: p.write_bytes(b"method,budget,trial,seed,accuracy\n\xff\n"),
      CoarsesetError, r"results\.csv: line 2: not UTF-8 text"),
     ("run.json", _make_directory, IoFailure, r"cannot read the run record from .*run\.json: "),
-    ("run.json", lambda p: p.write_text("{not json"), CoarsesetError,
-     r"run\.json is not valid JSON: Expecting property name"),
+    # the id keeps this case's name from before the message was reworded
+    pytest.param("run.json", lambda p: p.write_text("{not json"), CoarsesetError,
+                 r"run\.json is not valid JSON: Expecting property name",
+                 id="run.json-<lambda>-CoarsesetError-cannot read a run.json that is not JSON"),
     ("run.json", lambda p: p.write_text("[1, 2]"), CoarsesetError,
      r"run\.json must hold a JSON object"),
 ])
