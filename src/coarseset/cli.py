@@ -177,12 +177,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     try:
-        train_cfg = TrainConfig(
-            epochs=args.epochs,
-            batch_size=args.batch_size,
-            learning_rate=args.learning_rate,
-            hidden=args.hidden,
-        )
+        fields = dataclasses.fields(TrainConfig)  # each set by the flag of its name
+        train_cfg = TrainConfig(**{f.name: getattr(args, f.name) for f in fields})
     except ValueError as exc:
         raise UsageError(f"invalid training config: {exc}") from None
     metric = Metric(args.metric)

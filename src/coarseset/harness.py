@@ -33,7 +33,8 @@ depend on which other methods or trials ran or which cells a resume skips.
 
 Every setting (methods, budgets, trials, jobs, seed count, seed, metric) is
 checked before the first cell runs, so a bad one fails the sweep before any
-row is written; every trial's seed must lie in [0, 2**64). So are the
+row is written; the base seed must be an integer, and every trial's seed
+must lie in [0, 2**64). So are the
 inputs' shapes: each split has one label per point, and the test
 embeddings have the train embeddings' d. Under the cosine metric a sweep
 with fixed_feature, whose k-center pass runs on the train embeddings, also
@@ -43,7 +44,7 @@ stops the sweep with the method, trial, budget and point; the rows written
 stay.
 
 The sweep runs on the calling thread. ``jobs`` is accepted and checked
-(``>= 1``) but does not change the schedule: the work holds the
+(an integer ``>= 1``) but does not change the schedule: the work holds the
 interpreter lock, and a thread pool only made sweeps slower. ``_sweep_rows``
 yields the rows of each ``train_group`` call, and ``run_budget_sweep``, the
 only writer of both CSVs, merges them and rewrites ``results.csv`` whole
@@ -74,7 +75,7 @@ one cell. The error names the file and, where a row is at fault, its line.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -375,11 +376,12 @@ def run_budget_sweep(
     trials = check_int("trials", trials)
     if trials < 1:
         raise ScheduleExceedsPool(f"trials must be >= 1, got {trials}")
-    if jobs < 1:
+    if check_int("jobs", jobs) < 1:
         raise CoarsesetError(f"jobs must be >= 1, got {jobs}")
-    sel_cfg = selector.SelectionConfig(seed_count, base_seed, metric)
+    base_seed = check_seed("base_seed", check_int("base_seed", base_seed), IndexOutOfRange)
     check_seed(f"trial {trials - 1}'s seed, base seed {base_seed} + {trials - 1},",
                base_seed + trials - 1, CoarsesetError)
+    sel_cfg = selector.SelectionConfig(seed_count, base_seed, metric)
     if "fixed_feature" in methods and seed_count > max(schedule.budgets):
         raise BudgetExceedsPool(
             f"budget {max(schedule.budgets)} cannot cover {seed_count} seeds"
@@ -499,16 +501,14 @@ def _run_record(
     train_cfg: TrainConfig,
 ) -> dict:
     """Every setting that determines a cell's row, as run.json holds it; the
-    selection config's seed is the sweep's base seed."""
+    selection config's seed is the sweep's base seed, and the training
+    config's fields are its keys, in their order."""
     return {
         "budgets": list(schedule.budgets),
         "base_seed": sel_cfg.rng_seed,
         "seed_count": sel_cfg.seed_count,
         "metric": sel_cfg.metric.value,
-        "epochs": train_cfg.epochs,
-        "batch_size": train_cfg.batch_size,
-        "learning_rate": train_cfg.learning_rate,
-        "hidden": train_cfg.hidden,
+        **asdict(train_cfg),
         "train_emb_sha256": store.sha256(train_data[0]),
         "train_lab_sha256": store.sha256(train_data[1]),
         "test_emb_sha256": store.sha256(test_data[0]),

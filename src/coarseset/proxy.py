@@ -6,10 +6,13 @@ core-set baseline retrains on. Everything is hand-written numpy so the
 backward pass can be audited against finite differences (gradient_check).
 
 A model stores float32 weights; all arithmetic is float64. Training is
-plain mini-batch SGD and fully deterministic given its seed (init and
-per-epoch shuffles come from one Rng stream: W1 row-major, b1, W2
+plain mini-batch SGD and fully deterministic given its config and its seed
+(init and per-epoch shuffles come from one Rng stream: W1 row-major, b1, W2
 row-major, b2, each uniform in +-1/sqrt(fan_in), then one Fisher-Yates
-shuffle of the subset positions per epoch).
+shuffle of the subset positions per epoch). A ``TrainConfig`` holds every
+other setting (epochs, batch size, learning rate, hidden width), the ones a
+sweep's run.json records; the seed is an argument of its own, as in
+``train(e, labels, subset, cfg, seed)``.
 
 Training is grouped: ``train_group`` trains one model per subset for B
 subsets of one length under one config, member i under seeds[i]. The
@@ -38,6 +41,7 @@ later step makes finite, with an error naming the learning rate.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -49,6 +53,7 @@ from .errors import (
     IndexOutOfRange,
     NonFiniteValue,
     check_int,
+    check_real,
     check_seed,
 )
 from .rng import Rng
@@ -57,22 +62,26 @@ from .store import EmbeddingMatrix, LabelVector
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """The settings that determine a training besides its seed, in the
+    order run.json records them."""
+
     epochs: int = 100
     batch_size: int = 32
     learning_rate: float = 0.05
-    rng_seed: int = 0
     hidden: int = 32
 
     def __post_init__(self):
-        # Python ints, which run.json can hold: a numpy integer is converted,
-        # a float or bool refused
-        for name in ("epochs", "batch_size", "hidden", "rng_seed"):
+        # Python ints and a float, which run.json can hold: a numpy number is
+        # converted; a bool, a non-number or a float for an int is refused
+        for name in ("epochs", "batch_size", "hidden"):
             object.__setattr__(self, name, check_int(name, getattr(self, name)))
         if self.epochs < 1 or self.batch_size < 1 or self.hidden < 1:
             raise ValueError("epochs, batch_size and hidden must be positive")
-        if not 0 < self.learning_rate < math.inf:  # NaN fails every comparison
-            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        check_seed("rng_seed", self.rng_seed)
+        lr = self.learning_rate
+        if isinstance(lr, numbers.Real) and not isinstance(lr, bool) and not 0 < lr < math.inf:
+            # NaN fails every comparison
+            raise ValueError(f"learning_rate must be finite and > 0, got {lr}")
+        object.__setattr__(self, "learning_rate", check_real("learning_rate", lr))
 
 
 @dataclass(frozen=True)
@@ -164,9 +173,11 @@ def train(
     labels: LabelVector,
     subset: Sequence[int],
     cfg: TrainConfig = TrainConfig(),
+    seed: int = 0,
 ) -> MlpModel:
-    """Mini-batch SGD on softmax cross-entropy over the given subset."""
-    return train_group(e, labels, [subset], cfg, [cfg.rng_seed])[0]
+    """Mini-batch SGD on softmax cross-entropy over the given subset, with
+    init and shuffles drawn from Rng(seed)."""
+    return train_group(e, labels, [subset], cfg, [seed])[0]
 
 
 # an overflow to inf or NaN is reported by the check after each epoch
@@ -179,7 +190,7 @@ def train_group(
     seeds: Sequence[int],
 ) -> list[MlpModel]:
     """One model per subset, each byte-identical to ``train`` on it alone
-    with ``rng_seed=seeds[i]``; `cfg.rng_seed` is not read.
+    under ``seeds[i]``.
 
     The subsets must share one length; see the module docstring."""
     idx = [np.asarray(s, dtype=np.int64) for s in subsets]
@@ -196,7 +207,7 @@ def train_group(
         raise DimensionMismatch(
             f"grouped subsets must share one length, got {sorted({len(s) for s in idx})}"
         )
-    seeds = [check_seed("rng_seed", int(s)) for s in seeds]
+    seeds = [check_seed("rng_seed", check_int("rng_seed", s)) for s in seeds]
     if len(seeds) != len(idx):
         raise DimensionMismatch(f"{len(seeds)} seeds for {len(idx)} subsets")
     if len(labels) != e.n:
@@ -270,9 +281,12 @@ def accuracy(m: MlpModel, e: EmbeddingMatrix, labels: LabelVector) -> float:
 
 # --- gradient auditing --------------------------------------------------------
 
-def gradient_check(cfg: TrainConfig, probe: tuple[np.ndarray, np.ndarray]) -> float:
+def gradient_check(
+    cfg: TrainConfig, init_seed: int, probe: tuple[np.ndarray, np.ndarray]
+) -> float:
     """Max guarded relative error between analytic gradients and central
-    finite differences (step 1e-4) on a small probe.
+    finite differences (step 1e-4) on a small probe, at the params cfg's
+    training draws under `init_seed`.
 
     Entries below 1e-3 in magnitude are compared against that floor instead,
     which keeps finite-difference noise (~1e-8) out of the ratio without
@@ -282,7 +296,7 @@ def gradient_check(cfg: TrainConfig, probe: tuple[np.ndarray, np.ndarray]) -> fl
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     num_classes = int(y.max()) + 1
-    params = _init_params(Rng(cfg.rng_seed), x.shape[1], cfg.hidden, num_classes, np.float64)
+    params = _init_params(Rng(init_seed), x.shape[1], cfg.hidden, num_classes, np.float64)
     _, grads = _loss_and_grads(params, x, y)
 
     step = 1e-4
@@ -304,17 +318,18 @@ def gradient_check(cfg: TrainConfig, probe: tuple[np.ndarray, np.ndarray]) -> fl
 
 
 def make_probe(
-    cfg: TrainConfig, seed: int, n: int = 8, d: int = 4, num_classes: int = 3
+    cfg: TrainConfig, init_seed: int, seed: int, n: int = 8, d: int = 4, num_classes: int = 3
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Random gradient-check probe, resampled (deterministically) until every
-    hidden pre-activation under cfg's init sits at least 1e-2 from the ReLU
-    kink, so central differences with step 1e-4 never straddle it."""
+    """Random gradient-check probe drawn from Rng(seed), resampled
+    (deterministically) until every hidden pre-activation under cfg's init
+    from `init_seed` sits at least 1e-2 from the ReLU kink, so central
+    differences with step 1e-4 never straddle it."""
     attempt = seed
     while True:
         rng = Rng(attempt)
         x = np.asarray(rng.normals(n * d), dtype=np.float64).reshape(n, d)
         y = np.asarray([rng.below(num_classes) for _ in range(n)], dtype=np.int64)
-        params = _init_params(Rng(cfg.rng_seed), d, cfg.hidden, num_classes, np.float64)
+        params = _init_params(Rng(init_seed), d, cfg.hidden, num_classes, np.float64)
         z1 = _forward(params, x)[0]
         if np.abs(z1).min() > 1e-2:
             return x, y

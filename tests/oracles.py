@@ -113,15 +113,15 @@ def brute_force_greedy(
     return order
 
 
-def coreset_rounds(emb, labels, round_sizes, cfg, rng_seed, metric=DEFAULT_METRIC):
-    """The iterative core-set baseline as a plain loop: a random prefix, then
-    per round train a proxy on the labeled list (`cfg`), take its features
-    and run k-center greedy there with the list as centers. The labeled list
-    after each round."""
+def coreset_rounds(emb, labels, round_sizes, cfg, train_seed, rng_seed, metric=DEFAULT_METRIC):
+    """The iterative core-set baseline as a plain loop: a random prefix
+    under `rng_seed`, then per round train a proxy on the labeled list
+    (`cfg`, seed `train_seed`), take its features and run k-center greedy
+    there with the list as centers. The labeled list after each round."""
     labeled = random_order(emb.n, rng_seed).prefix(round_sizes[0]).tolist()
     rounds = [labeled]
     for size in round_sizes[1:]:
-        feats = extract_features(train(emb, labels, labeled, cfg), emb)
+        feats = extract_features(train(emb, labels, labeled, cfg, train_seed), emb)
         labeled = kcenter_greedy(feats, labeled, size, metric).order.tolist()
         rounds.append(labeled)
     return rounds

@@ -175,11 +175,11 @@ def test_criterion_4_min_dist_maintenance():
 
 
 def test_criterion_5_gradient_correctness():
-    cfg = TrainConfig(hidden=3, rng_seed=11)
+    cfg = TrainConfig(hidden=3)
     worst = 0.0
     for t in range(20):
-        probe = make_probe(cfg, seed=3000 + t, n=8, d=4)
-        worst = max(worst, gradient_check(cfg, probe))
+        probe = make_probe(cfg, 11, seed=3000 + t, n=8, d=4)
+        worst = max(worst, gradient_check(cfg, 11, probe))
     assert worst < 1e-4
     print(f"PASS criterion 5: max gradient relative error {worst:.2e} over 20 probes")
 

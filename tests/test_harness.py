@@ -1,6 +1,5 @@
 import errno
 import itertools
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,7 +39,7 @@ from coarseset.selector import (
 from coarseset.store import EmbeddingMatrix, LabelVector
 from coarseset.synth import MixtureSpec, generate
 
-FAST_CFG = TrainConfig(epochs=20, rng_seed=0)
+FAST_CFG = TrainConfig(epochs=20)
 
 
 def tiny_suite(n_per_class=30, num_classes=3, train_seed=100, test_seed=101):
@@ -291,6 +290,53 @@ def test_numpy_integer_settings_write_the_python_int_files(tmp_path):
     assert files["numpy"] == files["python"]
 
 
+# every setting that determines a cell, the training config's fields in
+# their order; explicit arrays, so the digests depend on no random draw
+RUN_JSON = """{
+  "budgets": [
+    4,
+    8
+  ],
+  "base_seed": 3,
+  "seed_count": 2,
+  "metric": "sqeuclidean",
+  "epochs": 2,
+  "batch_size": 4,
+  "learning_rate": 0.25,
+  "hidden": 3,
+  "train_emb_sha256": "86a3a8beffdb5538c719064a0c01c2900abe4d718b2d383223a623dcc594e693",
+  "train_lab_sha256": "3dd3cf93c8b53ce148fa7a85b0a3712584f3b4f538e2ce598700922ef1b6756f",
+  "test_emb_sha256": "10c27db6c103cbe4458fd913707cad3ac4f11e686813b356d0e46d8ea2ef8ca8",
+  "test_lab_sha256": "9aca0bab2f02a908b5f80a77c81e581d8928cc22678d7d56fa6f2d08964fd9d8"
+}
+"""
+
+
+def test_run_json_holds_the_settings_as_written(tmp_path):
+    train_emb = EmbeddingMatrix(np.array(
+        [[0, 0], [4, 0], [0, 4], [0.5, 0], [4.5, 0], [0, 4.5],
+         [0, 0.5], [4, 0.5], [0.5, 4], [0.25, 0.25], [3.5, 0], [0, 3.5]], dtype=np.float32))
+    test_emb = EmbeddingMatrix(np.array(
+        [[0.25, 0], [4, 0.25], [0.25, 4], [0, 0.75], [3.75, 0], [0.5, 3.5]], dtype=np.float32))
+    run_budget_sweep(
+        (train_emb, LabelVector.from_labels([0, 1, 2] * 4)),
+        (test_emb, LabelVector.from_labels([0, 1, 2] * 2)),
+        BudgetSchedule((4, 8)), ("random",), trials=1, base_seed=3, seed_count=2,
+        train_cfg=TrainConfig(epochs=2, batch_size=4, learning_rate=0.25, hidden=3),
+        out_dir=tmp_path,
+    )
+    assert (tmp_path / "run.json").read_text() == RUN_JSON
+
+
+def test_numpy_learning_rate_reaches_run_json_as_a_float(tmp_path):
+    train_data, test_data = tiny_suite(n_per_class=5)
+    run_budget_sweep(
+        train_data, test_data, BudgetSchedule((4,)), ("random",), trials=1,
+        train_cfg=TrainConfig(epochs=2, learning_rate=np.float32(0.25)), out_dir=tmp_path,
+    )
+    assert '"learning_rate": 0.25,' in (tmp_path / "run.json").read_text()
+
+
 def test_sweep_writes_and_resumes_byte_identically(tmp_path):
     train_data, test_data = tiny_suite(n_per_class=12)
     schedule = BudgetSchedule((4, 8))
@@ -451,13 +497,42 @@ def test_sweep_refuses_a_trial_seed_past_2_64(tmp_path):
     )):
         run_budget_sweep(train_data, test_data, BudgetSchedule((4,)), trials=2,
                          base_seed=2**64 - 1, **args)
-    with pytest.raises(IndexOutOfRange, match=r"rng_seed must be below 2\*\*64"):
+    with pytest.raises(IndexOutOfRange, match=r"base_seed must be below 2\*\*64"):
         run_budget_sweep(train_data, test_data, BudgetSchedule((4,)), trials=1,
                          base_seed=2**64, **args)
     assert not any(tmp_path.iterdir())  # refused before run.json
     res = run_budget_sweep(train_data, test_data, BudgetSchedule((4,)), trials=1,
                            base_seed=2**64 - 1, **args)
     assert [r.seed for r in res.rows] == [2**64 - 1]
+
+
+def test_sweep_checks_the_base_seed_as_given_before_writing(tmp_path):
+    # a numpy uint64 base seed must not wrap: trial 19's seed is past 2**64
+    train_data, test_data = tiny_suite(n_per_class=5)
+    args = dict(methods=("random",), train_cfg=FAST_CFG, out_dir=tmp_path)
+    with pytest.raises(CoarsesetError, match=(
+        r"trial 19's seed, base seed 18446744073709551599 \+ 19, must be below 2\*\*64, "
+        r"got 18446744073709551618"
+    )):
+        run_budget_sweep(train_data, test_data, BudgetSchedule((4,)), trials=20,
+                         base_seed=np.uint64(2**64 - 17), **args)
+    with pytest.raises(IndexOutOfRange, match="base_seed must be non-negative, got -1"):
+        run_budget_sweep(train_data, test_data, BudgetSchedule((4,)), trials=1,
+                         base_seed=-1, **args)
+    for seed in (2.0, True):
+        with pytest.raises(TypeError, match=f"base_seed must be an integer, got {seed!r}"):
+            run_budget_sweep(train_data, test_data, BudgetSchedule((4,)), trials=1,
+                             base_seed=seed, **args)
+    assert not any(tmp_path.iterdir())
+
+
+def test_sweep_refuses_jobs_that_are_not_integers(tmp_path):
+    train_data, test_data = tiny_suite(n_per_class=5)
+    for jobs in (2.5, True):
+        with pytest.raises(TypeError, match=f"jobs must be an integer, got {jobs!r}"):
+            run_budget_sweep(train_data, test_data, BudgetSchedule((4,)), ("random",), 1,
+                             jobs=jobs, out_dir=tmp_path)
+    assert not any(tmp_path.iterdir())
 
 
 def test_coreset_budget_matches_schedule_points():
@@ -492,18 +567,19 @@ def test_grouped_sweep_rows_equal_one_training_per_cell():
     want = []
     for trial in range(2):
         seed = base_seed + trial
-        cfg = replace(FAST_CFG, rng_seed=seed)
         subsets = {
             "random": [random_order(emb.n, seed).prefix(b) for b in GROUP_SCHEDULE.budgets],
             "fixed_feature": [
                 select_prefix(emb, SelectionConfig(rng_seed=seed), b)
                 .order for b in GROUP_SCHEDULE.budgets
             ],
-            "coreset_iterative": coreset_rounds(emb, lab, GROUP_SCHEDULE.increments, cfg, seed),
+            "coreset_iterative": coreset_rounds(
+                emb, lab, GROUP_SCHEDULE.increments, FAST_CFG, seed, seed
+            ),
         }
         for method, per_budget in subsets.items():
             for b, subset in zip(GROUP_SCHEDULE.budgets, per_budget):
-                model = train(emb, lab, sorted(int(i) for i in subset), cfg)
+                model = train(emb, lab, sorted(int(i) for i in subset), FAST_CFG, seed)
                 want.append(SweepRow(method, b, trial, seed, accuracy(model, *test_data)))
     assert res.rows == tuple(sorted(want, key=lambda r: (r.method, r.budget, r.trial)))
 
@@ -717,8 +793,8 @@ def test_fixed_feature_array_is_select_prefix_of_the_trial_seed(monkeypatch, met
 @pytest.mark.parametrize("field,change", [
     ("budgets", dict(schedule=BudgetSchedule((4, 10)))),
     ("seed_count", dict(seed_count=2)),
-    ("epochs", dict(train_cfg=TrainConfig(epochs=21, rng_seed=0))),
-    ("hidden", dict(train_cfg=TrainConfig(epochs=20, rng_seed=0, hidden=8))),
+    ("epochs", dict(train_cfg=TrainConfig(epochs=21))),
+    ("hidden", dict(train_cfg=TrainConfig(epochs=20, hidden=8))),
     ("test_lab_sha256", dict(test_labels=[0, 1, 2] * 11 + [0, 2, 1])),
 ])
 def test_resume_refuses_changed_settings(tmp_path, field, change):
@@ -879,7 +955,7 @@ RESULT_BYTES = st.one_of(
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(RESULT_BYTES)
 def test_resume_fuzz_returns_valid_rows_or_names_the_file(tmp_path, raw):
-    cfg = TrainConfig(epochs=1, rng_seed=0)
+    cfg = TrainConfig(epochs=1)
     # every refusal comes before run.json is written, and a resume writes the
     # same record, so the first example's run.json stays valid
     if not (tmp_path / "run.json").exists():

@@ -1,6 +1,5 @@
 import math
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -47,28 +46,28 @@ def two_point_problem():
 def test_separable_two_points_reach_perfect_training_accuracy():
     e, labels = two_point_problem()
     # seed 0 initializes every hidden unit dead for one input; any other seed converges
-    cfg = TrainConfig(epochs=200, batch_size=2, learning_rate=0.1, rng_seed=1, hidden=4)
-    model = train(e, labels, [0, 1], cfg)
+    cfg = TrainConfig(epochs=200, batch_size=2, learning_rate=0.1, hidden=4)
+    model = train(e, labels, [0, 1], cfg, 1)
     assert accuracy(model, e, labels) == 1.0
 
 
 def test_training_is_bitwise_deterministic():
     e, labels = two_point_problem()
-    cfg = TrainConfig(epochs=50, batch_size=1, learning_rate=0.1, rng_seed=3, hidden=4)
-    a = train(e, labels, [0, 1], cfg)
-    b = train(e, labels, [0, 1], cfg)
+    cfg = TrainConfig(epochs=50, batch_size=1, learning_rate=0.1, hidden=4)
+    a = train(e, labels, [0, 1], cfg, 3)
+    b = train(e, labels, [0, 1], cfg, 3)
     for pa, pb in zip((a.w1, a.b1, a.w2, a.b2), (b.w1, b.b1, b.w2, b.b2)):
         assert pa.tobytes() == pb.tobytes()
 
 
 def test_loss_decreases_on_separable_toy():
     e, labels = two_point_problem()
-    cfg = TrainConfig(epochs=100, batch_size=2, learning_rate=0.1, rng_seed=1, hidden=4)
-    params = _init_params(Rng(cfg.rng_seed), e.d, cfg.hidden, 2, np.float32)
+    cfg = TrainConfig(epochs=100, batch_size=2, learning_rate=0.1, hidden=4)
+    params = _init_params(Rng(1), e.d, cfg.hidden, 2, np.float32)
     x = e.data.astype(np.float64)
     y = labels.labels
     initial, _ = _loss_and_grads(as64(params), x, y)
-    model = train(e, labels, [0, 1], cfg)
+    model = train(e, labels, [0, 1], cfg, 1)
     final, _ = _loss_and_grads(as64([model.w1, model.b1, model.w2, model.b2]), x, y)
     assert np.isfinite(final)
     assert final < initial
@@ -76,7 +75,7 @@ def test_loss_decreases_on_separable_toy():
 
 def test_synth_clusters_train_accurately():
     emb, lab = generate(MixtureSpec([40] * 3, d=4, separation=8.0, center_seed=1, rng_seed=2))
-    model = train(emb, lab, list(range(30)), TrainConfig(rng_seed=5))
+    model = train(emb, lab, list(range(30)), TrainConfig(), 5)
     assert accuracy(model, emb, lab) > 0.9
 
 
@@ -114,15 +113,15 @@ def test_zero_learning_rate_step_is_identity():
 
 
 def test_gradient_check_small_probes():
-    cfg = TrainConfig(hidden=3, rng_seed=11)
+    cfg = TrainConfig(hidden=3)
     for t in range(5):
-        probe = make_probe(cfg, seed=500 + t)
-        assert gradient_check(cfg, probe) < 1e-4
+        probe = make_probe(cfg, 11, seed=500 + t)
+        assert gradient_check(cfg, 11, probe) < 1e-4
 
 
 def test_extract_features_shapes_and_relu():
     e, labels = two_point_problem()
-    model = train(e, labels, [0, 1], TrainConfig(epochs=5, rng_seed=0, hidden=6))
+    model = train(e, labels, [0, 1], TrainConfig(epochs=5, hidden=6), 0)
     feats = extract_features(model, e)
     assert (feats.n, feats.d) == (2, 6)
     assert (feats.data >= 0.0).all()
@@ -172,7 +171,7 @@ def test_uniform_logits_tie_break_to_class_zero():
 
 def test_parameters_finite_after_training():
     emb, lab = generate(MixtureSpec([30] * 2, d=3, separation=5.0, rng_seed=8))
-    model = train(emb, lab, list(range(20)), TrainConfig(rng_seed=2))
+    model = train(emb, lab, list(range(20)), TrainConfig(), 2)
     for p in (model.w1, model.b1, model.w2, model.b2):
         assert np.isfinite(p).all()
 
@@ -207,8 +206,8 @@ def test_diverging_group_stops_at_its_first_epoch(monkeypatch):
 
 def test_feature_trainer_contract():
     emb, lab = generate(MixtureSpec([20] * 2, d=3, separation=6.0, rng_seed=9))
-    cfg = TrainConfig(epochs=10, rng_seed=0, hidden=5)
-    feats = extract_features(train(emb, lab, list(range(10)), cfg), emb)
+    cfg = TrainConfig(epochs=10, hidden=5)
+    feats = extract_features(train(emb, lab, list(range(10)), cfg, 0), emb)
     assert isinstance(feats, EmbeddingMatrix)
     assert (feats.n, feats.d) == (emb.n, 5)
 
@@ -221,28 +220,53 @@ def test_train_config_validation():
             TrainConfig(learning_rate=learning_rate)
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
+    e, labels = two_point_problem()
     with pytest.raises(ValueError, match="rng_seed must be non-negative, got -1"):
-        TrainConfig(rng_seed=-1)
+        train(e, labels, [0, 1], TrainConfig(), -1)
     with pytest.raises(ValueError, match=r"rng_seed must be below 2\*\*64, got 18446744073709551616"):
-        TrainConfig(rng_seed=2**64)
+        train(e, labels, [0, 1], TrainConfig(), 2**64)
 
 
 def test_train_config_holds_python_ints():
-    cfg = TrainConfig(epochs=np.int64(2), batch_size=np.int32(4), rng_seed=np.uint64(7),
-                      hidden=np.int64(3))
-    assert cfg == TrainConfig(epochs=2, batch_size=4, rng_seed=7, hidden=3)
-    fields = ("epochs", "batch_size", "rng_seed", "hidden")
+    cfg = TrainConfig(epochs=np.int64(2), batch_size=np.int32(4), hidden=np.int64(3))
+    assert cfg == TrainConfig(epochs=2, batch_size=4, hidden=3)
+    fields = ("epochs", "batch_size", "hidden")
     assert all(type(getattr(cfg, f)) is int for f in fields)
     # refused at once, not truncated, and not a batch of one
-    for field, value in (("epochs", 2.5), ("hidden", 2.5), ("batch_size", True),
-                         ("rng_seed", 1.0)):
+    for field, value in (("epochs", 2.5), ("hidden", 2.5), ("batch_size", True)):
         with pytest.raises(TypeError, match=f"{field} must be an integer, got {value!r}"):
             TrainConfig(**{field: value})
 
 
+def test_train_config_holds_a_python_float_learning_rate():
+    cfg = TrainConfig(learning_rate=np.float32(0.25))
+    assert cfg == TrainConfig(learning_rate=0.25)
+    assert type(cfg.learning_rate) is float
+    assert type(TrainConfig(learning_rate=np.int64(1)).learning_rate) is float
+    # a bool is not a rate of 1 or 0, nor a string parsed
+    for value in (True, False, "0.05", None):
+        with pytest.raises(TypeError, match=f"learning_rate must be a number, got {value!r}"):
+            TrainConfig(learning_rate=value)
+    with pytest.raises(ValueError, match="learning_rate must be a finite number"):
+        TrainConfig(learning_rate=10**400)
+
+
+def test_training_refuses_float_and_bool_seeds():
+    # not truncated: 2.7 is not seed 2, True is not seed 1
+    e, labels = two_point_problem()
+    cfg = TrainConfig(epochs=1)
+    for seed in (2.7, 2.0, True):
+        with pytest.raises(TypeError, match=f"rng_seed must be an integer, got {seed!r}"):
+            train_group(e, labels, [[0, 1]], cfg, [seed])
+        with pytest.raises(TypeError, match=f"rng_seed must be an integer, got {seed!r}"):
+            train(e, labels, [0, 1], cfg, seed)
+    a, b = train(e, labels, [0, 1], cfg, np.uint64(3)), train(e, labels, [0, 1], cfg, 3)
+    assert a.w1.tobytes() == b.w1.tobytes()
+
+
 def test_forward_hidden_matches_extract_features():
     e, labels = two_point_problem()
-    model = train(e, labels, [0, 1], TrainConfig(epochs=3, rng_seed=4))
+    model = train(e, labels, [0, 1], TrainConfig(epochs=3), 4)
     _, hidden, _ = _forward(
         as64([model.w1, model.b1, model.w2, model.b2]), e.data.astype(np.float64)
     )
@@ -253,7 +277,7 @@ def test_forward_hidden_matches_extract_features():
 
 # --- bit-identity of the lean training loop ---------------------------------
 
-def reference_train(e, labels, subset, cfg):
+def reference_train(e, labels, subset, cfg, seed):
     """The straightforward SGD loop `train` is an optimisation of: casts every
     param to float64 in the forward pass, computes and discards the loss on
     every step, gathers each batch by list indexing, and rounds the update
@@ -261,7 +285,7 @@ def reference_train(e, labels, subset, cfg):
     idx = [int(i) for i in subset]
     x_pool = e.data[idx].astype(np.float64)
     y_pool = labels.labels[idx]
-    rng = Rng(cfg.rng_seed)
+    rng = Rng(seed)
     params = [
         np.asarray([rng.uniform(-b, b) for _ in range(rows * cols)], dtype=np.float32)
         .reshape(shape)
@@ -301,34 +325,36 @@ def reference_train(e, labels, subset, cfg):
 
 
 TRAIN_CASES = [
-    # (pool per class, subset, TrainConfig)
-    (20, range(0, 60, 1), TrainConfig(epochs=7, batch_size=1, rng_seed=3, hidden=32)),
-    (20, range(0, 12, 1), TrainConfig(epochs=20, batch_size=32, rng_seed=4, hidden=32)),
-    (30, range(5, 75, 1), TrainConfig(epochs=15, batch_size=32, rng_seed=5, hidden=32)),
-    (30, range(0, 90, 3), TrainConfig(epochs=12, batch_size=7, rng_seed=6, hidden=9)),
-    (40, range(0, 100, 1), TrainConfig(epochs=10, batch_size=16, rng_seed=7, hidden=48,
-                                       learning_rate=0.2)),
+    # (pool per class, subset, TrainConfig, seed)
+    (20, range(0, 60, 1), TrainConfig(epochs=7, batch_size=1, hidden=32), 3),
+    (20, range(0, 12, 1), TrainConfig(epochs=20, batch_size=32, hidden=32), 4),
+    (30, range(5, 75, 1), TrainConfig(epochs=15, batch_size=32, hidden=32), 5),
+    (30, range(0, 90, 3), TrainConfig(epochs=12, batch_size=7, hidden=9), 6),
+    (40, range(0, 100, 1), TrainConfig(epochs=10, batch_size=16, hidden=48,
+                                       learning_rate=0.2), 7),
 ]
+# pool-subset-config, without the seed
+TRAIN_IDS = [f"{per_class}-subset{i}-cfg{i}" for i, (per_class, *_) in enumerate(TRAIN_CASES)]
 
 
-@pytest.mark.parametrize("per_class,subset,cfg", TRAIN_CASES)
-def test_train_is_bit_identical_to_reference_loop(per_class, subset, cfg):
+@pytest.mark.parametrize("per_class,subset,cfg,seed", TRAIN_CASES, ids=TRAIN_IDS)
+def test_train_is_bit_identical_to_reference_loop(per_class, subset, cfg, seed):
     emb, lab = generate(MixtureSpec([per_class] * 3, d=5, separation=4.0, rng_seed=12))
     subset = list(subset)
-    got = train(emb, lab, subset, cfg)
-    want = reference_train(emb, lab, subset, cfg)
+    got = train(emb, lab, subset, cfg, seed)
+    want = reference_train(emb, lab, subset, cfg, seed)
     for name in ("w1", "b1", "w2", "b2"):
         g, w = getattr(got, name), getattr(want, name)
         assert g.dtype == w.dtype == np.float32
         assert g.tobytes() == w.tobytes(), name
 
 
-@pytest.mark.parametrize("per_class,subset,cfg", TRAIN_CASES)
-def test_feature_trainer_is_bit_identical_to_reference_loop(per_class, subset, cfg):
+@pytest.mark.parametrize("per_class,subset,cfg,seed", TRAIN_CASES, ids=TRAIN_IDS)
+def test_feature_trainer_is_bit_identical_to_reference_loop(per_class, subset, cfg, seed):
     emb, lab = generate(MixtureSpec([per_class] * 3, d=5, separation=4.0, rng_seed=12))
     subset = list(subset)
-    feats = extract_features(train(emb, lab, subset, cfg), emb)
-    want = reference_train(emb, lab, subset, cfg)
+    feats = extract_features(train(emb, lab, subset, cfg, seed), emb)
+    want = reference_train(emb, lab, subset, cfg, seed)
     x = emb.data.astype(np.float64)
     hidden = np.maximum(x @ want.w1.astype(np.float64).T + want.b1.astype(np.float64), 0.0)
     assert feats.data.tobytes() == hidden.astype(np.float32).tobytes()
@@ -340,35 +366,37 @@ def reversed_every_other(subset):
 
 
 GROUP_CASES = [
-    # (pool per class, subset length, B, TrainConfig)
-    (20, 12, 1, TrainConfig(epochs=9, batch_size=32, rng_seed=21, hidden=32)),  # m < batch
-    (30, 40, 3, TrainConfig(epochs=8, batch_size=7, rng_seed=22, hidden=9)),  # m % batch != 0
-    (30, 20, 4, TrainConfig(epochs=12, batch_size=1, rng_seed=23, hidden=32)),
-    (40, 64, 4, TrainConfig(epochs=6, batch_size=16, rng_seed=24, hidden=48,
-                            learning_rate=0.2)),
-    (40, 100, 3, TrainConfig(epochs=5, batch_size=32, rng_seed=25, hidden=32)),
+    # (pool per class, subset length, B, TrainConfig, base seed)
+    (20, 12, 1, TrainConfig(epochs=9, batch_size=32, hidden=32), 21),  # m < batch
+    (30, 40, 3, TrainConfig(epochs=8, batch_size=7, hidden=9), 22),  # m % batch != 0
+    (30, 20, 4, TrainConfig(epochs=12, batch_size=1, hidden=32), 23),
+    (40, 64, 4, TrainConfig(epochs=6, batch_size=16, hidden=48,
+                            learning_rate=0.2), 24),
+    (40, 100, 3, TrainConfig(epochs=5, batch_size=32, hidden=32), 25),
 ]
+# pool-length-B-config, without the base seed
+GROUP_IDS = [f"{per_class}-{m}-{b}-cfg{i}" for i, (per_class, m, b, *_) in enumerate(GROUP_CASES)]
 
-# per-member seed offsets from cfg.rng_seed, by B: 2 or 3 seeds, in an
+# per-member seed offsets from the base seed, by B: 2 or 3 seeds, in an
 # order that does not group the members by seed
 SEED_OFFSETS = {1: (3,), 3: (1, 0, 1), 4: (2, 0, 1, 0)}
 
 
-@pytest.mark.parametrize("per_class,m,members,cfg", GROUP_CASES)
-def test_train_group_is_bit_identical_to_reference_loop(per_class, m, members, cfg):
+@pytest.mark.parametrize("per_class,m,members,cfg,base_seed", GROUP_CASES, ids=GROUP_IDS)
+def test_train_group_is_bit_identical_to_reference_loop(per_class, m, members, cfg, base_seed):
     emb, lab = generate(MixtureSpec([per_class] * 3, d=5, separation=4.0, rng_seed=12))
-    rng = Rng(cfg.rng_seed + 1000)
+    rng = Rng(base_seed + 1000)
     # mixed members: sorted and unsorted draws, and the same points in two orders
     drawn = [rng.sample(emb.n, m) for _ in range(members)]
     subsets = [sorted(s) if b % 2 == 0 else s for b, s in enumerate(drawn)]
     if members > 1:
         subsets[-1] = reversed_every_other(sorted(subsets[0]))
-    seeds = [cfg.rng_seed + k for k in SEED_OFFSETS[members]]
-    for member_seeds in ([cfg.rng_seed] * members, seeds):
+    seeds = [base_seed + k for k in SEED_OFFSETS[members]]
+    for member_seeds in ([base_seed] * members, seeds):
         models = train_group(emb, lab, subsets, cfg, member_seeds)
         assert len(models) == members
         for subset, seed, got in zip(subsets, member_seeds, models):
-            want = reference_train(emb, lab, subset, replace(cfg, rng_seed=seed))
+            want = reference_train(emb, lab, subset, cfg, seed)
             for name in ("w1", "b1", "w2", "b2"):
                 g, w = getattr(got, name), getattr(want, name)
                 assert g.dtype == w.dtype == np.float32

@@ -424,10 +424,10 @@ def test_iterative_mlp_covers_clusters_across_seeds():
     emb, lab = generate(
         MixtureSpec([40] * 3, d=4, separation=8.0, std=1.0, center_seed=303, rng_seed=304)
     )
-    cfg = TrainConfig(rng_seed=1)
+    cfg = TrainConfig()
     covered = 0
     for seed in range(100):
-        labeled = coreset_rounds(emb, lab, [2, 2, 2], cfg, seed)[-1]
+        labeled = coreset_rounds(emb, lab, [2, 2, 2], cfg, 1, seed)[-1]
         covered += int(len(set(lab.labels[labeled].tolist())) == 3)
     assert covered >= 95
 
